@@ -12,6 +12,8 @@ variance components.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,7 +66,10 @@ class RawComponents:
 
     def __post_init__(self) -> None:
         for name in ("sigma_alpha_sq", "sigma_e_sq", "sigma_psi_sq", "sigma_nu_sq"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ParameterError(f"{name} must be nonnegative")
         if self.sigma_e_sq <= 0:
             raise ParameterError("sigma_e_sq must be positive")
@@ -269,8 +274,11 @@ class CorrelationSpec:
     raw: RawComponents | None = None
 
     def __post_init__(self) -> None:
-        if self.n_per_period < 1:
-            raise ParameterError(f"n_per_period must be >= 1, got {self.n_per_period}")
+        n = self.n_per_period
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ParameterError(f"n_per_period must be an integer, got {n!r}")
+        if n < 1:
+            raise ParameterError(f"n_per_period must be >= 1, got {n}")
         has_icc = self.rho_w is not None
         has_raw = self.raw is not None
         if has_icc == has_raw:

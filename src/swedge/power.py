@@ -7,10 +7,11 @@ type I error rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .covariance import CorrelationSpec, CovarianceModel, ParameterError
 from .designs import DesignGrid
@@ -22,6 +23,23 @@ from .variance import (
 
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))
+
+_STANDARD_NORMAL = NormalDist()
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF.
+
+    Near the centre and in the upper tail it is accurate to a few ulps.  In
+    the lower tail the rounding of ``-x / sqrt(2)`` is amplified by erfc's
+    conditioning, to about 4e-13 relative for x near -37.5.
+    """
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF for ``0 < p < 1``."""
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
@@ -37,15 +55,19 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
     alpha : float
         Two-sided type I error rate.
     """
+    if not math.isfinite(effect):
+        raise ValueError(f"effect must be finite, got {effect}")
+    if not math.isfinite(se):
+        raise ValueError(f"standard error must be finite, got {se}")
     if se <= 0:
         raise ValueError(f"standard error must be positive, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if effect == 0:
         return alpha
-    crit = norm.ppf(1.0 - alpha / 2.0)
+    crit = normal_quantile(1.0 - alpha / 2.0)
     shift = abs(effect) / se
-    return float(norm.cdf(shift - crit) + norm.cdf(-shift - crit))
+    return normal_cdf(shift - crit) + normal_cdf(-shift - crit)
 
 
 @dataclass(frozen=True)
@@ -64,8 +86,12 @@ class ContrastSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ParameterError("contrast needs a label")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ParameterError(f"contrast {self.label!r} weights must be finite")
         if not any(self.weights):
             raise ParameterError("contrast weights must not all be zero")
+        if self.effect is not None and not math.isfinite(self.effect):
+            raise ParameterError(f"contrast {self.label!r} effect must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,6 +117,9 @@ class EffectSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
+        for label, delta in self.deltas().items():
+            if not math.isfinite(delta):
+                raise ParameterError(f"effect size for {label} must be finite, got {delta}")
         if self.delta1 is None and self.delta2 is None and self.delta3 is None \
                 and not self.contrasts:
             raise ParameterError("request at least one effect or contrast")
@@ -147,6 +176,8 @@ def _contrast_effect(spec: ContrastSpec, labels: tuple[str, ...],
                 f"effect size was given for {label}"
             )
         total += weight * deltas[label]
+    if not math.isfinite(total):
+        raise ParameterError(f"contrast {spec.label!r} effect size is not finite")
     return total
 
 
@@ -207,11 +238,18 @@ def _resolve_point(point, template: CorrelationSpec) -> CorrelationSpec:
             raise ParameterError("cross-sectional sweep points are single rho_w values")
         if len(point) != 2:
             raise ParameterError(f"sweep point {point!r} must have two entries")
-        rho_w, extra = float(point[0]), float(point[1])
+        rho_w, extra = _point_float(point[0]), _point_float(point[1])
         if model is CovarianceModel.COHORT:
             return template.with_icc(rho_w=rho_w, pi=extra)
         return template.with_icc(rho_w=rho_w, rho_a=extra)
-    return template.with_icc(rho_w=float(point))
+    return template.with_icc(rho_w=_point_float(point))
+
+
+def _point_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"sweep point entry {value!r} is not a number") from None
 
 
 def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
@@ -229,7 +267,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
             spec = _resolve_point(point, correlation)
             result = design_power(grid, spec, effects)
             error = None
-        except (ParameterError, RankDeficiencyError, ValueError) as exc:
+        except (ParameterError, RankDeficiencyError) as exc:
             spec = None
             result = None
             error = str(exc)

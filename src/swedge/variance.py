@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .covariance import CompoundSymmetry
+from .covariance import CompoundSymmetry, ParameterError
 from .designs import DesignGrid, build_design_matrix
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
@@ -264,6 +263,9 @@ def closed_form_covariance(
 
     Raises
     ------
+    ParameterError
+        If the covariance entries overflow or underflow the information
+        matrix.
     RankDeficiencyError
         If no effect is present at all, or the information matrix for the
         present effects is (numerically) singular, naming the offending
@@ -278,6 +280,12 @@ def closed_form_covariance(
         )
     labels = tuple(EFFECT_LABELS[k] for k in active)
     s = information_matrix(grid, cs)[np.ix_(active, active)]
+    if not np.isfinite(s).all():
+        raise ParameterError(
+            "information matrix is not finite: the covariance entries "
+            f"(diagonal {cs.diag:g}, off-diagonal {cs.offdiag:g}) are too large "
+            "or too small to represent"
+        )
     _check_rank(s, labels)
     return TreatmentCovariance(labels=labels, matrix=_invert_symmetric(s), scale=cs.scale)
 
@@ -325,12 +333,12 @@ def oracle_covariance(
             condition=condition,
         )
     try:
-        factor = scipy.linalg.cho_factor(precision)
+        lower = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by cond check
         raise RankDeficiencyError(
             f"precision matrix is not positive definite: {exc}", condition=condition
         ) from None
-    full_cov = scipy.linalg.cho_solve(factor, np.eye(size))
+    full_cov = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(size)))
     block = full_cov[n_periods:, n_periods:]
     return TreatmentCovariance(labels=labels, matrix=block, scale=cs.scale)
 
@@ -339,9 +347,12 @@ def contrast_variance(weights, cov: TreatmentCovariance) -> float:
     """Variance of a weighted combination of the effect estimates."""
     c = np.asarray(weights, dtype=float)
     if c.ndim != 1 or c.size != cov.dim:
-        raise ValueError(
+        raise ParameterError(
             f"contrast length {c.size} does not match covariance dimension {cov.dim}"
         )
     if not c.any():
-        raise ValueError("contrast weights must not all be zero")
-    return float(c @ cov.matrix @ c)
+        raise ParameterError("contrast weights must not all be zero")
+    var = float(c @ cov.matrix @ c)
+    if not np.isfinite(var):
+        raise ParameterError(f"contrast variance is not finite (weights {c.tolist()})")
+    return var

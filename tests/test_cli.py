@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import swedge
 from swedge.cli import main
 from swedge.designs import catalog_design, parse_design, serialize_design
 
@@ -105,6 +109,70 @@ class TestPowerCommand:
         p_raw = payload["rows"][0]["power"]
         p_std = json.loads(out2)["rows"][0]["power"]
         assert p_raw == pytest.approx(p_std, abs=1e-9)
+
+
+class TestRejectedInputs:
+    BASE = ("power", "--design", "fig2b", "--model", "cs", "--n", "10")
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--sigma-alpha-sq", "nan", "--sigma-e-sq", "1", "--delta", "0.3"),
+         "sigma_alpha_sq must be finite"),
+        (("--sigma-alpha-sq", "0.1", "--sigma-e-sq", "inf", "--delta", "0.3"),
+         "sigma_e_sq must be finite"),
+        (("--rho-w", "0.05", "--delta", "nan"), "must be finite"),
+        (("--rho-w", "0.05", "--delta", "0.3", "inf"), "must be finite"),
+        (("--rho-w", "0.05", "--contrast", "a=nan,1@0.3"), "weights must be finite"),
+        (("--rho-w", "0.05", "--contrast", "a=1,-1@nan"), "effect must be finite"),
+        (("--rho-w", "nan", "--delta", "0.3"), "rho_w"),
+        (("--rho-w", "0.05", "--delta", "0.3", "--alpha", "nan"), "alpha"),
+        (("--rho-w", "0.05", "--contrast", "a=1,0,0@0.3"),
+         "contrast length 3 does not match covariance dimension 2"),
+    ])
+    def test_exits_2_with_message(self, capsys, extra, message):
+        code, out, err = run(capsys, *self.BASE, *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["1e308", "1e-320"])
+    def test_unrepresentable_components_exit_2(self, capsys, value):
+        code, out, err = run(capsys, *self.BASE, "--sigma-alpha-sq", value,
+                             "--sigma-e-sq", value, "--delta", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "information matrix is not finite" in err
+
+    def test_wrong_length_contrast_fails_every_sweep_point(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--design", "fig2b", "--model", "cs", "--n", "10",
+            "--delta", "0.3", "--contrast", "a=1,0,0@0.3", "--rho-values", "0.05",
+        )
+        assert code == 2
+        assert "every sweep point failed" in err and "contrast length 3" in err
+
+
+class TestRuntimeDependencies:
+    def test_cli_runs_without_scipy(self):
+        script = (
+            "import sys\n"
+            "import swedge, swedge.cli\n"
+            "code = swedge.cli.main(['power', '--design', 'fig2b', '--model', 'cs',\n"
+            "                        '--n', '10', '--rho-w', '0.05', '--delta', '0.3',\n"
+            "                        '--format', 'csv'])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('exit', code, 'scipy', loaded)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == "label,effect,se,power"
+        assert lines[-1] == "exit 0 scipy []"
 
 
 class TestSweepCommand:

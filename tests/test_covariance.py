@@ -170,6 +170,15 @@ class TestDomains:
         with pytest.raises(ParameterError):
             RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name", ["sigma_alpha_sq", "sigma_e_sq", "sigma_psi_sq", "sigma_nu_sq"]
+    )
+    def test_non_finite_components_rejected(self, name, bad):
+        values = {"sigma_alpha_sq": 1.0, "sigma_e_sq": 1.0, name: bad}
+        with pytest.raises(ParameterError, match="finite"):
+            RawComponents(**values)
+
 
 class TestCorrelationSpec:
     def test_exactly_one_parameterization(self):
@@ -178,6 +187,16 @@ class TestCorrelationSpec:
             CorrelationSpec(model=CS, n_per_period=10, rho_w=0.1, raw=raw)
         with pytest.raises(ParameterError):
             CorrelationSpec(model=CS, n_per_period=10)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
+    def test_n_per_period_must_be_an_integer(self, n):
+        with pytest.raises(ParameterError, match="integer"):
+            CorrelationSpec(model=CS, n_per_period=n, rho_w=0.1)
+
+    def test_numpy_integer_n_per_period_accepted(self):
+        spec = CorrelationSpec(model=CS, n_per_period=np.int64(10), rho_w=0.1)
+        assert spec.cov_entries() == CorrelationSpec(model=CS, n_per_period=10,
+                                                     rho_w=0.1).cov_entries()
 
     def test_with_icc_cannot_sweep_raw(self):
         raw = RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=3.0)

@@ -15,6 +15,8 @@ from swedge.power import (
     ContrastSpec,
     EffectSpec,
     design_power,
+    normal_cdf,
+    normal_quantile,
     sweep,
     wald_power,
 )
@@ -66,11 +68,49 @@ class TestWaldPower:
         with pytest.raises(ValueError):
             wald_power(0.4, 1.0, 1.0)
 
+    @pytest.mark.parametrize("effect, se", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
+        (0.4, float("nan")), (0.4, float("inf")), (0.0, float("nan")),
+    ])
+    def test_non_finite_inputs_rejected(self, effect, se):
+        with pytest.raises(ValueError, match="finite"):
+            wald_power(effect, se, 0.05)
+
+    def test_returns_plain_float(self):
+        assert type(wald_power(0.4, 0.2, 0.05)) is float
+
     def test_power_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             p = wald_power(rng.uniform(0, 3), rng.uniform(0.01, 2), rng.uniform(0.005, 0.2))
             assert 0.0 < p <= 1.0
+
+
+class TestNormalDistribution:
+    """The scipy-free normal CDF and quantile against scipy.stats.norm."""
+
+    def test_cdf_matches_scipy(self):
+        x = np.concatenate([np.linspace(-37.5, 9.0, 20001), [-8.0, -1.0, 0.0, 1.0, 8.0]])
+        ours = np.array([normal_cdf(v) for v in x])
+        ref = norm.cdf(x)
+        assert np.max(np.abs(ours - ref)) <= 2e-16
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
+
+    def test_quantile_matches_scipy(self):
+        alphas = np.concatenate([np.logspace(-12, -1, 2001), np.linspace(0.1, 1.0, 2001)[:-1]])
+        p = 1.0 - alphas / 2.0
+        ours = np.array([normal_quantile(v) for v in p])
+        ref = norm.ppf(p)
+        assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-15
+
+    def test_power_matches_scipy_formula(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            effect, se = rng.uniform(-3, 3), rng.uniform(0.01, 2)
+            alpha = float(10 ** rng.uniform(-6, -0.3))
+            crit = norm.ppf(1 - alpha / 2)
+            ref = norm.cdf(abs(effect) / se - crit) + norm.cdf(-abs(effect) / se - crit)
+            assert wald_power(effect, se, alpha) == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
 
 class TestEffectSpec:
@@ -89,6 +129,22 @@ class TestEffectSpec:
     def test_contrast_weights_nonzero(self):
         with pytest.raises(ParameterError):
             ContrastSpec(label="null", weights=(0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        for field in ("delta1", "delta2", "delta3"):
+            with pytest.raises(ParameterError, match="finite"):
+                EffectSpec(**{field: bad})
+        with pytest.raises(ParameterError, match="finite"):
+            ContrastSpec(label="c", weights=(bad, 1.0))
+        with pytest.raises(ParameterError, match="finite"):
+            ContrastSpec(label="c", weights=(1.0, -1.0), effect=bad)
+
+    def test_overflowing_contrast_effect_rejected(self):
+        spec = ContrastSpec(label="sum", weights=(1.0, 1.0))
+        with pytest.raises(ParameterError, match="effect size is not finite"):
+            design_power(catalog_design("fig2b"), cs_spec(),
+                         EffectSpec(delta1=1e308, delta2=1e308, contrasts=(spec,)))
 
 
 class TestDesignPower:
@@ -204,6 +260,25 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None and np.isnan(rows[1].rho_w)
         assert rows[2].error is not None  # pairs invalid under cross-sectional
+
+    def test_non_numeric_pair_entries_become_error_rows(self):
+        template = CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15,
+                                   rho_w=0.1, pi=0.4)
+        rows = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
+                     points=[(0.1, 0.5), ("x", 0.5), (0.1, None)])
+        assert rows[0].error is None
+        assert "not a number" in rows[1].error and np.isnan(rows[1].rho_w)
+        assert "not a number" in rows[2].error
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import swedge.power
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug, not a bad sweep point")
+
+        monkeypatch.setattr(swedge.power, "design_power", broken)
+        with pytest.raises(ValueError, match="bug"):
+            sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=(0.1,))
 
     def test_nested_fixed_rho_a_invalid_below_it(self):
         template = CorrelationSpec(

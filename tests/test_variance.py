@@ -6,6 +6,7 @@ from designgen import random_correlation, random_grid, random_single_treatment_g
 from swedge.covariance import (
     CompoundSymmetry,
     CovarianceModel,
+    ParameterError,
     StandardizedParams,
     cluster_cov_entries,
 )
@@ -345,6 +346,16 @@ class TestContrastVariance:
             contrast_variance((1.0, -1.0, 0.0), cov)
         with pytest.raises(ValueError, match="zero"):
             contrast_variance((0.0, 0.0), cov)
+
+    def test_bad_contrasts_are_parameter_errors(self):
+        cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
+        with pytest.raises(ParameterError, match="contrast length 3 does not match"):
+            contrast_variance((1.0, -1.0, 0.0), cov)
+        with pytest.raises(ParameterError, match="must not all be zero"):
+            contrast_variance((0.0, 0.0), cov)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParameterError, match="not finite"):
+                contrast_variance((1e300, 1e300), cov)
 
     def test_quadratic_form_against_manual_expansion(self):
         rng = np.random.default_rng(14)
