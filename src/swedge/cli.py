@@ -90,23 +90,21 @@ def _render_json(meta: dict, rows: list[dict]) -> str:
 # Input assembly
 # ---------------------------------------------------------------------------
 
-def _load_design(spec: str, policy: TransitionPolicy) -> DesignGrid:
-    looks_like_path = os.sep in spec or spec.endswith((".csv", ".json"))
-    if not looks_like_path:
+def _looks_like_path(spec: str) -> bool:
+    return os.sep in spec or spec.endswith((".csv", ".json"))
+
+
+def _read_design(spec: str) -> DesignGrid:
+    """The catalog design or design file ``spec`` names; catalog ids win."""
+    if not _looks_like_path(spec):
         try:
-            grid = catalog_design(spec)
+            return catalog_design(spec)
         except UnknownDesignError:
-            grid = None
-        if grid is not None:
-            violations = validate_design(grid)
-            if violations and policy is TransitionPolicy.STRICT:
-                raise CliError(f"design {spec!r} violates the transition policy")
-            return grid
-        if not os.path.exists(spec):
-            raise CliError(
-                f"unknown design {spec!r}: not a catalog id "
-                f"(known: {', '.join(catalog_ids())}) and no such file"
-            )
+            if not os.path.exists(spec):
+                raise CliError(
+                    f"unknown design {spec!r}: not a catalog id "
+                    f"(known: {', '.join(catalog_ids())}) and no such file"
+                ) from None
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -118,6 +116,11 @@ def _load_design(spec: str, policy: TransitionPolicy) -> DesignGrid:
         raise CliError(f"invalid design file {spec!r}: {exc}") from None
     if not grid.label:
         grid = grid.relabel(os.path.splitext(os.path.basename(spec))[0])
+    return grid
+
+
+def _load_design(spec: str, policy: TransitionPolicy) -> DesignGrid:
+    grid = _read_design(spec)
     violations = validate_design(grid)
     if violations:
         listing = "\n".join(f"  {v}" for v in violations)
@@ -306,12 +309,6 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(args, grid: DesignGrid, correlation: CorrelationSpec,
-               effects: EffectSpec) -> list:
-    points = _sweep_points(args, correlation.model)
-    return sweep(grid, correlation, effects, points=points)
-
-
 def _rho_columns(model: CovarianceModel) -> list[str]:
     cols = ["rho_w"]
     if model is CovarianceModel.NESTED_EXCHANGEABLE:
@@ -330,97 +327,52 @@ def _row_params(row, model: CovarianceModel) -> list[float]:
     return vals
 
 
-def cmd_sweep(args) -> int:
-    policy = TransitionPolicy(args.policy)
-    grid = _load_design(args.design, policy)
-    correlation = _sweep_template(args)
-    effects = _effects_from_args(args, grid)
-    rows = _sweep_one(args, grid, correlation, effects)
+def _sweep_table(args, specs: list[str]) -> int:
+    """Sweep each design over the same grid and render one table.
 
-    labels = None
-    for row in rows:
-        if row.result is not None:
-            labels = list(row.result.labels())
-            break
-    if labels is None:
-        raise CliError("every sweep point failed; first error: "
-                       f"{rows[0].error if rows else 'empty grid'}")
-
-    model = correlation.model
-    header = _rho_columns(model) + [f"se_{l}" for l in labels] + [f"power_{l}" for l in labels]
-    csv_rows, json_rows = [], []
-    for row in rows:
-        params = _row_params(row, model)
-        if row.error is not None:
-            sys.stderr.write(f"point {row.index} (rho_w={row.rho_w:g}): {row.error}\n")
-            entry = dict(zip(_rho_columns(model), (_json_value(p) for p in params)))
-            entry["error"] = row.error
-            json_rows.append(entry)
-            continue
-        ses = [row.result.row(l).se for l in labels]
-        powers = [row.result.row(l).power for l in labels]
-        csv_rows.append([_machine(v) for v in params + ses + powers])
-        entry = dict(zip(header, (_json_value(v) for v in params + ses + powers)))
-        json_rows.append(entry)
-
-    if args.format == "json":
-        text = _render_json(_meta(args, [args.design], correlation, effects), json_rows)
-    elif args.format == "csv":
-        text = _render_csv(header, csv_rows)
-    else:
-        human = [[_human(float(v)) for v in row] for row in csv_rows]
-        text = _render_table(header, human)
-    _emit(text, args.output)
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    if len(args.design) < 2:
-        raise CliError("compare needs at least two --design values")
+    With two or more designs, columns carry a ``_<design>`` suffix and the
+    ``gain_`` columns give each design's power minus the first design's.
+    """
     policy = TransitionPolicy(args.policy)
     correlation = _sweep_template(args)
+    compare = len(specs) > 1
 
     names, effect_specs, sweeps, label_sets = [], [], [], []
-    for spec in args.design:
+    for spec in specs:
         grid = _load_design(spec, policy)
         effects = _effects_from_args(args, grid)
-        rows = _sweep_one(args, grid, correlation, effects)
-        if os.sep in spec or spec.endswith((".csv", ".json")):
-            name = os.path.splitext(os.path.basename(spec))[0]
-        else:
-            name = spec
-        name = "".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name)
-        names.append(name)
+        rows = sweep(grid, correlation, effects,
+                     points=_sweep_points(args, correlation.model))
+        labels = next((list(r.result.labels()) for r in rows if r.result is not None), None)
+        if labels is None:
+            raise CliError(f"design {spec!r}: every sweep point failed; first error: "
+                           f"{rows[0].error if rows else 'empty grid'}")
+        name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
+        names.append("".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name))
         effect_specs.append(effects)
         sweeps.append(rows)
-        per_design = None
-        for row in rows:
-            if row.result is not None:
-                per_design = list(row.result.labels())
-                break
-        if per_design is None:
-            raise CliError(f"design {spec!r}: every sweep point failed")
-        label_sets.append(per_design)
+        label_sets.append(labels)
 
     shared = [l for l in label_sets[0] if all(l in s for s in label_sets)]
     if not shared:
         raise CliError("designs share no estimable effect or contrast labels to compare")
 
     model = correlation.model
-    header = list(_rho_columns(model))
+    rho_columns = _rho_columns(model)
+    header = list(rho_columns)
     for name in names:
-        header += [f"se_{l}_{name}" for l in shared] + [f"power_{l}_{name}" for l in shared]
+        suffix = f"_{name}" if compare else ""
+        header += [f"se_{l}{suffix}" for l in shared] + [f"power_{l}{suffix}" for l in shared]
     for name in names[1:]:
         header += [f"gain_{l}_{name}" for l in shared]
 
     csv_rows, json_rows = [], []
-    for idx in range(len(sweeps[0])):
-        rows_at = [s[idx] for s in sweeps]
+    for rows_at in zip(*sweeps):
         params = _row_params(rows_at[0], model)
         bad = next((r for r in rows_at if r.error is not None), None)
         if bad is not None:
             sys.stderr.write(f"point {bad.index} (rho_w={bad.rho_w:g}): {bad.error}\n")
-            entry = dict(zip(_rho_columns(model), (_json_value(p) for p in params)))
+            entry = dict(zip(rho_columns, (_json_value(p) for p in params)))
             entry["error"] = bad.error
             json_rows.append(entry)
             continue
@@ -434,9 +386,10 @@ def cmd_compare(args) -> int:
         csv_rows.append([_machine(v) for v in values])
         json_rows.append(dict(zip(header, (_json_value(v) for v in values))))
 
-    meta = _meta(args, args.design, correlation, effect_specs[0])
-    meta["design_names"] = names
     if args.format == "json":
+        meta = _meta(args, specs, correlation, effect_specs[0])
+        if compare:
+            meta["design_names"] = names
         text = _render_json(meta, json_rows)
     elif args.format == "csv":
         text = _render_csv(header, csv_rows)
@@ -445,6 +398,16 @@ def cmd_compare(args) -> int:
         text = _render_table(header, human)
     _emit(text, args.output)
     return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    return _sweep_table(args, [args.design])
+
+
+def cmd_compare(args) -> int:
+    if len(args.design) < 2:
+        raise CliError("compare needs at least two --design values")
+    return _sweep_table(args, args.design)
 
 
 def cmd_catalog(args) -> int:
@@ -471,19 +434,7 @@ def cmd_catalog(args) -> int:
 def cmd_validate(args) -> int:
     policy = TransitionPolicy(args.policy)
     spec = args.design
-    if os.path.exists(spec) or os.sep in spec or spec.endswith((".csv", ".json")):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                grid = parse_design(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read design file {spec!r}: {exc}") from None
-        except DesignError as exc:
-            raise CliError(f"invalid design file {spec!r}: {exc}") from None
-    else:
-        try:
-            grid = catalog_design(spec)
-        except UnknownDesignError:
-            raise CliError(f"unknown design {spec!r}") from None
+    grid = _read_design(spec)
     violations = validate_design(grid)
     if not violations:
         print(f"{spec}: ok ({grid.n_clusters} clusters x {grid.n_periods} periods)")

@@ -1,13 +1,14 @@
 """Variance-covariance of treatment-effect estimates in stepped wedge designs.
 
-Two independent computation paths are provided.  The closed form assembles
-scalar summaries of the design (counts of treated cluster-periods, their
-per-cluster and per-period totals) into the 3x3 information matrix for the
-treatment, second-treatment and product effects after profiling out the
-intercept and period effects, then inverts it directly.  The dense oracle
-builds the full GLS precision matrix cluster by cluster with generic
-matrix inversion and factorizes it; it shares no intermediate results with
-the closed form and exists to verify it.
+Two independent computation paths are provided.  The closed form writes
+the 3x3 information matrix of the treatment, second-treatment and product
+effects, after profiling out the intercept and period effects, as one
+fixed combination of four integer Gram matrices of the design's indicator
+stack (its cells, per-cluster totals, per-period totals and grand totals)
+weighted by five scalars of the covariance, then inverts it directly.  The
+dense oracle builds the full GLS precision matrix cluster by cluster with
+generic matrix inversion and factorizes it; it shares no intermediate
+results with the closed form and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
@@ -24,9 +25,6 @@ from .covariance import CompoundSymmetry, ParameterError
 from .designs import DesignGrid, build_design_matrix
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
-
-# Unordered effect pairs in the order their cross terms are stored.
-PAIR_INDICES = ((0, 1), (0, 2), (1, 2))
 
 # Information matrices with a worse condition number than this are treated
 # as rank deficient rather than invertible-but-noisy.
@@ -64,99 +62,51 @@ def sherman_morrison_entries(cs: CompoundSymmetry, n_periods: int) -> tuple[floa
     return diag, off
 
 
-@dataclass(frozen=True)
-class PrecisionTerms:
-    """Scalar building blocks of the profiled information matrix.
-
-    Arrays are indexed by effect (treatment 1, treatment 2, product);
-    ``q`` and ``w_pairs`` follow :data:`PAIR_INDICES`.  ``y`` carries the
-    fully-weighted cell counts, ``l`` the residual-weighted counts, ``h``
-    their cross weighting, ``z`` the per-cluster total penalty, ``w`` the
-    per-period column-sum squares, and ``w_pairs`` the per-period
-    column-sum cross products.
-    """
-
-    a: float
-    b: float
-    c: float
-    f: float
-    g: float
-    y: np.ndarray
-    h: np.ndarray
-    z: np.ndarray
-    l: np.ndarray
-    q: np.ndarray
-    w: np.ndarray
-    w_pairs: np.ndarray
-
-
 def _indicator_stack(grid: DesignGrid) -> np.ndarray:
     """(3, I, T) stack of the treatment-1, treatment-2 and product indicators."""
     x, w = grid.indicators()
     return np.stack([x, w, x * w])
 
 
-def precision_terms(grid: DesignGrid, cs: CompoundSymmetry) -> PrecisionTerms:
-    """Compute every scalar term entering the closed-form information matrix."""
-    n_periods = grid.n_periods
-    n_clusters = grid.n_clusters
-    sig_c = cs.within_variance
-    sig_a = cs.between_variance
-
-    a = 1.0 / (sig_c + n_periods * sig_a)
-    b = 1.0 / sig_c
-    c = a * b
-    f = n_clusters * a
-    g = n_clusters * c * sig_a
-
-    ind = _indicator_stack(grid)
-    totals = ind.sum(axis=(1, 2))          # one grand count per effect
-    row_totals = ind.sum(axis=2)           # (3, I) per-cluster counts
-    col_totals = ind.sum(axis=1)           # (3, T) per-period counts
-
-    y = a * totals
-    h = c * totals
-    l = b * totals
-    z = c * sig_a * (row_totals**2).sum(axis=1)
-    w = (b * col_totals @ (b * col_totals).T)  # (3, 3) Gram of weighted column sums
-
-    # Cross terms: the pointwise product of any two 0/1 indicator columns
-    # equals the product indicator, so every pair shares the l term of the
-    # product effect.
-    q = np.array(
-        [l[2] - c * sig_a * (row_totals[j] * row_totals[k]).sum() for j, k in PAIR_INDICES]
-    )
-    w_pairs = np.array([w[j, k] for j, k in PAIR_INDICES])
-    return PrecisionTerms(
-        a=a, b=b, c=c, f=f, g=g, y=y, h=h, z=z, l=l, q=q,
-        w=np.diag(w).copy(), w_pairs=w_pairs,
-    )
-
-
 def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     """Profiled 3x3 information matrix of the three effect estimates.
 
-    Entries corresponding to effects absent from the design are zero.
+    With the indicator stack flattened to ``cells`` (3 x I*T), its
+    per-cluster totals ``rows`` (3 x I), per-period totals ``cols`` (3 x T)
+    and grand totals ``totals``, and with y = a*totals and l = b*totals,
+
+        S = b*cells@cells' - c*sig_a*rows@rows' - y y'/(f*T)
+            - ((b*cols)@(b*cols)' - l l'/T) / (f + g*T).
+
+    Here a = 1/(sig_c + T*sig_a), b = 1/sig_c, c = a*b, f = I*a and
+    g = I*c*sig_a.  The four design Gram matrices are integer valued; only
+    these scalars depend on the covariance, and the grouping above fixes
+    the rounding of every entry.  Entries corresponding to effects absent
+    from the design are zero.  Overflowing or underflowing covariance
+    entries give non-finite entries, not warnings.
     """
-    t = float(grid.n_periods)
-    terms = precision_terms(grid, cs)
-    f, g = terms.f, terms.g
-    s = np.zeros((3, 3))
-    for k in range(3):
-        s[k, k] = (
-            terms.l[k]
-            - terms.z[k]
-            - (terms.y[k] * terms.y[k]) / (f * t)
-            - (terms.w[k] - (terms.l[k] * terms.l[k]) / t) / (f + g * t)
+    stack = _indicator_stack(grid)
+    cells = stack.reshape(3, -1)
+    rows = stack.sum(axis=2)
+    cols = stack.sum(axis=1)
+    totals = cells.sum(axis=1)
+    t, n_clusters = grid.n_periods, grid.n_clusters
+    sig_c = np.float64(cs.within_variance)
+    sig_a = np.float64(cs.between_variance)
+    with np.errstate(all="ignore"):
+        a = 1.0 / (sig_c + t * sig_a)
+        b = 1.0 / sig_c
+        c = a * b
+        f = n_clusters * a
+        g = n_clusters * c * sig_a
+        y = a * totals
+        l = b * totals
+        return (
+            b * (cells @ cells.T)
+            - c * sig_a * (rows @ rows.T)
+            - np.outer(y, y) / (f * t)
+            - ((b * cols) @ (b * cols).T - np.outer(l, l) / t) / (f + g * t)
         )
-    for m, (j, k) in enumerate(PAIR_INDICES):
-        s[j, k] = (
-            terms.q[m]
-            - (terms.y[j] * terms.y[k]) / (f * t)
-            - (terms.w_pairs[m] - (terms.l[j] * terms.l[k]) / t) / (f + g * t)
-        )
-        s[k, j] = s[j, k]
-    return s
 
 
 def active_effects(grid: DesignGrid) -> tuple[str, ...]:
@@ -253,7 +203,7 @@ def _invert_symmetric(s: np.ndarray) -> np.ndarray:
 def closed_form_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
-    """Covariance of the effect estimates via the closed-form scalar terms.
+    """Covariance of the effect estimates via the closed-form information matrix.
 
     The information matrix automatically drops effects whose columns are
     absent (no combined-condition cells -> 2x2; single treatment -> 1x1).

@@ -144,6 +144,24 @@ class TestRejectedInputs:
         assert out == ""
         assert "information matrix is not finite" in err
 
+    @pytest.mark.parametrize("value", ["1e308", "1e-320"])
+    def test_unrepresentable_components_print_only_the_error(self, value):
+        # a fresh interpreter that shows every warning, so a numpy
+        # RuntimeWarning would reach stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "swedge.cli", *self.BASE, "--sigma-alpha-sq", value,
+             "--sigma-e-sq", value, "--delta", "0.3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: information matrix is not finite")
+
     def test_wrong_length_contrast_fails_every_sweep_point(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--design", "fig2b", "--model", "cs", "--n", "10",
@@ -239,6 +257,17 @@ class TestSweepCommand:
         values = row.split(",")
         assert float(values[1]) == pytest.approx(0.1)
 
+    def test_single_design_has_no_compare_columns(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--design", "fig2b", "--model", "cs", "--n", "15",
+            "--delta", "0.4", "--rho-values", "0.1", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert "design_names" not in payload["meta"]
+        assert sorted(payload["rows"][0]) == [
+            "power_trt1", "power_trt2", "rho_w", "se_trt1", "se_trt2"]
+
     def test_additive_flag_for_factorial_design(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--design", "fig5a", "--model", "cs", "--n", "15",
@@ -286,6 +315,20 @@ class TestCompareCommand:
         gain_idx = header.split(",").index("gain_trt1_fig2c")
         gains = [float(r.split(",")[gain_idx]) for r in rows]
         assert all(0.08 <= g <= 0.11 for g in gains)
+
+    def test_file_designs_are_named_by_their_stem(self, tmp_path, capsys):
+        path = tmp_path / "my design.csv"
+        path.write_text(serialize_design(catalog_design("fig2b"), fmt="csv"),
+                        encoding="utf-8")
+        code, out, _ = run(
+            capsys, "compare", "--design", "fig1", "--design", str(path),
+            "--model", "cs", "--n", "15", "--delta", "0.4",
+            "--rho-values", "0.1", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["design_names"] == ["fig1", "my-design"]
+        assert "gain_trt1_my-design" in payload["rows"][0]
 
     def test_needs_two_designs(self, capsys):
         code, _, err = run(
@@ -338,6 +381,20 @@ class TestCatalogAndValidate:
                            "--policy", "permissive")
         assert code == 0
         assert "warning" in out
+
+    def test_validate_resolves_catalog_ids_before_files(self, tmp_path, monkeypatch, capsys):
+        # same lookup order as power: a catalog id wins over a file of that
+        # name, and a bare name that is no catalog id is read as a file
+        (tmp_path / "fig1").write_text("0,1,2\n0,0,1\n", encoding="utf-8")
+        (tmp_path / "mine").write_text("0,1,2\n0,0,1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        grid = catalog_design("fig1")
+        code, out, _ = run(capsys, "validate", "--design", "fig1")
+        assert code == 0
+        assert out == f"fig1: ok ({grid.n_clusters} clusters x {grid.n_periods} periods)\n"
+        code, out, _ = run(capsys, "validate", "--design", "mine")
+        assert code == 2
+        assert "TRT1 -> TRT2" in out
 
     def test_every_catalog_design_passes_validate(self, capsys):
         from swedge.designs import catalog_ids

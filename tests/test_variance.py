@@ -5,19 +5,25 @@ from numpy.testing import assert_allclose
 from designgen import random_correlation, random_grid, random_single_treatment_grid
 from swedge.covariance import (
     CompoundSymmetry,
+    CorrelationSpec,
     CovarianceModel,
     ParameterError,
     StandardizedParams,
     cluster_cov_entries,
 )
-from swedge.designs import DesignGrid, catalog_design, generate_standard_swd
+from swedge.designs import (
+    DesignGrid,
+    build_design_matrix,
+    catalog_design,
+    catalog_ids,
+    generate_standard_swd,
+)
 from swedge.variance import (
     RankDeficiencyError,
     closed_form_covariance,
     contrast_variance,
     information_matrix,
     oracle_covariance,
-    precision_terms,
     sherman_morrison_entries,
 )
 
@@ -70,33 +76,41 @@ class TestShermanMorrison:
             assert_allclose(v @ v_inv, np.eye(t), atol=1e-12)
 
 
-class TestPrecisionTerms:
-    def test_all_control_grid_zeroes_treatment_terms(self):
+def dense_schur_complement(grid, cs):
+    """Treatment block of the dense GLS precision with the intercept and
+    period effects profiled out."""
+    t = grid.n_periods
+    z = build_design_matrix(grid).values
+    v_inv = np.linalg.inv(dense_cluster_cov(cs, t))
+    big = np.zeros((t + 3, t + 3))
+    for i in range(grid.n_clusters):
+        zi = z[i * t : (i + 1) * t, :]
+        big += zi.T @ v_inv @ zi
+    a12 = big[:t, t:]
+    return big[t:, t:] - a12.T @ np.linalg.solve(big[:t, :t], a12)
+
+
+class TestInformationMatrix:
+    def test_all_control_grid_is_zero(self):
         grid = DesignGrid.from_codes([[C, C, C]] * 4)
-        cs = std_cs()
-        terms = precision_terms(grid, cs)
-        for arr in (terms.y, terms.h, terms.z, terms.l, terms.q, terms.w, terms.w_pairs):
-            assert_allclose(arr, 0.0)
-        sig_c, sig_a = cs.within_variance, cs.between_variance
-        assert terms.f == pytest.approx(4.0 / (sig_c + 3 * sig_a), rel=1e-15)
+        assert np.array_equal(information_matrix(grid, std_cs()), np.zeros((3, 3)))
 
-    def test_figure1_weighted_counts(self):
-        # 12 treated cluster-periods; the residual-weighted count is
-        # 12 * N / (1 - rho_w) = 12 * 15 / 0.9 = 200 on the standardized scale
+    def test_figure1_absent_effects_have_zero_rows_and_columns(self):
         grid = catalog_design("fig1")
-        terms = precision_terms(grid, std_cs(rho_w=0.1, n=15))
-        assert terms.l[0] == pytest.approx(200.0, rel=1e-12)
-        assert terms.y[0] == pytest.approx(12.0 * terms.a, rel=1e-15)
-        assert terms.h[0] == pytest.approx(12.0 * terms.c, rel=1e-15)
-        assert_allclose([terms.l[1], terms.l[2]], 0.0)
+        cs = std_cs(rho_w=0.1, n=15)
+        s = information_matrix(grid, cs)
+        assert s.shape == (3, 3)
+        assert not s[1:, :].any() and not s[:, 1:].any()
+        oracle = oracle_covariance(grid, cs)
+        assert s[0, 0] == pytest.approx(1.0 / oracle.variance("trt1"), rel=1e-10)
 
-    def test_single_cluster_single_step(self):
+    def test_single_cluster_single_step_is_confounded(self):
+        # with one cluster, the treated period 2 is indistinguishable from
+        # the period-2 effect, so nothing of the treatment is identified
         grid = DesignGrid.from_codes([[C, T1]])
         cs = std_cs(rho_w=0.2, n=10)
-        sig_c, sig_a = cs.within_variance, cs.between_variance
-        terms = precision_terms(grid, cs)
-        assert terms.z[0] == pytest.approx(terms.c * sig_a, rel=1e-15)
-        assert terms.w[0] == pytest.approx(1.0 / sig_c**2, rel=1e-12)
+        s = information_matrix(grid, cs)
+        assert np.abs(s).max() <= 1e-12 / cs.within_variance
 
     def test_information_matrix_matches_dense_schur_complement(self):
         # profile the intercept and period effects out of the dense
@@ -124,48 +138,19 @@ class TestPrecisionTerms:
             scale = max(np.abs(schur).max(), 1e-30)
             assert np.abs(s - schur).max() <= 1e-10 * scale
 
-    def test_every_precision_block_matches_scalar_terms(self):
-        # each block of the densely assembled precision matrix should equal
-        # its scalar-term prediction: intercept/period blocks from f and g,
-        # treatment borders from y and the per-period weighted counts,
-        # and the treatment block from l, z and q
-        from swedge.designs import build_design_matrix
-        from swedge.variance import PAIR_INDICES
-
-        rng = np.random.default_rng(321)
-        for _ in range(15):
-            grid = random_grid(rng, max_clusters=8, max_periods=5)
-            spec = random_correlation(rng, MODELS[int(rng.integers(0, 3))])
-            cs = spec.cov_entries()
-            t, sig_a = grid.n_periods, cs.between_variance
-            terms = precision_terms(grid, cs)
-
-            z = build_design_matrix(grid).values
-            v_inv = np.linalg.inv(dense_cluster_cov(cs, t))
-            big = np.zeros((t + 3, t + 3))
-            for i in range(grid.n_clusters):
-                zi = z[i * t : (i + 1) * t, :]
-                big += zi.T @ v_inv @ zi
-
-            tol = 1e-10 * max(np.abs(big).max(), 1.0)
-            assert abs(big[0, 0] - t * terms.f) <= tol
-            for j in range(t - 1):
-                assert abs(big[0, 1 + j] - terms.f) <= tol
-                for j2 in range(t - 1):
-                    expected = (terms.f + terms.g * t) * (j == j2) - terms.g
-                    assert abs(big[1 + j, 1 + j2] - expected) <= tol
-
-            x, w = grid.indicators()
-            stacks = (x, w, x * w)
-            for k in range(3):
-                assert abs(big[0, t + k] - terms.y[k]) <= tol
-                assert abs(big[t + k, t + k] - (terms.l[k] - terms.z[k])) <= tol
-                col_sums = stacks[k].sum(axis=0)
-                for j in range(t - 1):
-                    expected = terms.b * col_sums[j] - sig_a * terms.h[k]
-                    assert abs(big[1 + j, t + k] - expected) <= tol
-            for m, (j, k) in enumerate(PAIR_INDICES):
-                assert abs(big[t + j, t + k] - terms.q[m]) <= tol
+    def test_every_catalog_design_matches_dense_schur_complement(self):
+        for model in MODELS:
+            cs = CorrelationSpec(
+                model=model, n_per_period=15, rho_w=0.1,
+                rho_a=0.05 if model is CovarianceModel.NESTED_EXCHANGEABLE else None,
+                pi=0.5 if model is CovarianceModel.COHORT else None,
+            ).cov_entries()
+            for design_id in catalog_ids():
+                grid = catalog_design(design_id)
+                schur = dense_schur_complement(grid, cs)
+                s = information_matrix(grid, cs)
+                assert np.abs(s - schur).max() <= 1e-10 * np.abs(schur).max(), \
+                    (design_id, model)
 
 
 class TestClosedFormAgainstOracle:
