@@ -1,7 +1,10 @@
 """Stepped wedge design grids with up to two treatments.
 
-A design is an I x T grid of cell conditions: control, treatment 1,
-treatment 2, or both treatments at once.  This module covers grid
+A design is an I x T array of cell codes.  Bit 0 of a code is the
+treatment-1 indicator X and bit 1 the treatment-2 indicator W, so 0 is
+control, 1 treatment 1, 2 treatment 2 and 3 both treatments at once (the
+interaction XW).  The transition policy is one rule on those bits: a
+treatment, once started, never stops.  This module covers grid
 construction and validation, the fixed-effects design matrix, generators
 for standard and concurrent layouts, a catalog of published example
 designs, and CSV/JSON serialization.
@@ -10,7 +13,7 @@ designs, and CSV/JSON serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Sequence
 
@@ -42,37 +45,10 @@ class Condition(IntEnum):
     TRT2 = 2
     BOTH = 3
 
-    @property
-    def treatment1(self) -> int:
-        """Indicator that treatment 1 is active (1 for TRT1 and BOTH)."""
-        return 1 if self in (Condition.TRT1, Condition.BOTH) else 0
-
-    @property
-    def treatment2(self) -> int:
-        return 1 if self in (Condition.TRT2, Condition.BOTH) else 0
-
 
 class TransitionPolicy(Enum):
     STRICT = "strict"
     PERMISSIVE = "permissive"
-
-
-# A cluster may stay put, start treatment from control, or add the second
-# treatment on top of a single one.  Dropping a treatment, swapping
-# treatments, or returning to control are contamination-prone and barred.
-_ALLOWED_TRANSITIONS = frozenset(
-    [
-        (Condition.CONTROL, Condition.CONTROL),
-        (Condition.CONTROL, Condition.TRT1),
-        (Condition.CONTROL, Condition.TRT2),
-        (Condition.CONTROL, Condition.BOTH),
-        (Condition.TRT1, Condition.TRT1),
-        (Condition.TRT1, Condition.BOTH),
-        (Condition.TRT2, Condition.TRT2),
-        (Condition.TRT2, Condition.BOTH),
-        (Condition.BOTH, Condition.BOTH),
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -91,122 +67,115 @@ class TransitionViolation:
         )
 
 
-def _coerce_cells(cells: Iterable[Iterable]) -> tuple[tuple[Condition, ...], ...]:
-    rows = []
-    for r, row in enumerate(cells):
-        coerced = []
-        for cell in row:
-            try:
-                coerced.append(Condition(cell))
-            except ValueError:
-                raise DesignError(f"row {r + 1}: unknown condition code {cell!r}") from None
-        rows.append(tuple(coerced))
+def _code_array(codes) -> np.ndarray:
+    """Read-only int8 copy of an I x T grid of condition codes."""
+    try:
+        rows = list(codes)
+        widths = {len(row) for row in rows}
+    except TypeError:
+        raise DesignError("design must be a sequence of rows of condition codes") from None
     if not rows:
         raise DesignError("design has no clusters")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DesignError(f"ragged design: row lengths {sorted(widths)}")
     if widths.pop() < 2:
         raise DesignError("design needs at least 2 periods")
-    return tuple(rows)
+    try:
+        grid = np.array(rows)
+    except ValueError:  # a cell is itself a sequence
+        grid = np.empty(0)
+    if grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any():
+        for r, row in enumerate(rows):
+            for cell in row:
+                if (isinstance(cell, bool) or not isinstance(cell, (int, np.integer))
+                        or not 0 <= cell <= 3):
+                    raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
+    grid = grid.astype(np.int8, copy=False)
+    grid.flags.writeable = False
+    return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignGrid:
-    """Immutable I x T grid of cell conditions.
+    """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
-    ``reconstructed`` marks catalog grids whose exact layout was rebuilt
-    from published summary counts rather than copied cell-for-cell; it is
-    provenance metadata and excluded from equality.
+    ``codes`` is a read-only int8 array copied from the input.  Equality
+    compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
+    grids whose exact layout was rebuilt from published summary counts
+    rather than copied cell-for-cell; it is provenance metadata and
+    excluded from equality.
     """
 
-    cells: tuple[tuple[Condition, ...], ...]
+    codes: np.ndarray
     label: str = ""
-    reconstructed: bool = field(default=False, compare=False)
+    reconstructed: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", _coerce_cells(self.cells))
+        object.__setattr__(self, "codes", _code_array(self.codes))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DesignGrid):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.codes, other.codes)
+
+    def __reduce__(self):  # copies and unpickled grids get a read-only array too
+        return DesignGrid, (self.codes, self.label, self.reconstructed)
 
     @classmethod
-    def from_codes(cls, codes: Iterable[Iterable[int]], label: str = "",
+    def from_codes(cls, codes: Iterable[Sequence[int]], label: str = "",
                    reconstructed: bool = False) -> "DesignGrid":
-        return cls(cells=tuple(tuple(row) for row in codes), label=label,
-                   reconstructed=reconstructed)
+        return cls(codes=codes, label=label, reconstructed=reconstructed)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.cells)
+        return self.codes.shape[0]
 
     @property
     def n_periods(self) -> int:
-        return len(self.cells[0])
+        return self.codes.shape[1]
 
     def to_codes(self) -> list[list[int]]:
-        return [[int(c) for c in row] for row in self.cells]
-
-    def conditions_used(self) -> set[Condition]:
-        return {c for row in self.cells for c in row}
+        return self.codes.tolist()
 
     def condition_counts(self) -> dict[Condition, int]:
-        counts = {c: 0 for c in Condition}
-        for row in self.cells:
-            for cell in row:
-                counts[cell] += 1
-        return counts
+        counts = np.bincount(self.codes.ravel(), minlength=len(Condition))
+        return dict(zip(Condition, counts.tolist()))
 
     def indicators(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, W) 0/1 arrays of shape (I, T) for treatments 1 and 2."""
-        codes = np.array(self.to_codes(), dtype=int)
-        x = ((codes == Condition.TRT1) | (codes == Condition.BOTH)).astype(float)
-        w = ((codes == Condition.TRT2) | (codes == Condition.BOTH)).astype(float)
-        return x, w
+        return (self.codes & 1).astype(float), (self.codes >> 1).astype(float)
 
     def swap_treatments(self) -> "DesignGrid":
         """Relabel treatment 1 <-> treatment 2 everywhere."""
-        swap = {
-            Condition.CONTROL: Condition.CONTROL,
-            Condition.TRT1: Condition.TRT2,
-            Condition.TRT2: Condition.TRT1,
-            Condition.BOTH: Condition.BOTH,
-        }
-        return DesignGrid(
-            cells=tuple(tuple(swap[c] for c in row) for row in self.cells),
-            label=self.label,
-            reconstructed=self.reconstructed,
-        )
+        swapped = ((self.codes & 1) << 1) | (self.codes >> 1)
+        return DesignGrid(swapped, label=self.label, reconstructed=self.reconstructed)
 
     def permute_clusters(self, order: Sequence[int]) -> "DesignGrid":
         if sorted(order) != list(range(self.n_clusters)):
             raise DesignError("cluster permutation must reorder all rows exactly once")
-        return DesignGrid(
-            cells=tuple(self.cells[i] for i in order),
-            label=self.label,
-            reconstructed=self.reconstructed,
-        )
+        return DesignGrid(self.codes[list(order)], label=self.label,
+                          reconstructed=self.reconstructed)
 
     def relabel(self, label: str) -> "DesignGrid":
-        return DesignGrid(cells=self.cells, label=label, reconstructed=self.reconstructed)
+        return DesignGrid(self.codes, label=label, reconstructed=self.reconstructed)
 
 
-def validate_design(
-    grid: DesignGrid, policy: TransitionPolicy = TransitionPolicy.STRICT
-) -> list[TransitionViolation]:
-    """Scan a grid for disallowed between-period transitions.
+def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
+    """Disallowed between-period transitions, in row-major order.
 
-    The same transitions are flagged under both policies; the policy
-    governs enforcement (see :func:`require_valid`), so callers under the
-    permissive policy should treat the returned entries as warnings.
+    A treatment, once started, never stops: a transition is disallowed
+    when a bit set in one period is clear in the next.  Whether the
+    entries are errors or warnings is the caller's policy (see
+    :func:`require_valid`).
     """
-    violations = []
-    for i, row in enumerate(grid.cells):
-        for j in range(1, len(row)):
-            if (row[j - 1], row[j]) not in _ALLOWED_TRANSITIONS:
-                violations.append(
-                    TransitionViolation(
-                        cluster_index=i, period_index=j, before=row[j - 1], after=row[j]
-                    )
-                )
-    return violations
+    codes = grid.codes
+    stopped = codes[:, :-1] & ~codes[:, 1:]
+    return [
+        TransitionViolation(cluster_index=int(i), period_index=int(j) + 1,
+                            before=Condition(int(codes[i, j])),
+                            after=Condition(int(codes[i, j + 1])))
+        for i, j in zip(*np.nonzero(stopped))
+    ]
 
 
 def require_valid(
@@ -216,7 +185,7 @@ def require_valid(
 
     Returns the violation list (warnings) under the permissive policy.
     """
-    violations = validate_design(grid, policy)
+    violations = validate_design(grid)
     if violations and policy is TransitionPolicy.STRICT:
         raise TransitionViolationError(violations)
     return violations
@@ -290,12 +259,9 @@ def generate_standard_swd(
         raise DesignError("need at least one cluster per sequence")
     if treatment is Condition.CONTROL:
         raise DesignError("treatment condition cannot be CONTROL")
-    n_periods = sequences + 1
-    rows = []
-    for s in range(1, sequences + 1):
-        row = [Condition.CONTROL] * s + [treatment] * (n_periods - s)
-        rows.extend([tuple(row)] * clusters_per_sequence)
-    return DesignGrid(cells=tuple(rows), label=label)
+    starts = np.repeat(np.arange(1, sequences + 1), clusters_per_sequence)
+    treated = np.arange(sequences + 1) >= starts[:, None]
+    return DesignGrid(np.where(treated, int(treatment), 0), label=label)
 
 
 def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -> DesignGrid:
@@ -309,8 +275,8 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
         raise DesignError(
             f"period mismatch: {grid_a.n_periods} vs {grid_b.n_periods}"
         )
-    used_a = grid_a.conditions_used() - {Condition.CONTROL}
-    used_b = grid_b.conditions_used() - {Condition.CONTROL}
+    used_a = {c for c, n in grid_a.condition_counts().items() if n} - {Condition.CONTROL}
+    used_b = {c for c, n in grid_b.condition_counts().items() if n} - {Condition.CONTROL}
     valid = (used_a <= {Condition.TRT1} and used_b <= {Condition.TRT2}) or (
         used_a <= {Condition.TRT2} and used_b <= {Condition.TRT1}
     )
@@ -321,7 +287,7 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
         )
     if not label:
         label = "+".join(p for p in (grid_a.label, grid_b.label) if p)
-    return DesignGrid(cells=grid_a.cells + grid_b.cells, label=label)
+    return DesignGrid(np.vstack([grid_a.codes, grid_b.codes]), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +334,9 @@ def _fig2c() -> DesignGrid:
 def _fig5a() -> DesignGrid:
     # Late factorial: the 12-cluster concurrent design with every cluster
     # switched to the combined condition in the final period.
-    base = _fig2b()
-    cells = tuple(row[:-1] + (Condition.BOTH,) for row in base.cells)
-    return DesignGrid(cells=cells, label="fig5a")
+    codes = _fig2b().codes.copy()
+    codes[:, -1] = Condition.BOTH
+    return DesignGrid(codes, label="fig5a")
 
 
 def _fig5b() -> DesignGrid:
@@ -510,7 +476,7 @@ def serialize_design(grid: DesignGrid, fmt: str = "csv") -> str:
         if grid.label:
             header += f" label={grid.label}"
         lines.append(header)
-    lines.extend(",".join(str(int(c)) for c in row) for row in grid.cells)
+    lines.extend(",".join(map(str, row)) for row in grid.to_codes())
     return "\n".join(lines) + "\n"
 
 
@@ -539,11 +505,15 @@ def parse_design(text: str) -> DesignGrid:
             raise DesignError(f"invalid design JSON: {exc}") from None
         if "cells" not in payload:
             raise DesignError("design JSON must contain a 'cells' array")
-        return DesignGrid.from_codes(
-            payload["cells"],
-            label=payload.get("label", ""),
-            reconstructed=bool(payload.get("reconstructed", False)),
-        )
+        label = payload.get("label", "")
+        reconstructed = payload.get("reconstructed", False)
+        if not isinstance(label, str) or not isinstance(reconstructed, bool):
+            raise DesignError("design JSON 'label' must be a string and 'reconstructed' a boolean")
+        grid = DesignGrid(payload["cells"], label=label, reconstructed=reconstructed)
+        # numpy reads true and false among integers as 1 and 0
+        if any(isinstance(cell, bool) for row in payload["cells"] for cell in row):
+            raise DesignError("design JSON cells must be condition codes, not true or false")
+        return grid
     label, reconstructed = "", False
     rows = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):

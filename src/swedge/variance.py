@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CompoundSymmetry, ParameterError
-from .designs import DesignGrid, build_design_matrix
+from .designs import Condition, DesignGrid, build_design_matrix
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
 
@@ -62,12 +62,6 @@ def sherman_morrison_entries(cs: CompoundSymmetry, n_periods: int) -> tuple[floa
     return diag, off
 
 
-def _indicator_stack(grid: DesignGrid) -> np.ndarray:
-    """(3, I, T) stack of the treatment-1, treatment-2 and product indicators."""
-    x, w = grid.indicators()
-    return np.stack([x, w, x * w])
-
-
 def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     """Profiled 3x3 information matrix of the three effect estimates.
 
@@ -85,7 +79,8 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     from the design are zero.  Overflowing or underflowing covariance
     entries give non-finite entries, not warnings.
     """
-    stack = _indicator_stack(grid)
+    x, w = grid.indicators()
+    stack = np.stack([x, w, x * w])
     cells = stack.reshape(3, -1)
     rows = stack.sum(axis=2)
     cols = stack.sum(axis=1)
@@ -111,10 +106,10 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
 
 def active_effects(grid: DesignGrid) -> tuple[str, ...]:
     """Labels of the effects whose indicator columns are nonzero."""
-    ind = _indicator_stack(grid)
-    return tuple(
-        EFFECT_LABELS[k] for k in range(3) if ind[k].any()
-    )
+    counts = grid.condition_counts()
+    both = counts[Condition.BOTH]
+    present = (counts[Condition.TRT1] + both, counts[Condition.TRT2] + both, both)
+    return tuple(label for label, n in zip(EFFECT_LABELS, present) if n)
 
 
 @dataclass(frozen=True)
@@ -221,14 +216,13 @@ def closed_form_covariance(
         present effects is (numerically) singular, naming the offending
         effect.
     """
-    ind = _indicator_stack(grid)
-    limit = 2 if additive else 3
-    active = [k for k in range(limit) if ind[k].any()]
-    if not active:
+    dropped = ("interaction",) if additive else ()
+    labels = tuple(label for label in active_effects(grid) if label not in dropped)
+    if not labels:
         raise RankDeficiencyError(
             "design has no treated cluster-periods; no effects are estimable"
         )
-    labels = tuple(EFFECT_LABELS[k] for k in active)
+    active = [EFFECT_LABELS.index(label) for label in labels]
     s = information_matrix(grid, cs)[np.ix_(active, active)]
     if not np.isfinite(s).all():
         raise ParameterError(

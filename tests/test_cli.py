@@ -396,6 +396,23 @@ class TestCatalogAndValidate:
         assert code == 2
         assert "TRT1 -> TRT2" in out
 
+    @pytest.mark.parametrize("payload", [
+        '{"cells": [0, 1]}',
+        '{"cells": 5}',
+        '{"cells": null}',
+        '{"cells": [[0, 1], [0, 1]], "label": 7}',
+        '{"cells": [[0, 1], [0, 1]], "reconstructed": "false"}',
+        '{"cells": [[0, 1], [0, true]]}',
+    ])
+    def test_malformed_json_design_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "flat.json"
+        path.write_text(payload, encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--design", str(path))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid design file"), err
+
     def test_every_catalog_design_passes_validate(self, capsys):
         from swedge.designs import catalog_ids
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,26 @@ class TestGridStructure:
         assert x.tolist() == [[0, 1, 1], [0, 0, 0]]
         assert w.tolist() == [[0, 0, 1], [0, 1, 1]]
 
+    def test_swap_treatments_exchanges_the_two_bits(self):
+        grid = DesignGrid.from_codes([[C, T1, T2, B]], label="x", reconstructed=True)
+        swapped = grid.swap_treatments()
+        assert swapped.to_codes() == [[C, T2, T1, B]]
+        assert (swapped.label, swapped.reconstructed) == ("x", True)
+        assert swapped.swap_treatments() == grid
+
+    def test_codes_are_a_read_only_copy(self):
+        source = np.array([[C, T1], [C, B]], dtype=np.int8)
+        grid = DesignGrid.from_codes(source, label="x", reconstructed=True)
+        with pytest.raises(ValueError):
+            grid.codes[0, 0] = B
+        source[0, 0] = B
+        assert grid.to_codes() == [[C, T1], [C, B]]
+        assert source.flags.writeable
+        for copied in (copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            assert copied == grid and copied.reconstructed == grid.reconstructed
+            with pytest.raises(ValueError):
+                copied.codes[0, 0] = B
+
 
 class TestValidation:
     def test_figure1_layout_is_clean(self):
@@ -88,6 +111,30 @@ class TestValidation:
     )
     def test_allowed_transitions(self, row):
         assert validate_design(DesignGrid.from_codes([row])) == []
+
+    # The transition table the bit rule replaced: a cluster may stay put,
+    # start from control, or add the second treatment to a single one.
+    OLD_ALLOWED = {
+        (C, C), (C, T1), (C, T2), (C, B),
+        (T1, T1), (T1, B), (T2, T2), (T2, B), (B, B),
+    }
+
+    def test_bit_rule_flags_what_the_old_transition_table_barred(self):
+        pairs = {(before, after) for before in (C, T1, T2, B) for after in (C, T1, T2, B)}
+        flagged = {pair for pair in pairs if validate_design(DesignGrid.from_codes([pair]))}
+        assert flagged == pairs - self.OLD_ALLOWED
+        assert len(flagged) == 7
+
+    def test_violations_are_listed_row_major(self):
+        grid = DesignGrid.from_codes([[T1, C, T1, T2], [B, T2, C, C]])
+        found = [(v.cluster_index, v.period_index, v.before, v.after)
+                 for v in validate_design(grid)]
+        assert found == [
+            (0, 1, Condition.TRT1, Condition.CONTROL),
+            (0, 3, Condition.TRT1, Condition.TRT2),
+            (1, 1, Condition.BOTH, Condition.TRT2),
+            (1, 2, Condition.TRT2, Condition.CONTROL),
+        ]
 
     def test_require_valid_strict_raises(self):
         grid = DesignGrid.from_codes([[C, T1, T2]])
@@ -176,9 +223,9 @@ class TestGenerators:
         b = generate_standard_swd(3, 2, Condition.TRT2)
         stacked = concurrent_design(a, b)
         assert stacked.n_clusters == 12
-        assert stacked.cells[:6] == a.cells
-        assert stacked.cells[6:] == b.cells
-        assert stacked.cells == catalog_design("fig2b").cells
+        assert stacked.to_codes()[:6] == a.to_codes()
+        assert stacked.to_codes()[6:] == b.to_codes()
+        assert stacked.to_codes() == catalog_design("fig2b").to_codes()
 
     def test_concurrent_allows_all_control_partner(self):
         a = generate_standard_swd(2, 1, Condition.TRT1)
@@ -213,7 +260,7 @@ class TestCatalog:
         grid = catalog_design("fig5a")
         counts = grid.condition_counts()
         assert grid.n_clusters == 12
-        assert all(row[-1] == Condition.BOTH for row in grid.cells)
+        assert all(row[-1] == Condition.BOTH for row in grid.to_codes())
         assert counts[Condition.BOTH] == 12
         assert counts[Condition.TRT1] == 6
         assert counts[Condition.TRT2] == 6
@@ -225,7 +272,7 @@ class TestCatalog:
         assert counts[Condition.BOTH] == 12
         assert counts[Condition.TRT1] == 6
         assert counts[Condition.TRT2] == 6
-        early = [row for row in grid.cells if row[2] == Condition.BOTH]
+        early = [row for row in grid.to_codes() if row[2] == Condition.BOTH]
         assert len(early) == 2
         assert grid.reconstructed
 
@@ -243,16 +290,16 @@ class TestCatalog:
     def test_fig8_design3_combined_timing(self):
         grid = catalog_design("fig8-design3")
         last = grid.n_periods - 1
-        assert all(row[last] == Condition.BOTH for row in grid.cells)
+        assert all(row[last] == Condition.BOTH for row in grid.to_codes())
         before_last = sum(
-            1 for row in grid.cells for j, c in enumerate(row)
+            1 for row in grid.to_codes() for j, c in enumerate(row)
             if c == Condition.BOTH and j < last
         )
         assert before_last == 2
 
     def test_fig8_design4_two_clusters_never_combined(self):
         grid = catalog_design("fig8-design4")
-        never = [row for row in grid.cells if Condition.BOTH not in row]
+        never = [row for row in grid.to_codes() if Condition.BOTH not in row]
         assert len(never) == 2
 
     def test_every_catalog_design_validates_cleanly(self):
@@ -313,4 +360,4 @@ class TestSerialization:
     def test_json_alternative_form(self):
         grid = parse_design('{"label": "x", "cells": [[0, 1], [0, 3]]}')
         assert grid.label == "x"
-        assert grid.cells[1][1] == Condition.BOTH
+        assert grid.to_codes()[1][1] == Condition.BOTH
