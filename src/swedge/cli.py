@@ -130,33 +130,60 @@ def _load_design(spec: str, policy: TransitionPolicy) -> DesignGrid:
     return grid
 
 
-def _correlation_from_args(args) -> CorrelationSpec:
+_RAW_COMPONENTS = ("sigma_alpha_sq", "sigma_psi_sq", "sigma_nu_sq", "sigma_e_sq")
+# The flags that set each second ICC; --cac sets rho_a = cac * rho_w.
+_SECOND_ICC_FLAGS = {"pi": ("--pi",), "rho_a": ("--rho-a", "--cac")}
+
+
+def _flags_given(args, names) -> dict[str, float]:
+    """The options among ``names`` the command line set, keyed by flag."""
+    return {"--" + name.replace("_", "-"): getattr(args, name)
+            for name in names if getattr(args, name) is not None}
+
+
+def _icc_spec(args, rho_w: float) -> CorrelationSpec:
+    """The correlation spec the ICC flags give at within-period ICC ``rho_w``.
+
+    Every second-ICC flag must be one the model uses: ``--pi`` for the
+    cohort model, ``--rho-a`` or ``--cac`` (not both) for the nested
+    exchangeable model.
+    """
     model = CovarianceModel.from_string(args.model)
-    raw_given = [
-        x for x in (args.sigma_alpha_sq, args.sigma_psi_sq, args.sigma_nu_sq, args.sigma_e_sq)
-        if x is not None
-    ]
-    if args.rho_w is not None and raw_given:
-        raise CliError("use either --rho-w (standardized) or raw variance components, not both")
-    if raw_given:
-        if args.sigma_alpha_sq is None or args.sigma_e_sq is None:
-            raise CliError("raw parameterization needs --sigma-alpha-sq and --sigma-e-sq")
-        raw = RawComponents(
-            sigma_alpha_sq=args.sigma_alpha_sq,
-            sigma_e_sq=args.sigma_e_sq,
-            sigma_psi_sq=args.sigma_psi_sq or 0.0,
-            sigma_nu_sq=args.sigma_nu_sq or 0.0,
-        )
-        return CorrelationSpec(model=model, n_per_period=args.n, raw=raw)
-    if args.rho_w is None:
-        raise CliError("give --rho-w (with --rho-a / --pi as the model needs) "
-                       "or raw variance components")
-    rho_a = args.rho_a
-    if model is CovarianceModel.NESTED_EXCHANGEABLE and rho_a is None \
-            and getattr(args, "cac", None) is not None:
-        rho_a = args.cac * args.rho_w
-    return CorrelationSpec(model=model, n_per_period=args.n,
-                           rho_w=args.rho_w, rho_a=rho_a, pi=args.pi)
+    given = _flags_given(args, ("pi", "rho_a", "cac"))
+    takes = _SECOND_ICC_FLAGS.get(model.second_icc, ())
+    for flag in given:
+        if flag not in takes:
+            raise CliError(f"{flag} does not apply to the {model.value} model")
+    if takes and len(given) != 1:
+        raise CliError(f"the {model.value} model needs {' or '.join(takes)}"
+                       + (", not both" if given else ""))
+    if "--cac" in given and not 0.0 <= args.cac <= 1.0:
+        raise CliError("--cac must lie in [0, 1]")
+    second = {model.second_icc: args.cac * rho_w if flag == "--cac" else value
+              for flag, value in given.items()}
+    return CorrelationSpec(model=model, n_per_period=args.n, rho_w=rho_w, **second)
+
+
+def _correlation_from_args(args) -> CorrelationSpec:
+    if not _flags_given(args, _RAW_COMPONENTS):
+        if args.rho_w is None:
+            raise CliError("give --rho-w (with --rho-a / --pi as the model needs) "
+                           "or raw variance components")
+        return _icc_spec(args, args.rho_w)
+    icc_given = _flags_given(args, ("rho_w", "rho_a", "pi", "cac"))
+    if icc_given:
+        raise CliError(f"use either {' / '.join(icc_given)} (standardized) or raw "
+                       "variance components, not both")
+    if args.sigma_alpha_sq is None or args.sigma_e_sq is None:
+        raise CliError("raw parameterization needs --sigma-alpha-sq and --sigma-e-sq")
+    raw = RawComponents(
+        sigma_alpha_sq=args.sigma_alpha_sq,
+        sigma_e_sq=args.sigma_e_sq,
+        sigma_psi_sq=args.sigma_psi_sq or 0.0,
+        sigma_nu_sq=args.sigma_nu_sq or 0.0,
+    )
+    return CorrelationSpec(model=CovarianceModel.from_string(args.model),
+                           n_per_period=args.n, raw=raw)
 
 
 def _parse_contrast(text: str) -> ContrastSpec:
@@ -208,31 +235,19 @@ def _effects_from_args(args, grid: DesignGrid) -> EffectSpec:
 
 
 def _sweep_template(args) -> CorrelationSpec:
-    """Correlation spec whose rho_w is replaced point by point."""
-    model = CovarianceModel.from_string(args.model)
-    raw_given = any(
-        x is not None
-        for x in (args.sigma_alpha_sq, args.sigma_psi_sq, args.sigma_nu_sq, args.sigma_e_sq)
-    )
-    if raw_given:
+    """Correlation spec whose rho_w (and, under --cac, rho_a) is replaced point by point."""
+    if _flags_given(args, _RAW_COMPONENTS):
         raise CliError("sweeps run on the standardized parameterization; drop the raw "
                        "variance components and give ICC flags instead")
-    if model is CovarianceModel.COHORT:
-        if args.pi is None:
-            raise CliError("a cohort sweep needs --pi")
-        return CorrelationSpec(model=model, n_per_period=args.n, rho_w=0.0, pi=args.pi)
-    if model is CovarianceModel.NESTED_EXCHANGEABLE:
-        if args.rho_a is None and args.cac is None:
-            raise CliError("a nested exchangeable sweep needs --rho-a (held fixed) "
-                           "or --cac (rho_a proportional to rho_w)")
-        if args.rho_a is not None:
-            return CorrelationSpec(model=model, n_per_period=args.n,
-                                   rho_w=args.rho_a, rho_a=args.rho_a)
-        return CorrelationSpec(model=model, n_per_period=args.n, rho_w=0.0, rho_a=0.0)
-    return CorrelationSpec(model=model, n_per_period=args.n, rho_w=0.0)
+    if args.rho_w is not None:
+        raise CliError("a sweep takes its rho_w values from --rho-values or "
+                       "--rho-min/--rho-max/--rho-step; drop --rho-w")
+    # A placeholder rho_w: the smallest the flags allow, which is the
+    # fixed --rho-a when one is given.
+    return _icc_spec(args, args.rho_a or 0.0)
 
 
-def _sweep_points(args, model: CovarianceModel) -> list:
+def _sweep_points(args) -> list:
     if args.rho_values:
         try:
             values = [float(tok) for tok in args.rho_values.split(",") if tok.strip()]
@@ -245,9 +260,7 @@ def _sweep_points(args, model: CovarianceModel) -> list:
         if count < 1:
             raise CliError("empty sweep grid; check --rho-min/--rho-max/--rho-step")
         values = [round(args.rho_min + k * args.rho_step, 12) for k in range(count)]
-    if model is CovarianceModel.NESTED_EXCHANGEABLE and args.cac is not None:
-        if not 0.0 <= args.cac <= 1.0:
-            raise CliError("--cac must lie in [0, 1]")
+    if args.cac is not None:
         return [(v, args.cac * v) for v in values]
     return values
 
@@ -309,24 +322,6 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _rho_columns(model: CovarianceModel) -> list[str]:
-    cols = ["rho_w"]
-    if model is CovarianceModel.NESTED_EXCHANGEABLE:
-        cols.append("rho_a")
-    if model is CovarianceModel.COHORT:
-        cols.append("pi")
-    return cols
-
-
-def _row_params(row, model: CovarianceModel) -> list[float]:
-    vals = [row.rho_w]
-    if model is CovarianceModel.NESTED_EXCHANGEABLE:
-        vals.append(row.rho_a)
-    if model is CovarianceModel.COHORT:
-        vals.append(row.pi)
-    return vals
-
-
 def _sweep_table(args, specs: list[str]) -> int:
     """Sweep each design over the same grid and render one table.
 
@@ -335,14 +330,14 @@ def _sweep_table(args, specs: list[str]) -> int:
     """
     policy = TransitionPolicy(args.policy)
     correlation = _sweep_template(args)
+    points = _sweep_points(args)
     compare = len(specs) > 1
 
     names, effect_specs, sweeps, label_sets = [], [], [], []
     for spec in specs:
         grid = _load_design(spec, policy)
         effects = _effects_from_args(args, grid)
-        rows = sweep(grid, correlation, effects,
-                     points=_sweep_points(args, correlation.model))
+        rows = sweep(grid, correlation, effects, points=points)
         labels = next((list(r.result.labels()) for r in rows if r.result is not None), None)
         if labels is None:
             raise CliError(f"design {spec!r}: every sweep point failed; first error: "
@@ -357,8 +352,8 @@ def _sweep_table(args, specs: list[str]) -> int:
     if not shared:
         raise CliError("designs share no estimable effect or contrast labels to compare")
 
-    model = correlation.model
-    rho_columns = _rho_columns(model)
+    second = correlation.model.second_icc
+    rho_columns = ["rho_w", second] if second else ["rho_w"]
     header = list(rho_columns)
     for name in names:
         suffix = f"_{name}" if compare else ""
@@ -368,7 +363,7 @@ def _sweep_table(args, specs: list[str]) -> int:
 
     csv_rows, json_rows = [], []
     for rows_at in zip(*sweeps):
-        params = _row_params(rows_at[0], model)
+        params = [getattr(rows_at[0], name) for name in rho_columns]
         bad = next((r for r in rows_at if r.error is not None), None)
         if bad is not None:
             sys.stderr.write(f"point {bad.index} (rho_w={bad.rho_w:g}): {bad.error}\n")
@@ -454,12 +449,16 @@ def cmd_validate(args) -> int:
 def _add_param_options(p: argparse.ArgumentParser, sweep_mode: bool = False) -> None:
     p.add_argument("--model", required=True, help="covariance model: cs, cohort, or nested")
     p.add_argument("--n", type=int, required=True, help="individuals per cluster-period")
-    p.add_argument("--rho-w", type=float, default=None, help="within-period ICC")
+    p.add_argument("--rho-w", type=float, default=None,
+                   help="within-period ICC (power only; sweeps take their rho_w values "
+                        "from --rho-values or --rho-min/--rho-max/--rho-step)")
     p.add_argument("--rho-a", type=float, default=None,
-                   help="across-period ICC (nested exchangeable)")
-    p.add_argument("--pi", type=float, default=None, help="individual autocorrelation (cohort)")
+                   help="across-period ICC (nested exchangeable only; held fixed in sweeps)")
+    p.add_argument("--pi", type=float, default=None,
+                   help="individual autocorrelation (cohort only)")
     p.add_argument("--cac", type=float, default=None,
-                   help="cluster autocorrelation rho_a/rho_w (nested exchangeable)")
+                   help="cluster autocorrelation in [0, 1], setting rho_a = cac * rho_w "
+                        "(nested exchangeable only; instead of --rho-a)")
     p.add_argument("--sigma-alpha-sq", type=float, default=None, help="raw cluster variance")
     p.add_argument("--sigma-psi-sq", type=float, default=None,
                    help="raw individual variance (cohort)")

@@ -48,6 +48,13 @@ class CovarianceModel(Enum):
         except KeyError:
             raise ParameterError(f"unknown covariance model {name!r}") from None
 
+    @property
+    def second_icc(self) -> str | None:
+        """The correlation parameter the model takes besides ``rho_w``:
+        ``"pi"`` for cohort, ``"rho_a"`` for nested exchangeable, ``None``
+        for cross-sectional."""
+        return {"cohort": "pi", "nested": "rho_a"}.get(self.value)
+
 
 @dataclass(frozen=True)
 class RawComponents:
@@ -106,25 +113,18 @@ class StandardizedParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho_w < 1.0:
             raise ParameterError(f"rho_w must lie in [0, 1), got {self.rho_w}")
-        if self.model is CovarianceModel.CROSS_SECTIONAL:
-            if self.rho_a is not None or self.pi is not None:
-                raise ParameterError("cross-sectional model takes rho_w only")
-        elif self.model is CovarianceModel.COHORT:
-            if self.pi is None:
-                raise ParameterError("cohort model requires pi")
-            if self.rho_a is not None:
-                raise ParameterError("cohort model derives rho_a from (rho_w, pi); do not set it")
-            if not 0.0 <= self.pi <= 1.0:
-                raise ParameterError(f"pi must lie in [0, 1], got {self.pi}")
-        else:
-            if self.rho_a is None:
-                raise ParameterError("nested exchangeable model requires rho_a")
-            if self.pi is not None:
-                raise ParameterError("pi applies to the cohort model only")
-            if not 0.0 <= self.rho_a <= self.rho_w:
-                raise ParameterError(
-                    f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
-                )
+        second = self.model.second_icc
+        for name in ("rho_a", "pi"):
+            if name == second and getattr(self, name) is None:
+                raise ParameterError(f"the {self.model.value} model requires {name}")
+            if name != second and getattr(self, name) is not None:
+                raise ParameterError(f"{name} does not apply to the {self.model.value} model")
+        if self.pi is not None and not 0.0 <= self.pi <= 1.0:
+            raise ParameterError(f"pi must lie in [0, 1], got {self.pi}")
+        if self.rho_a is not None and not 0.0 <= self.rho_a <= self.rho_w:
+            raise ParameterError(
+                f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
+            )
 
     @property
     def across_period_icc(self) -> float:
@@ -315,14 +315,15 @@ class CorrelationSpec:
     def with_icc(
         self, rho_w: float, rho_a: float | None = None, pi: float | None = None
     ) -> "CorrelationSpec":
-        """New spec at different correlation values (sweep support)."""
+        """New spec at different correlation values (sweep support).
+
+        ``rho_a`` and ``pi`` keep this spec's values unless given.
+        """
         if self.is_raw:
             raise ParameterError("cannot sweep correlations on a raw-component spec")
-        if self.model is CovarianceModel.COHORT and pi is None:
-            pi = self.pi
-        if self.model is CovarianceModel.NESTED_EXCHANGEABLE and rho_a is None:
-            rho_a = self.rho_a
-        return dataclasses.replace(self, rho_w=rho_w, rho_a=rho_a, pi=pi)
+        return dataclasses.replace(self, rho_w=rho_w,
+                                   rho_a=self.rho_a if rho_a is None else rho_a,
+                                   pi=self.pi if pi is None else pi)
 
     def describe(self) -> dict:
         """Flat parameter dictionary for result metadata."""

@@ -460,7 +460,12 @@ _HEADER_MAGIC = "# swedge-design v1"
 
 
 def serialize_design(grid: DesignGrid, fmt: str = "csv") -> str:
-    """Render a grid as design-file text (CSV by default, or JSON)."""
+    """Render a grid as design-file text (CSV by default, or JSON).
+
+    The CSV header is one line read back with its end stripped, so a label
+    with a line break or trailing whitespace is a :class:`DesignError`;
+    the JSON form carries any label.
+    """
     if fmt == "json":
         payload: dict = {"label": grid.label, "cells": grid.to_codes()}
         if grid.reconstructed:
@@ -474,6 +479,10 @@ def serialize_design(grid: DesignGrid, fmt: str = "csv") -> str:
         if grid.reconstructed:
             header += " reconstructed=true"
         if grid.label:
+            if grid.label != grid.label.rstrip() or len(grid.label.splitlines()) > 1:
+                raise DesignError(f"label {grid.label!r} has a line break or trailing "
+                                  "whitespace, which a CSV header cannot carry; "
+                                  "use the JSON form")
             header += f" label={grid.label}"
         lines.append(header)
     lines.extend(",".join(map(str, row)) for row in grid.to_codes())

@@ -231,18 +231,16 @@ class SweepRow:
     error: str | None
 
 
-def _resolve_point(point, template: CorrelationSpec) -> CorrelationSpec:
-    model = template.model
-    if isinstance(point, (tuple, list)):
-        if model is CovarianceModel.CROSS_SECTIONAL:
-            raise ParameterError("cross-sectional sweep points are single rho_w values")
-        if len(point) != 2:
-            raise ParameterError(f"sweep point {point!r} must have two entries")
-        rho_w, extra = _point_float(point[0]), _point_float(point[1])
-        if model is CovarianceModel.COHORT:
-            return template.with_icc(rho_w=rho_w, pi=extra)
-        return template.with_icc(rho_w=rho_w, rho_a=extra)
-    return template.with_icc(rho_w=_point_float(point))
+def _point_iccs(point, model: CovarianceModel) -> dict[str, float]:
+    """Named ICC values of a sweep point: ``rho_w``, and for a pair also
+    the model's second ICC."""
+    if not isinstance(point, (tuple, list)):
+        return {"rho_w": _point_float(point)}
+    if model.second_icc is None:
+        raise ParameterError("cross-sectional sweep points are single rho_w values")
+    if len(point) != 2:
+        raise ParameterError(f"sweep point {point!r} must have two entries")
+    return {"rho_w": _point_float(point[0]), model.second_icc: _point_float(point[1])}
 
 
 def _point_float(value) -> float:
@@ -263,34 +261,15 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     """
     rows = []
     for idx, point in enumerate(points):
+        iccs = {"rho_w": math.nan}
         try:
-            spec = _resolve_point(point, correlation)
-            result = design_power(grid, spec, effects)
+            iccs = _point_iccs(point, correlation.model)
+            result = design_power(grid, correlation.with_icc(**iccs), effects)
             error = None
         except (ParameterError, RankDeficiencyError) as exc:
-            spec = None
-            result = None
-            error = str(exc)
-        if spec is not None:
-            rho_w, rho_a, pi = spec.rho_w, spec.rho_a, spec.pi
-        else:
-            rho_w, rho_a, pi = _point_values(point, correlation)
-        rows.append(SweepRow(index=idx, rho_w=rho_w, rho_a=rho_a, pi=pi,
-                             result=result, error=error))
+            result, error = None, str(exc)
+        # The point's own values, over the template's; rho_w is nan when the
+        # point cannot be read.
+        values = {"rho_a": correlation.rho_a, "pi": correlation.pi, **iccs}
+        rows.append(SweepRow(index=idx, result=result, error=error, **values))
     return rows
-
-
-def _point_values(point, template: CorrelationSpec):
-    """Best-effort (rho_w, rho_a, pi) for reporting a failed sweep point."""
-    try:
-        if isinstance(point, (tuple, list)):
-            rho_w = float(point[0])
-            extra = float(point[1]) if len(point) > 1 else None
-            if template.model is CovarianceModel.NESTED_EXCHANGEABLE:
-                return rho_w, extra, None
-            if template.model is CovarianceModel.COHORT:
-                return rho_w, None, extra
-            return rho_w, None, None
-        return float(point), template.rho_a, template.pi
-    except (TypeError, ValueError):
-        return float("nan"), None, None

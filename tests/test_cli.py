@@ -135,6 +135,26 @@ class TestRejectedInputs:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("power", "--model", "nested", "--rho-w", "0.1", "--rho-a", "0.05", "--cac", "0.9"),
+         "needs --rho-a or --cac, not both"),
+        (("power", "--model", "cohort", "--rho-w", "0.1", "--pi", "0.3", "--cac", "0.5"),
+         "--cac does not apply to the cohort model"),
+        (("power", "--model", "cs", "--sigma-alpha-sq", "1", "--sigma-e-sq", "3",
+          "--pi", "0.3"), "raw variance components, not both"),
+        (("sweep", "--model", "cs", "--pi", "0.3"), "--pi does not apply to the cs model"),
+        (("sweep", "--model", "cs", "--rho-w", "0.2"), "drop --rho-w"),
+        (("compare", "--design", "fig1", "--model", "cs", "--rho-a", "0.05"),
+         "--rho-a does not apply to the cs model"),
+    ])
+    def test_unused_icc_flag_exits_2(self, capsys, argv, message):
+        command, *flags = argv
+        code, out, err = run(capsys, command, "--design", "fig2b", "--n", "10",
+                             "--delta", "0.3", *flags)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and message in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1e308", "1e-320"])
     def test_unrepresentable_components_exit_2(self, capsys, value):
