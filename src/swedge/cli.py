@@ -159,6 +159,8 @@ def _icc_spec(args, rho_w: float) -> CorrelationSpec:
                        + (", not both" if given else ""))
     if "--cac" in given and not 0.0 <= args.cac <= 1.0:
         raise CliError("--cac must lie in [0, 1]")
+    if "--rho-a" in given and not 0.0 <= args.rho_a < 1.0:
+        raise CliError(f"--rho-a must lie in [0, 1), got {args.rho_a}")
     second = {model.second_icc: args.cac * rho_w if flag == "--cac" else value
               for flag, value in given.items()}
     return CorrelationSpec(model=model, n_per_period=args.n, rho_w=rho_w, **second)
@@ -340,8 +342,11 @@ def _sweep_table(args, specs: list[str]) -> int:
         rows = sweep(grid, correlation, effects, points=points)
         labels = next((list(r.result.labels()) for r in rows if r.result is not None), None)
         if labels is None:
-            raise CliError(f"design {spec!r}: every sweep point failed; first error: "
-                           f"{rows[0].error if rows else 'empty grid'}")
+            message = (f"design {spec!r}: every sweep point failed; first error: "
+                       f"{rows[0].error if rows else 'empty grid'}")
+            if rows and all(issubclass(r.error_type, RankDeficiencyError) for r in rows):
+                raise RankDeficiencyError(message)
+            raise CliError(message)
         name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
         names.append("".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name))
         effect_specs.append(effects)

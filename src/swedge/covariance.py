@@ -166,6 +166,20 @@ class CompoundSymmetry:
         return self.offdiag
 
 
+def _entries(model: CovarianceModel, n: float, rho_w, rho_a=None, pi=None):
+    """Diagonal and off-diagonal of the standardized cluster-mean covariance.
+
+    Plain arithmetic, so floats and numpy arrays of ICCs give the same
+    values entry by entry.
+    """
+    diag = rho_w + (1.0 - rho_w) / n
+    if model is CovarianceModel.CROSS_SECTIONAL:
+        return diag, rho_w
+    if model is CovarianceModel.COHORT:
+        return diag, rho_w + pi * (1.0 - rho_w) / n
+    return diag, rho_a
+
+
 def cluster_cov_entries(params: StandardizedParams, n_per_period: int) -> CompoundSymmetry:
     """Compound-symmetry entries of the standardized cluster-mean covariance.
 
@@ -183,15 +197,34 @@ def cluster_cov_entries(params: StandardizedParams, n_per_period: int) -> Compou
     """
     if n_per_period < 1:
         raise ParameterError(f"n_per_period must be >= 1, got {n_per_period}")
-    n = float(n_per_period)
-    diag = params.rho_w + (1.0 - params.rho_w) / n
-    if params.model is CovarianceModel.CROSS_SECTIONAL:
-        off = params.rho_w
-    elif params.model is CovarianceModel.COHORT:
-        off = params.rho_w + params.pi * (1.0 - params.rho_w) / n
-    else:
-        off = params.rho_a
+    diag, off = _entries(params.model, float(n_per_period), params.rho_w,
+                         rho_a=params.rho_a, pi=params.pi)
     return CompoundSymmetry(diag=diag, offdiag=off, scale=1.0)
+
+
+def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
+                      rho_a=None, pi=None):
+    """:func:`cluster_cov_entries` over numpy arrays of ICCs, one entry per point.
+
+    ``rho_w`` and the model's second ICC are arrays of one shape.  Returns
+    ``(ok, within, between)``: a mask of the points that pass every domain
+    check of :class:`StandardizedParams` and :class:`CompoundSymmetry`,
+    and the within variance (diagonal minus off-diagonal) and between
+    variance (the off-diagonal) of those points, in order.  Building the
+    scalar objects says what is wrong with the other points.
+    """
+    ok = (0.0 <= rho_w) & (rho_w < 1.0)
+    if pi is not None:
+        ok &= (0.0 <= pi) & (pi <= 1.0)
+    if rho_a is not None:
+        ok &= (0.0 <= rho_a) & (rho_a <= rho_w)
+    # Entries of in-domain points only, which are finite.
+    second = {name: value[ok] for name, value in (("rho_a", rho_a), ("pi", pi))
+              if value is not None}
+    diag, off = _entries(model, float(n_per_period), rho_w[ok], **second)
+    valid = (off >= 0.0) & (diag > off)
+    ok[ok] = valid
+    return ok, (diag - off)[valid], off[valid]
 
 
 def raw_cov_entries(

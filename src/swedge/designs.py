@@ -85,7 +85,8 @@ def _code_array(codes) -> np.ndarray:
     except ValueError:  # a cell is itself a sequence
         grid = np.empty(0)
     if grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any():
-        for r, row in enumerate(rows):
+        # the cells of an array are reported as Python numbers
+        for r, row in enumerate(grid.tolist() if isinstance(codes, np.ndarray) else rows):
             for cell in row:
                 if (isinstance(cell, bool) or not isinstance(cell, (int, np.integer))
                         or not 0 <= cell <= 3):
@@ -524,7 +525,7 @@ def parse_design(text: str) -> DesignGrid:
             raise DesignError("design JSON cells must be condition codes, not true or false")
         return grid
     label, reconstructed = "", False
-    rows = []
+    lines = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -533,12 +534,22 @@ def parse_design(text: str) -> DesignGrid:
             if line.startswith(_HEADER_MAGIC):
                 label, reconstructed = _parse_header(line)
             continue
-        cells = []
-        for tok in line.split(","):
-            tok = tok.strip()
-            try:
-                cells.append(int(tok))
-            except ValueError:
-                raise DesignError(f"line {lineno}: bad cell value {tok!r}") from None
-        rows.append(cells)
-    return DesignGrid.from_codes(rows, label=label, reconstructed=reconstructed)
+        lines.append((lineno, line))
+    try:
+        # numpy reads each token as int() does
+        codes = np.array([line.split(",") for _, line in lines], dtype=int)
+    except (ValueError, OverflowError):
+        # a bad token, a ragged grid or no rows: read cell by cell to say which
+        codes = [_parse_row(lineno, line) for lineno, line in lines]
+    return DesignGrid(codes, label=label, reconstructed=reconstructed)
+
+
+def _parse_row(lineno: int, line: str) -> list[int]:
+    cells = []
+    for tok in line.split(","):
+        tok = tok.strip()
+        try:
+            cells.append(int(tok))
+        except ValueError:
+            raise DesignError(f"line {lineno}: bad cell value {tok!r}") from None
+    return cells

@@ -13,11 +13,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .covariance import CorrelationSpec, CovarianceModel, ParameterError
+from .covariance import CorrelationSpec, CovarianceModel, ParameterError, cluster_cov_stack
 from .designs import DesignGrid
 from .variance import (
     RankDeficiencyError,
+    TreatmentCovariance,
     closed_form_covariance,
+    closed_form_stack,
     contrast_variance,
 )
 
@@ -191,6 +193,13 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
     """
     cov = closed_form_covariance(grid, correlation.cov_entries(),
                                  additive=effects.additive)
+    return _power_result(grid, correlation.model, correlation.describe(), cov, effects)
+
+
+def _power_result(grid: DesignGrid, model: CovarianceModel, metadata: dict,
+                  cov: TreatmentCovariance, effects: EffectSpec) -> PowerResult:
+    """Per-effect SE and power from one covariance; ``metadata`` describes
+    the correlation spec and gains the alpha and estimable effects."""
     deltas = effects.deltas()
     rows = []
     for label, delta in deltas.items():
@@ -208,20 +217,22 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
         effect = _contrast_effect(spec, cov.labels, deltas)
         rows.append(EffectPower(label=spec.label, effect=effect, se=se,
                                 power=wald_power(effect, se, effects.alpha)))
-    metadata = correlation.describe()
     metadata["alpha"] = effects.alpha
     metadata["estimable_effects"] = list(cov.labels)
     return PowerResult(
         rows=tuple(rows),
         design_label=grid.label,
-        model=correlation.model,
+        model=model,
         metadata=metadata,
     )
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One parameter point of a sweep; exactly one of result/error is set."""
+    """One parameter point of a sweep; exactly one of result/error is set.
+
+    ``error_type`` is the class of the exception behind ``error``.
+    """
 
     index: int
     rho_w: float
@@ -229,6 +240,7 @@ class SweepRow:
     pi: float | None
     result: PowerResult | None
     error: str | None
+    error_type: type[Exception] | None = None
 
 
 def _point_iccs(point, model: CovarianceModel) -> dict[str, float]:
@@ -250,6 +262,31 @@ def _point_float(value) -> float:
         raise ParameterError(f"sweep point entry {value!r} is not a number") from None
 
 
+def _readable_iccs(point, model: CovarianceModel) -> dict[str, float] | None:
+    try:
+        return _point_iccs(point, model)
+    except ParameterError:
+        return None
+
+
+def _batched_covariances(grid: DesignGrid, correlation: CorrelationSpec, additive: bool,
+                         iccs: list) -> dict[int, TreatmentCovariance]:
+    """Closed-form covariances, by point index, of the readable points
+    that pass every check, from one design summary."""
+    readable = [k for k, point in enumerate(iccs) if point is not None]
+    if correlation.is_raw or not readable:
+        return {}
+    names = [name for name in ("rho_w", correlation.model.second_icc) if name]
+    values = {name: np.array([iccs[k].get(name, getattr(correlation, name))
+                              for k in readable]) for name in names}
+    valid, sig_c, sig_a = cluster_cov_stack(correlation.model, correlation.n_per_period,
+                                            **values)
+    labels, solved, matrices = closed_form_stack(grid, sig_c, sig_a, additive=additive)
+    indices = np.flatnonzero(valid)[solved].tolist()
+    return {readable[k]: TreatmentCovariance(labels=labels, matrix=matrix)
+            for k, matrix in zip(indices, matrices)}
+
+
 def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
           points=DEFAULT_RHO_GRID) -> list[SweepRow]:
     """Evaluate power across a grid of correlation values.
@@ -258,18 +295,35 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     model / ``(rho_w, rho_a)`` pair for the nested exchangeable model.
     Invalid points are reported in their row's ``error`` field without
     aborting the rest; row order follows input order.
+
+    All points are solved as one batch from one summary of the design.  A
+    point that fails any check there goes through :func:`design_power`
+    instead, which raises the error its row reports.
     """
+    model = correlation.model
+    points = list(points)
+    iccs = [_readable_iccs(point, model) for point in points]
+    batched = _batched_covariances(grid, correlation, effects.additive, iccs)
+    template = correlation.describe()
     rows = []
     for idx, point in enumerate(points):
-        iccs = {"rho_w": math.nan}
-        try:
-            iccs = _point_iccs(point, correlation.model)
-            result = design_power(grid, correlation.with_icc(**iccs), effects)
-            error = None
-        except (ParameterError, RankDeficiencyError) as exc:
-            result, error = None, str(exc)
+        result = error = error_type = None
+        if idx in batched:
+            try:
+                result = _power_result(grid, model, {**template, **iccs[idx]},
+                                       batched[idx], effects)
+            except (ParameterError, RankDeficiencyError):
+                pass  # design_power below raises it again, for the row
+        if result is None:
+            try:
+                result = design_power(grid, correlation.with_icc(**_point_iccs(point, model)),
+                                      effects)
+            except (ParameterError, RankDeficiencyError) as exc:
+                error, error_type = str(exc), type(exc)
         # The point's own values, over the template's; rho_w is nan when the
         # point cannot be read.
-        values = {"rho_a": correlation.rho_a, "pi": correlation.pi, **iccs}
-        rows.append(SweepRow(index=idx, result=result, error=error, **values))
+        values = {"rho_a": correlation.rho_a, "pi": correlation.pi,
+                  **(iccs[idx] or {"rho_w": math.nan})}
+        rows.append(SweepRow(index=idx, result=result, error=error, error_type=error_type,
+                             **values))
     return rows

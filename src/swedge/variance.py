@@ -18,6 +18,7 @@ substituting their effective diagonal/off-diagonal values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,63 +46,86 @@ class RankDeficiencyError(ValueError):
         super().__init__(message)
 
 
-def sherman_morrison_entries(cs: CompoundSymmetry, n_periods: int) -> tuple[float, float]:
-    """(diagonal, off-diagonal) entries of the inverse cluster covariance.
+class DesignSummary(NamedTuple):
+    """What the closed form reads from a design: integer-valued Gram
+    matrices and totals of its indicator stack (X, W, XW)."""
 
-    A compound-symmetric matrix is a scaled identity plus a rank-one
-    all-ones update, so its inverse is compound symmetric too and follows
-    from the Sherman-Morrison formula.
+    gram: np.ndarray          # 3 x 3 Gram matrix of the cells
+    cluster_gram: np.ndarray  # 3 x 3 Gram matrix of the per-cluster totals
+    cols: np.ndarray          # 3 x T per-period totals
+    totals: np.ndarray        # 3 grand totals
+    n_clusters: int
+    n_periods: int
+
+
+def design_summary(grid: DesignGrid) -> DesignSummary:
+    """The Gram summary of ``grid``, computed once for any number of points.
+
+    The product of any two different indicators of the stack is XW, so the
+    cell Gram matrix holds the grand totals of X and W on its diagonal and
+    that of XW everywhere else.
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    sig_c = cs.within_variance
-    sig_a = cs.between_variance
-    denom = sig_c * (n_periods * sig_a + sig_c)
-    diag = ((n_periods - 1) * sig_a + sig_c) / denom
-    off = -sig_a / denom
-    return diag, off
+    x, w = grid.indicators()
+    stack = np.array([x, w, x * w])
+    rows = stack.sum(axis=2)
+    cols = stack.sum(axis=1)
+    totals = cols.sum(axis=1)
+    gram = np.full((3, 3), totals[2])
+    gram[0, 0], gram[1, 1] = totals[0], totals[1]
+    return DesignSummary(gram, rows @ rows.T, cols, totals, grid.n_clusters, grid.n_periods)
 
 
-def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
-    """Profiled 3x3 information matrix of the three effect estimates.
+def _outer(v: np.ndarray) -> np.ndarray:
+    return v[..., :, None] * v[..., None, :]
 
-    With the indicator stack flattened to ``cells`` (3 x I*T), its
-    per-cluster totals ``rows`` (3 x I), per-period totals ``cols`` (3 x T)
-    and grand totals ``totals``, and with y = a*totals and l = b*totals,
 
-        S = b*cells@cells' - c*sig_a*rows@rows' - y y'/(f*T)
+def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
+    """Profiled information matrices of the three effects at many points.
+
+    ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
+    (between variance: the off-diagonal) are numpy arrays of one shape
+    ``(K...)``, or numpy scalars; the result has shape ``(K..., 3, 3)``.
+    With the Gram matrices G (cells) and R (cluster totals), the period
+    totals ``cols`` and grand totals ``totals`` of the summary, and with
+    y = a*totals and l = b*totals,
+
+        S = b*G - c*sig_a*R - y y'/(f*T)
             - ((b*cols)@(b*cols)' - l l'/T) / (f + g*T).
 
     Here a = 1/(sig_c + T*sig_a), b = 1/sig_c, c = a*b, f = I*a and
-    g = I*c*sig_a.  The four design Gram matrices are integer valued; only
-    these scalars depend on the covariance, and the grouping above fixes
-    the rounding of every entry.  Entries corresponding to effects absent
-    from the design are zero.  Overflowing or underflowing covariance
-    entries give non-finite entries, not warnings.
+    g = I*c*sig_a.  Only these scalars depend on the covariance, and the
+    grouping above fixes the rounding of every entry, so each point of a
+    stack gets the same bits as on its own.  Entries corresponding to
+    effects absent from the design are zero.  Overflowing or underflowing
+    covariance entries give non-finite entries, not warnings.
     """
-    x, w = grid.indicators()
-    stack = np.stack([x, w, x * w])
-    cells = stack.reshape(3, -1)
-    rows = stack.sum(axis=2)
-    cols = stack.sum(axis=1)
-    totals = cells.sum(axis=1)
-    t, n_clusters = grid.n_periods, grid.n_clusters
-    sig_c = np.float64(cs.within_variance)
-    sig_a = np.float64(cs.between_variance)
+    t, n_clusters = summary.n_periods, summary.n_clusters
     with np.errstate(all="ignore"):
         a = 1.0 / (sig_c + t * sig_a)
         b = 1.0 / sig_c
         c = a * b
         f = n_clusters * a
         g = n_clusters * c * sig_a
-        y = a * totals
-        l = b * totals
+        y = a[..., None] * summary.totals
+        l = b[..., None] * summary.totals
+        b_matrix = b[..., None, None]
+        b_cols = b_matrix * summary.cols
         return (
-            b * (cells @ cells.T)
-            - c * sig_a * (rows @ rows.T)
-            - np.outer(y, y) / (f * t)
-            - ((b * cols) @ (b * cols).T - np.outer(l, l) / t) / (f + g * t)
+            b_matrix * summary.gram
+            - (c * sig_a)[..., None, None] * summary.cluster_gram
+            - _outer(y) / (f * t)[..., None, None]
+            - (b_cols @ b_cols.swapaxes(-1, -2) - _outer(l) / t)
+            / (f + g * t)[..., None, None]
         )
+
+
+def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
+    """Profiled 3x3 information matrix of the three effect estimates.
+
+    One point of :func:`information_stack`, on the summary of ``grid``.
+    """
+    return information_stack(design_summary(grid), np.float64(cs.within_variance),
+                             np.float64(cs.between_variance))
 
 
 def active_effects(grid: DesignGrid) -> tuple[str, ...]:
@@ -149,50 +173,69 @@ class TreatmentCovariance:
         return float(np.sqrt(self.variance(label)))
 
 
+def _well_conditioned(eigvals: np.ndarray) -> np.ndarray:
+    """Mask of the matrices, given by their ascending eigenvalues, that
+    pass the rank check."""
+    top = np.abs(eigvals).max(axis=-1)
+    return (top > 0.0) & (eigvals[..., 0] > top / CONDITION_LIMIT)
+
+
 def _check_rank(s: np.ndarray, labels: tuple[str, ...]) -> None:
     eigvals = np.linalg.eigvalsh(s)
+    if _well_conditioned(eigvals):
+        return
     top = float(np.max(np.abs(eigvals)))
-    if top <= 0.0 or eigvals[0] <= top / CONDITION_LIMIT:
-        vec = np.linalg.eigh(s)[1][:, 0]
-        effect = labels[int(np.argmax(np.abs(vec)))]
-        cond = np.inf if eigvals[0] <= 0 else top / eigvals[0]
-        raise RankDeficiencyError(
-            "information matrix is rank deficient; the effect is confounded "
-            "with the intercept, period effects, or another treatment column",
-            effect=effect,
-            condition=cond,
-        )
+    vec = np.linalg.eigh(s)[1][:, 0]
+    effect = labels[int(np.argmax(np.abs(vec)))]
+    cond = np.inf if eigvals[0] <= 0 else top / eigvals[0]
+    raise RankDeficiencyError(
+        "information matrix is rank deficient; the effect is confounded "
+        "with the intercept, period effects, or another treatment column",
+        effect=effect,
+        condition=cond,
+    )
 
 
 def _invert_symmetric(s: np.ndarray) -> np.ndarray:
-    """Explicit adjugate inverse for symmetric matrices up to 3x3.
+    """Explicit adjugate inverse of symmetric matrices up to 3x3.
 
-    Written so that relabeling treatments (simultaneous swap of rows and
-    columns 0 and 1) permutes the result bit-for-bit: every cofactor is
-    grouped to rely only on commutativity of float multiply and add.
+    ``s`` is one matrix or a stack of shape (K..., n, n); the result has
+    the same shape and is C-contiguous.  Written so that relabeling
+    treatments (simultaneous swap of rows and columns 0 and 1) permutes
+    the result bit-for-bit: every cofactor is grouped to rely only on
+    commutativity of float multiply and add.
     """
-    n = s.shape[0]
+    n = s.shape[-1]
     if n == 1:
-        return np.array([[1.0 / s[0, 0]]])
+        return 1.0 / s
+    # e[j, i] is s[..., i, j]: a scalar for one matrix, an array for a stack.
+    e = s.T
     if n == 2:
-        s11, s22, s12 = s[0, 0], s[1, 1], s[0, 1]
+        s11, s22, s12 = e[0, 0], e[1, 1], e[1, 0]
         det = s11 * s22 - s12 * s12
-        return np.array([[s22, -s12], [-s12, s11]]) / det
-    s11, s22, s33 = s[0, 0], s[1, 1], s[2, 2]
-    s12, s13, s23 = s[0, 1], s[0, 2], s[1, 2]
-    d1 = s33 * (s11 * s22 - s12 * s12)
-    d2 = s11 * (s23 * s23)
-    d3 = s22 * (s13 * s13)
-    d4 = 2.0 * s12 * (s13 * s23)
-    det = (d1 - (d2 + d3)) + d4
-    a11 = s22 * s33 - s23 * s23
-    a22 = s11 * s33 - s13 * s13
-    a33 = s11 * s22 - s12 * s12
-    a12 = s13 * s23 - s12 * s33
-    a13 = s12 * s23 - s22 * s13
-    a23 = s12 * s13 - s11 * s23
-    adj = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-    return adj / det
+        adj = np.array([[s22, -s12], [-s12, s11]])
+    else:
+        s11, s22, s33 = e[0, 0], e[1, 1], e[2, 2]
+        s12, s13, s23 = e[1, 0], e[2, 0], e[2, 1]
+        d1 = s33 * (s11 * s22 - s12 * s12)
+        d2 = s11 * (s23 * s23)
+        d3 = s22 * (s13 * s13)
+        d4 = 2.0 * s12 * (s13 * s23)
+        det = (d1 - (d2 + d3)) + d4
+        a11 = s22 * s33 - s23 * s23
+        a22 = s11 * s33 - s13 * s13
+        a33 = s11 * s22 - s12 * s12
+        a12 = s13 * s23 - s12 * s33
+        a13 = s12 * s23 - s22 * s13
+        a23 = s12 * s13 - s11 * s23
+        adj = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+    # adj has the stack axes last; it is symmetric, so .T puts them first.
+    return np.ascontiguousarray((adj / det).T)
+
+
+def _estimable_labels(grid: DesignGrid, additive: bool) -> tuple[str, ...]:
+    dropped = ("interaction",) if additive else ()
+    return tuple(label for label in active_effects(grid) if label not in dropped)
 
 
 def closed_form_covariance(
@@ -216,8 +259,7 @@ def closed_form_covariance(
         present effects is (numerically) singular, naming the offending
         effect.
     """
-    dropped = ("interaction",) if additive else ()
-    labels = tuple(label for label in active_effects(grid) if label not in dropped)
+    labels = _estimable_labels(grid, additive)
     if not labels:
         raise RankDeficiencyError(
             "design has no treated cluster-periods; no effects are estimable"
@@ -232,6 +274,28 @@ def closed_form_covariance(
         )
     _check_rank(s, labels)
     return TreatmentCovariance(labels=labels, matrix=_invert_symmetric(s), scale=cs.scale)
+
+
+def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
+                      additive: bool = False):
+    """:func:`closed_form_covariance` at K points from one design summary.
+
+    ``sig_c`` and ``sig_a`` are (K,) arrays of within and between
+    variances.  Returns ``(labels, ok, matrices)``: the estimable effects,
+    a (K,) mask of the points whose information matrix passes the finite
+    and rank checks, and the covariance matrices of those points, in
+    order, as one (m, n, n) array.  Each matrix has the bits
+    :func:`closed_form_covariance` gives at its point; the points outside
+    the mask are left to it to say what is wrong with them.
+    """
+    labels = _estimable_labels(grid, additive)
+    if not labels:
+        return labels, np.zeros(len(sig_c), dtype=bool), np.empty((0, 0, 0))
+    active = [EFFECT_LABELS.index(label) for label in labels]
+    s = information_stack(design_summary(grid), sig_c, sig_a)[:, active][:, :, active]
+    ok = np.isfinite(s).all(axis=(1, 2))
+    ok[ok] = _well_conditioned(np.linalg.eigvalsh(s[ok]))
+    return labels, ok, _invert_symmetric(s[ok])
 
 
 def oracle_covariance(

@@ -155,6 +155,19 @@ class TestRejectedInputs:
         assert out == ""
         assert len(err.splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("command, rho", [
+        ("power", ("--rho-w", "0.1")),
+        ("sweep", ("--rho-values", "0.1")),
+        ("compare", ("--design", "fig1", "--rho-values", "0.1")),
+    ])
+    @pytest.mark.parametrize("rho_a", ["1.5", "-0.1", "nan"])
+    def test_out_of_range_rho_a_is_named(self, capsys, command, rho, rho_a):
+        code, out, err = run(capsys, command, "--design", "fig2b", "--model", "nested",
+                             "--n", "15", "--delta", "0.4", "--rho-a", rho_a, *rho)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --rho-a must lie in [0, 1), got {float(rho_a)}\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1e308", "1e-320"])
     def test_unrepresentable_components_exit_2(self, capsys, value):
@@ -287,6 +300,28 @@ class TestSweepCommand:
         assert "design_names" not in payload["meta"]
         assert sorted(payload["rows"][0]) == [
             "power_trt1", "power_trt2", "rho_w", "se_trt1", "se_trt2"]
+
+    @pytest.mark.parametrize("command, designs", [
+        ("sweep", ("--design", "fig5a")),
+        ("compare", ("--design", "fig5a", "--design", "fig5b")),
+    ])
+    def test_every_point_rank_deficient_exits_3(self, capsys, command, designs):
+        code, out, err = run(
+            capsys, command, *designs, "--model", "cs", "--n", "15", "--delta", "0.4",
+            "--rho-values", "0.1,0.2",
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "every sweep point failed" in err and "rank deficient" in err
+
+    def test_mixed_point_failures_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--design", "fig5a", "--model", "cs", "--n", "15",
+            "--delta", "0.4", "--rho-values", "0.1,1.5",
+        )
+        assert code == 2
+        assert "every sweep point failed" in err
 
     def test_additive_flag_for_factorial_design(self, capsys):
         code, out, _ = run(

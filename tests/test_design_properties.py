@@ -87,3 +87,48 @@ def test_serialize_then_parse_round_trips(rows, label, reconstructed):
     again = parse_design(text)
     assert again == grid
     assert again.reconstructed is grid.reconstructed
+
+
+def parse_cell_by_cell(text):
+    """CSV rows read one ``int(token)`` at a time."""
+    if not text.strip():
+        raise DesignError("empty design file")
+    rows = []
+    for lineno, line in enumerate(text.strip().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = []
+        for tok in line.split(","):
+            try:
+                cells.append(int(tok.strip()))
+            except ValueError:
+                raise DesignError(f"line {lineno}: bad cell value {tok.strip()!r}") from None
+        rows.append(cells)
+    return DesignGrid(rows)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text).to_codes()
+    except DesignError as exc:
+        return str(exc)
+
+
+# CSV cells: codes, with padding, and tokens int() reads or rejects.
+csv_tokens = st.one_of(
+    st.integers(0, 3).map(str),
+    st.sampled_from([" 1", "2 ", "\t3", "+1", "-0", "00", "1_0", "\u0661", "4", "-1",
+                     "1.0", "", " ", "x", "0x1", "1e0", "99999999999999999999"]),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(csv_tokens, min_size=1, max_size=4), min_size=1, max_size=5),
+       st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
+@example([["0", "1"], ["0", "1.0"]], [])
+@example([["0", "1"], ["0", "1", "1"]], [])
+@example([["0", "99999999999999999999"]], [])
+def test_csv_parse_matches_a_cell_by_cell_read(rows, extra_lines):
+    text = "\n".join(extra_lines + [",".join(row) for row in rows])
+    assert outcome(parse_design, text) == outcome(parse_cell_by_cell, text)

@@ -328,6 +328,22 @@ class TestSerialization:
         with pytest.raises(DesignError):
             parse_design("0,1\n0,1,1")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,1\n0,x", "line 2: bad cell value 'x'"),
+        ("# swedge-design v1 label=a\n\n0,1\n0,1.0", "line 4: bad cell value '1.0'"),
+        ("0,1\n0,", "line 2: bad cell value ''"),
+        ("0,1\n0,4", "row 2: unknown condition code 4"),
+        ("0,-1\n0,0", "row 1: unknown condition code -1"),
+        ("0,99999999999999999999\n0,0", "row 1: unknown condition code 99999999999999999999"),
+        ("0,1\n0,1,1", "ragged design: row lengths [2, 3]"),
+        ("# swedge-design v1 label=a", "design has no clusters"),
+        ("0\n1", "design needs at least 2 periods"),
+    ])
+    def test_csv_errors_name_the_line_or_the_cell(self, text, message):
+        with pytest.raises(DesignError) as info:
+            parse_design(text)
+        assert str(info.value) == message
+
     def test_csv_round_trip_with_label(self):
         grid = catalog_design("fig1")
         assert parse_design(serialize_design(grid)) == grid

@@ -276,9 +276,14 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise ValueError("bug, not a bad sweep point")
 
-        monkeypatch.setattr(swedge.power, "design_power", broken)
-        with pytest.raises(ValueError, match="bug"):
-            sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=(0.1,))
+        # The batch solves a point it can and calls wald_power; a point it
+        # cannot (fig1 has no treatment 2) goes through design_power.
+        for name, effects in (("wald_power", EffectSpec(delta1=0.4)),
+                              ("design_power", EffectSpec(delta1=0.4, delta2=0.4))):
+            with monkeypatch.context() as patch:
+                patch.setattr(swedge.power, name, broken)
+                with pytest.raises(ValueError, match="bug"):
+                    sweep(catalog_design("fig1"), cs_spec(), effects, points=(0.1,))
 
     def test_nested_fixed_rho_a_invalid_below_it(self):
         template = CorrelationSpec(

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from designgen import random_correlation, random_grid, random_single_treatment_grid
 from swedge.covariance import (
-    CompoundSymmetry,
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
@@ -24,7 +23,6 @@ from swedge.variance import (
     contrast_variance,
     information_matrix,
     oracle_covariance,
-    sherman_morrison_entries,
 )
 
 C, T1, T2, B = 0, 1, 2, 3
@@ -44,36 +42,6 @@ def dense_cluster_cov(cs, t):
     v = np.full((t, t), cs.offdiag)
     np.fill_diagonal(v, cs.diag)
     return v
-
-
-class TestShermanMorrison:
-    def test_diagonal_case(self):
-        cs = CompoundSymmetry(diag=0.4, offdiag=0.0)
-        diag, off = sherman_morrison_entries(cs, 5)
-        assert diag == pytest.approx(2.5, abs=1e-15)
-        assert off == 0.0
-
-    def test_two_by_two_hand_inverse(self):
-        cs = CompoundSymmetry(diag=2.0, offdiag=1.0)
-        diag, off = sherman_morrison_entries(cs, 2)
-        assert diag == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert off == pytest.approx(-1.0 / 3.0, abs=1e-15)
-        v = np.array([[2.0, 1.0], [1.0, 2.0]])
-        v_inv = np.array([[diag, off], [off, diag]])
-        assert_allclose(v @ v_inv, np.eye(2), atol=1e-15)
-
-    def test_random_inverses_multiply_to_identity(self):
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            t = int(rng.integers(2, 9))
-            off = float(rng.uniform(0.0, 1.0))
-            diag = off + float(rng.uniform(1e-3, 2.0))
-            cs = CompoundSymmetry(diag=diag, offdiag=off)
-            d, o = sherman_morrison_entries(cs, t)
-            v = dense_cluster_cov(cs, t)
-            v_inv = np.full((t, t), o)
-            np.fill_diagonal(v_inv, d)
-            assert_allclose(v @ v_inv, np.eye(t), atol=1e-12)
 
 
 def dense_schur_complement(grid, cs):
