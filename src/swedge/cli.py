@@ -9,6 +9,7 @@ human tables show 4.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -490,7 +491,9 @@ def _add_param_options(p: argparse.ArgumentParser, sweep_mode: bool = False) -> 
                        help="comma-separated rho_w values (overrides min/max/step)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="swedge",
         description="Power analysis for stepped wedge trials with two treatments.",

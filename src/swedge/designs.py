@@ -5,9 +5,9 @@ treatment-1 indicator X and bit 1 the treatment-2 indicator W, so 0 is
 control, 1 treatment 1, 2 treatment 2 and 3 both treatments at once (the
 interaction XW).  The transition policy is one rule on those bits: a
 treatment, once started, never stops.  This module covers grid
-construction and validation, the fixed-effects design matrix, generators
-for standard and concurrent layouts, a catalog of published example
-designs, and CSV/JSON serialization.
+construction and validation, generators for standard and concurrent
+layouts, a catalog of published example designs, and CSV/JSON
+serialization.
 """
 
 from __future__ import annotations
@@ -190,52 +190,6 @@ def require_valid(
     if violations and policy is TransitionPolicy.STRICT:
         raise TransitionViolationError(violations)
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Fixed-effects design matrix
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedEffectsMatrix:
-    """Stacked per-cluster design blocks, cluster-major and period-minor.
-
-    Columns: intercept, period indicators for periods 1..T-1 (the last
-    period is the reference level), then the treatment-1, treatment-2 and
-    product indicators.
-    """
-
-    values: np.ndarray
-    n_clusters: int
-    n_periods: int
-
-    @property
-    def n_columns(self) -> int:
-        return self.n_periods + 3
-
-    def cluster_block(self, i: int) -> np.ndarray:
-        t = self.n_periods
-        return self.values[i * t : (i + 1) * t, :]
-
-    def treatment_columns(self) -> np.ndarray:
-        """The (I*T, 3) block of treatment-1, treatment-2, product columns."""
-        return self.values[:, self.n_periods :]
-
-
-def build_design_matrix(grid: DesignGrid) -> FixedEffectsMatrix:
-    """Build the (I*T) x (T+3) fixed-effects matrix for a design grid."""
-    n_clusters, n_periods = grid.n_clusters, grid.n_periods
-    x, w = grid.indicators()
-    rows = n_clusters * n_periods
-    z = np.zeros((rows, n_periods + 3))
-    z[:, 0] = 1.0
-    for i in range(n_clusters):
-        block = slice(i * n_periods, (i + 1) * n_periods)
-        z[block, 1:n_periods] = np.eye(n_periods)[:, : n_periods - 1]
-        z[block, n_periods] = x[i]
-        z[block, n_periods + 1] = w[i]
-        z[block, n_periods + 2] = x[i] * w[i]
-    return FixedEffectsMatrix(values=z, n_clusters=n_clusters, n_periods=n_periods)
 
 
 # ---------------------------------------------------------------------------

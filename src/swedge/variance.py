@@ -6,9 +6,10 @@ effects, after profiling out the intercept and period effects, as one
 fixed combination of four integer Gram matrices of the design's indicator
 stack (its cells, per-cluster totals, per-period totals and grand totals)
 weighted by five scalars of the covariance, then inverts it directly.  The
-dense oracle builds the full GLS precision matrix cluster by cluster with
-generic matrix inversion and factorizes it; it shares no intermediate
-results with the closed form and exists to verify it.
+dense oracle whitens every cluster's full design block by the Cholesky
+factor of the cluster covariance, forms the GLS precision matrix as one
+Gram product of the whitened blocks and factorizes it; it shares no
+intermediate results with the closed form and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import CompoundSymmetry, ParameterError
-from .designs import Condition, DesignGrid, build_design_matrix
+from .designs import Condition, DesignGrid
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
 
@@ -253,7 +254,7 @@ def closed_form_covariance(
     ------
     ParameterError
         If the covariance entries overflow or underflow the information
-        matrix.
+        matrix or its inverse.
     RankDeficiencyError
         If no effect is present at all, or the information matrix for the
         present effects is (numerically) singular, naming the offending
@@ -267,13 +268,21 @@ def closed_form_covariance(
     active = [EFFECT_LABELS.index(label) for label in labels]
     s = information_matrix(grid, cs)[np.ix_(active, active)]
     if not np.isfinite(s).all():
-        raise ParameterError(
-            "information matrix is not finite: the covariance entries "
-            f"(diagonal {cs.diag:g}, off-diagonal {cs.offdiag:g}) are too large "
-            "or too small to represent"
-        )
+        raise _unrepresentable("information matrix", cs)
     _check_rank(s, labels)
-    return TreatmentCovariance(labels=labels, matrix=_invert_symmetric(s), scale=cs.scale)
+    with np.errstate(all="ignore"):
+        matrix = _invert_symmetric(s)
+    if not np.isfinite(matrix).all():
+        raise _unrepresentable("covariance of the effect estimates", cs)
+    return TreatmentCovariance(labels=labels, matrix=matrix, scale=cs.scale)
+
+
+def _unrepresentable(what: str, cs: CompoundSymmetry) -> ParameterError:
+    return ParameterError(
+        f"{what} is not finite: the covariance entries "
+        f"(diagonal {cs.diag:g}, off-diagonal {cs.offdiag:g}) are too large "
+        "or too small to represent"
+    )
 
 
 def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
@@ -283,10 +292,10 @@ def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
     ``sig_c`` and ``sig_a`` are (K,) arrays of within and between
     variances.  Returns ``(labels, ok, matrices)``: the estimable effects,
     a (K,) mask of the points whose information matrix passes the finite
-    and rank checks, and the covariance matrices of those points, in
-    order, as one (m, n, n) array.  Each matrix has the bits
-    :func:`closed_form_covariance` gives at its point; the points outside
-    the mask are left to it to say what is wrong with them.
+    and rank checks and has a finite inverse, and the covariance matrices
+    of those points, in order, as one (m, n, n) array.  Each matrix has
+    the bits :func:`closed_form_covariance` gives at its point; the points
+    outside the mask are left to it to say what is wrong with them.
     """
     labels = _estimable_labels(grid, additive)
     if not labels:
@@ -295,40 +304,49 @@ def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
     s = information_stack(design_summary(grid), sig_c, sig_a)[:, active][:, :, active]
     ok = np.isfinite(s).all(axis=(1, 2))
     ok[ok] = _well_conditioned(np.linalg.eigvalsh(s[ok]))
-    return labels, ok, _invert_symmetric(s[ok])
+    with np.errstate(all="ignore"):
+        matrices = _invert_symmetric(s[ok])
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    ok[ok] = finite
+    return labels, ok, matrices[finite]
 
 
 def oracle_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
-    """Covariance of the effect estimates via dense GLS assembly.
+    """Covariance of the effect estimates via whitened dense GLS assembly.
 
-    Builds the full precision matrix by accumulating per-cluster blocks
-    with generically inverted cluster covariances, Cholesky-factorizes it,
-    and extracts the treatment block.  Kept deliberately independent of
-    the closed-form path.
+    Factors the T x T cluster covariance V = L L' once and whitens every
+    cluster's design block Z_i (intercept, T-1 period indicators and the
+    treatment columns) into L^-1 Z_i, all in one (I, T, p) array.  The
+    full GLS precision sum_i Z_i' V^-1 Z_i is then one Gram product of
+    that array, which is Cholesky-factorized to extract the treatment
+    block.  Kept deliberately independent of the closed-form path.
     """
-    design = build_design_matrix(grid)
     n_periods = grid.n_periods
-    treat = design.treatment_columns()
+    x, w = grid.indicators()
+    treat = np.stack([x, w, x * w], axis=-1)
     limit = 2 if additive else 3
-    active = [k for k in range(limit) if treat[:, k].any()]
+    active = [k for k in range(limit) if treat[..., k].any()]
     if not active:
         raise RankDeficiencyError(
             "design has no treated cluster-periods; no effects are estimable"
         )
     labels = tuple(EFFECT_LABELS[k] for k in active)
-    keep = list(range(n_periods)) + [n_periods + k for k in active]
 
+    # intercept, then indicators of periods 1..T-1 (the last is the reference)
+    fixed = np.eye(n_periods, k=1)
+    fixed[:, 0] = 1.0
     v_cluster = np.full((n_periods, n_periods), cs.offdiag)
     np.fill_diagonal(v_cluster, cs.diag)
-    v_inv = np.linalg.inv(v_cluster)
+    l_inv = np.linalg.solve(np.linalg.cholesky(v_cluster), np.eye(n_periods))
 
-    size = len(keep)
-    precision = np.zeros((size, size))
-    for i in range(grid.n_clusters):
-        z_i = design.cluster_block(i)[:, keep]
-        precision += z_i.T @ v_inv @ z_i
+    size = n_periods + len(active)
+    whitened = np.empty((grid.n_clusters, n_periods, size))
+    whitened[..., :n_periods] = l_inv @ fixed
+    whitened[..., n_periods:] = l_inv @ treat[..., active]
+    flat = whitened.reshape(-1, size)
+    precision = flat.T @ flat
 
     condition = float(np.linalg.cond(precision))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from swedge import DesignGrid, build_design_matrix
+from swedge import DesignGrid
 from swedge.covariance import CorrelationSpec, CovarianceModel, RawComponents
 from swedge.variance import EFFECT_LABELS, active_effects
 
@@ -37,11 +37,28 @@ def _random_row(rng: np.random.Generator, n_periods: int, path: str) -> list[int
     return row
 
 
+def dense_design_matrix(grid: DesignGrid) -> np.ndarray:
+    """The (I*T) x (T+3) fixed-effects matrix of ``grid``, cluster-major.
+
+    Columns: intercept, indicators of periods 1..T-1 (the last period is
+    the reference level), then the treatment-1, treatment-2 and product
+    indicators.
+    """
+    t = grid.n_periods
+    x, w = grid.indicators()
+    fixed = np.hstack([np.ones((t, 1)), np.eye(t)[:, :-1]])
+    blocks = np.concatenate(
+        [np.broadcast_to(fixed, (grid.n_clusters, t, t)), np.stack([x, w, x * w], axis=-1)],
+        axis=-1,
+    )
+    return blocks.reshape(-1, t + 3)
+
+
 def _estimable(grid: DesignGrid) -> bool:
     labels = active_effects(grid)
     if not labels:
         return False
-    z = build_design_matrix(grid).values
+    z = dense_design_matrix(grid)
     keep = list(range(grid.n_periods)) + [
         grid.n_periods + k for k in range(3) if EFFECT_LABELS[k] in labels
     ]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -14,6 +15,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _src_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this swedge."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestPowerCommand:
@@ -135,6 +143,18 @@ class TestRejectedInputs:
         assert message in err
         assert "Traceback" not in err
 
+    def test_unrepresentable_covariance_exits_2(self, capsys):
+        # the information matrix is finite here, but the determinant its
+        # inverse divides by underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *self.BASE, "--sigma-alpha-sq", "1e300",
+                                 "--sigma-e-sq", "1e300", "--delta", "0.3")
+        assert code == 2
+        assert out == ""
+        assert "covariance of the effect estimates is not finite" in err
+        assert "too large or too small to represent" in err
+
     @pytest.mark.parametrize("argv, message", [
         (("power", "--model", "nested", "--rho-w", "0.1", "--rho-a", "0.05", "--cac", "0.9"),
          "needs --rho-a or --cac, not both"),
@@ -181,13 +201,11 @@ class TestRejectedInputs:
     def test_unrepresentable_components_print_only_the_error(self, value):
         # a fresh interpreter that shows every warning, so a numpy
         # RuntimeWarning would reach stderr
-        src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
-        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "swedge.cli", *self.BASE, "--sigma-alpha-sq", value,
              "--sigma-e-sq", value, "--delta", "0.3"],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_src_env(PYTHONWARNINGS="default"),
+            timeout=120,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -204,6 +222,39 @@ class TestRejectedInputs:
         assert "every sweep point failed" in err and "contrast length 3" in err
 
 
+class TestRepeatedMainCalls:
+    # different subcommands, repeated flags and a usage error, in an order
+    # where state left behind by one call would show in the next
+    CALLS = (
+        ("compare", "--design", "fig1", "--design", "fig2b", "--model", "cs", "--n", "15",
+         "--delta", "0.4", "--rho-values", "0.05,0.1", "--format", "csv"),
+        ("power", "--design", "fig2b", "--model", "cs", "--n", "10", "--rho-w", "0.05",
+         "--delta", "0.3", "--contrast", "d=1,-1@0"),
+        ("sweep", "--design", "fig1", "--model", "nested", "--n", "15", "--rho-a", "0.01",
+         "--delta", "0.4", "--rho-values", "0.02,0.3"),
+        ("power", "--design", "fig2b", "--rho-w", "0.05"),
+        ("validate", "--design", "fig5a"),
+    )
+
+    def test_in_process_calls_print_what_fresh_processes_print(self, capsys):
+        in_process = []
+        for argv in self.CALLS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in self.CALLS:
+            proc = subprocess.run([sys.executable, "-m", "swedge.cli", *argv],
+                                  capture_output=True, text=True, env=_src_env(),
+                                  timeout=120)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+        assert in_process == fresh
+
+
 class TestRuntimeDependencies:
     def test_cli_runs_without_scipy(self):
         script = (
@@ -215,11 +266,8 @@ class TestRuntimeDependencies:
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print('exit', code, 'scipy', loaded)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=_src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert lines[0] == "label,effect,se,power"

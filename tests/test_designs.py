@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from designgen import dense_design_matrix, random_grid
 from swedge.designs import (
     Condition,
     DesignError,
@@ -11,7 +12,6 @@ from swedge.designs import (
     TransitionPolicy,
     TransitionViolationError,
     UnknownDesignError,
-    build_design_matrix,
     catalog_design,
     catalog_ids,
     concurrent_design,
@@ -148,40 +148,41 @@ class TestValidation:
 
 
 class TestDesignMatrix:
+    """The dense fixed-effects matrix the Schur-complement checks build on."""
+
     def test_two_period_single_treatment_block(self):
         grid = DesignGrid.from_codes([[C, T1]])
-        z = build_design_matrix(grid)
-        assert z.values.tolist() == [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]]
+        z = dense_design_matrix(grid)
+        assert z.tolist() == [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]]
 
     def test_both_condition_sets_all_three_columns(self):
         grid = DesignGrid.from_codes([[C, B]])
-        z = build_design_matrix(grid).treatment_columns()
+        z = dense_design_matrix(grid)[:, grid.n_periods :]
         assert z[:, 0].tolist() == [0, 1]
         assert z[:, 1].tolist() == [0, 1]
         assert z[:, 2].tolist() == [0, 1]
 
     def test_figure1_treated_cell_count(self):
         # two clusters per sequence stepping at periods 2, 3, 4
-        z = build_design_matrix(catalog_design("fig1"))
-        assert z.treatment_columns()[:, 0].sum() == 12
+        grid = catalog_design("fig1")
+        assert dense_design_matrix(grid)[:, grid.n_periods].sum() == 12
 
     def test_intercept_and_reference_period(self):
         grid = catalog_design("fig2b")
-        z = build_design_matrix(grid)
-        assert np.all(z.values[:, 0] == 1.0)
+        t = grid.n_periods
+        z = dense_design_matrix(grid)
+        assert np.all(z[:, 0] == 1.0)
         for i in range(grid.n_clusters):
-            block = z.cluster_block(i)
+            block = z[i * t : (i + 1) * t]
             # last period has all-zero period indicators
-            assert np.all(block[-1, 1 : grid.n_periods] == 0.0)
-            assert np.all(block[: grid.n_periods - 1, 1 : grid.n_periods] == np.eye(grid.n_periods - 1))
+            assert np.all(block[-1, 1:t] == 0.0)
+            assert np.all(block[: t - 1, 1:t] == np.eye(t - 1))
 
     def test_product_column_is_elementwise_product(self):
-        from designgen import random_grid
-
         rng = np.random.default_rng(11)
         for _ in range(25):
             grid = random_grid(rng)
-            cols = build_design_matrix(grid).treatment_columns()
+            cols = dense_design_matrix(grid)[:, grid.n_periods :]
             assert np.array_equal(cols[:, 2], cols[:, 0] * cols[:, 1])
 
 
@@ -361,8 +362,6 @@ class TestSerialization:
         assert again.label == "fig5b"
 
     def test_round_trip_on_random_grids(self):
-        from designgen import random_grid
-
         rng = np.random.default_rng(3)
         for _ in range(25):
             grid = random_grid(rng)

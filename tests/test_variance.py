@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from designgen import random_correlation, random_grid, random_single_treatment_grid
+from designgen import (
+    dense_design_matrix,
+    random_correlation,
+    random_grid,
+    random_single_treatment_grid,
+)
 from swedge.covariance import (
+    CompoundSymmetry,
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
@@ -12,7 +18,6 @@ from swedge.covariance import (
 )
 from swedge.designs import (
     DesignGrid,
-    build_design_matrix,
     catalog_design,
     catalog_ids,
     generate_standard_swd,
@@ -20,6 +25,7 @@ from swedge.designs import (
 from swedge.variance import (
     RankDeficiencyError,
     closed_form_covariance,
+    closed_form_stack,
     contrast_variance,
     information_matrix,
     oracle_covariance,
@@ -48,7 +54,7 @@ def dense_schur_complement(grid, cs):
     """Treatment block of the dense GLS precision with the intercept and
     period effects profiled out."""
     t = grid.n_periods
-    z = build_design_matrix(grid).values
+    z = dense_design_matrix(grid)
     v_inv = np.linalg.inv(dense_cluster_cov(cs, t))
     big = np.zeros((t + 3, t + 3))
     for i in range(grid.n_clusters):
@@ -83,24 +89,12 @@ class TestInformationMatrix:
     def test_information_matrix_matches_dense_schur_complement(self):
         # profile the intercept and period effects out of the dense
         # precision matrix and compare against the scalar-term assembly
-        from swedge.designs import build_design_matrix
-
         rng = np.random.default_rng(123)
         for _ in range(25):
             grid = random_grid(rng, max_clusters=8, max_periods=5)
             spec = random_correlation(rng, MODELS[int(rng.integers(0, 3))])
             cs = spec.cov_entries()
-            t = grid.n_periods
-
-            z = build_design_matrix(grid).values
-            v_inv = np.linalg.inv(dense_cluster_cov(cs, t))
-            big = np.zeros((t + 3, t + 3))
-            for i in range(grid.n_clusters):
-                zi = z[i * t : (i + 1) * t, :]
-                big += zi.T @ v_inv @ zi
-            a11 = big[:t, :t]
-            a12 = big[:t, t:]
-            schur = big[t:, t:] - a12.T @ np.linalg.solve(a11, a12)
+            schur = dense_schur_complement(grid, cs)
 
             s = information_matrix(grid, cs)
             scale = max(np.abs(schur).max(), 1e-30)
@@ -196,8 +190,9 @@ class TestReductionsAndErrors:
         with pytest.raises(RankDeficiencyError) as err:
             closed_form_covariance(grid, std_cs())
         assert err.value.effect == "trt1"
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(RankDeficiencyError) as err:
             oracle_covariance(grid, std_cs())
+        assert err.value.effect == "trt1"
 
     def test_late_factorial_interaction_confounded_but_mains_fine(self):
         grid = catalog_design("fig5a")
@@ -205,14 +200,43 @@ class TestReductionsAndErrors:
         with pytest.raises(RankDeficiencyError) as err:
             closed_form_covariance(grid, cs)
         assert err.value.effect == "interaction"
+        with pytest.raises(RankDeficiencyError) as err:
+            oracle_covariance(grid, cs)
+        assert err.value.effect == "interaction"
         additive = closed_form_covariance(grid, cs, additive=True)
         assert additive.labels == ("trt1", "trt2")
 
     def test_error_carries_condition_estimate(self):
         grid = DesignGrid.from_codes([[C, T1], [C, T1]])
         with pytest.raises(RankDeficiencyError) as err:
+            closed_form_covariance(grid, std_cs())
+        assert err.value.effect == "trt1"
+        with pytest.raises(RankDeficiencyError) as err:
             oracle_covariance(grid, std_cs())
+        assert err.value.effect == "trt1"
         assert err.value.condition is None or err.value.condition > 1e12
+
+
+class TestUnrepresentableCovariance:
+    # at these variances the information matrix is finite, but the
+    # determinant its inverse divides by underflows to zero
+    HUGE = CompoundSymmetry(diag=1.1e300, offdiag=1e300)
+
+    def test_closed_form_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="too large or too small to represent"):
+            closed_form_covariance(catalog_design("fig2b"), self.HUGE)
+
+    def test_stack_leaves_the_point_to_the_fallback(self):
+        grid = catalog_design("fig2b")
+        cs = std_cs()
+        labels, ok, matrices = closed_form_stack(
+            grid,
+            np.array([cs.within_variance, self.HUGE.within_variance]),
+            np.array([cs.between_variance, self.HUGE.between_variance]),
+        )
+        assert ok.tolist() == [True, False]
+        assert np.array_equal(matrices[0], closed_form_covariance(grid, cs).matrix)
+        assert matrices.shape == (1, 2, 2)
 
 
 class TestMatrixProperties:
