@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .covariance import (
@@ -76,10 +79,8 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _render_csv(header: list[str], lines: list[str]) -> str:
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _render_json(meta: dict, rows: list[dict]) -> str:
@@ -257,6 +258,9 @@ def _sweep_points(args) -> list:
         except ValueError:
             raise CliError(f"bad --rho-values list {args.rho_values!r}") from None
     else:
+        for flag, value in _flags_given(args, ("rho_min", "rho_max", "rho_step")).items():
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
         if args.rho_step <= 0:
             raise CliError("--rho-step must be positive")
         count = int(round((args.rho_max - args.rho_min) / args.rho_step)) + 1
@@ -313,8 +317,8 @@ def cmd_power(args) -> int:
     else:
         fmt = _machine if args.format == "csv" else _human
         cells = [[r.label, fmt(r.effect), fmt(r.se), fmt(r.power)] for r in result.rows]
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(header, cells)
+        text = _render_csv(header, [",".join(row) for row in cells]) if args.format == "csv" \
+            else _render_table(header, cells)
         if args.format == "table":
             params = " ".join(
                 f"{k}={_human(v) if isinstance(v, float) else v}"
@@ -336,56 +340,54 @@ def _sweep_table(args, specs: list[str]) -> int:
     points = _sweep_points(args)
     compare = len(specs) > 1
 
-    names, effect_specs, sweeps, label_sets = [], [], [], []
+    names, effect_specs, tables = [], [], []
     for spec in specs:
         grid = _load_design(spec, policy)
         effects = _effects_from_args(args, grid)
-        rows = sweep(grid, correlation, effects, points=points)
-        labels = next((list(r.result.labels()) for r in rows if r.result is not None), None)
-        if labels is None:
-            message = (f"design {spec!r}: every sweep point failed; first error: "
-                       f"{rows[0].error if rows else 'empty grid'}")
-            if rows and all(issubclass(r.error_type, RankDeficiencyError) for r in rows):
+        table = sweep(grid, correlation, effects, points=points)
+        if len(table.errors) == len(points):
+            first = table.errors[0][0] if points else "empty grid"
+            message = f"design {spec!r}: every sweep point failed; first error: {first}"
+            if points and all(issubclass(kind, RankDeficiencyError)
+                              for _, kind in table.errors.values()):
                 raise RankDeficiencyError(message)
             raise CliError(message)
         name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
         names.append("".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name))
         effect_specs.append(effects)
-        sweeps.append(rows)
-        label_sets.append(labels)
+        tables.append(table)
 
-    shared = [l for l in label_sets[0] if all(l in s for s in label_sets)]
+    shared = [l for l in tables[0].labels if all(l in t.labels for t in tables)]
     if not shared:
         raise CliError("designs share no estimable effect or contrast labels to compare")
 
-    second = correlation.model.second_icc
-    rho_columns = ["rho_w", second] if second else ["rho_w"]
-    header = list(rho_columns)
-    for name in names:
+    header, columns = list(tables[0].icc), list(tables[0].icc.values())
+    for name, table in zip(names, tables):
         suffix = f"_{name}" if compare else ""
         header += [f"se_{l}{suffix}" for l in shared] + [f"power_{l}{suffix}" for l in shared]
-    for name in names[1:]:
+        picked = [table.labels.index(l) for l in shared]
+        columns += [table.se[:, picked], table.power[:, picked]]
+    powers = columns[len(tables[0].icc) + 1::2]
+    for name, power in zip(names[1:], powers[1:]):
         header += [f"gain_{l}_{name}" for l in shared]
+        columns.append(power - powers[0])
 
-    csv_rows, json_rows = [], []
-    for rows_at in zip(*sweeps):
-        params = [getattr(rows_at[0], name) for name in rho_columns]
-        bad = next((r for r in rows_at if r.error is not None), None)
-        if bad is not None:
-            sys.stderr.write(f"point {bad.index} (rho_w={bad.rho_w:g}): {bad.error}\n")
-            entry = dict(zip(rho_columns, (_json_value(p) for p in params)))
-            entry["error"] = bad.error
-            json_rows.append(entry)
+    # The first design's error at a point is the one reported.
+    errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
+    # Each kept row is formatted once, to 12 significant digits; json and
+    # table values are read back from that text.
+    row_format = ",".join(["{:.12g}"] * len(header))
+    lines, json_rows = [], []
+    for k, values in enumerate(np.column_stack(columns).tolist()):
+        if k in errors:
+            sys.stderr.write(f"point {k} (rho_w={values[0]:g}): {errors[k]}\n")
+            json_rows.append({**dict(zip(tables[0].icc, map(_json_value, values))),
+                              "error": errors[k]})
             continue
-        values = list(params)
-        for row in rows_at:
-            values += [row.result.row(l).se for l in shared]
-            values += [row.result.row(l).power for l in shared]
-        base = rows_at[0].result
-        for row in rows_at[1:]:
-            values += [row.result.row(l).power - base.row(l).power for l in shared]
-        csv_rows.append([_machine(v) for v in values])
-        json_rows.append(dict(zip(header, (_json_value(v) for v in values))))
+        line = row_format.format(*values)
+        lines.append(line)
+        if args.format == "json":
+            json_rows.append(dict(zip(header, map(float, line.split(",")))))
 
     if args.format == "json":
         meta = _meta(args, specs, correlation, effect_specs[0])
@@ -393,9 +395,9 @@ def _sweep_table(args, specs: list[str]) -> int:
             meta["design_names"] = names
         text = _render_json(meta, json_rows)
     elif args.format == "csv":
-        text = _render_csv(header, csv_rows)
+        text = _render_csv(header, lines)
     else:
-        human = [[_human(float(v)) for v in row] for row in csv_rows]
+        human = [[_human(float(v)) for v in line.split(",")] for line in lines]
         text = _render_table(header, human)
     _emit(text, args.output)
     return EXIT_OK

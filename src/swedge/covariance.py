@@ -126,15 +126,6 @@ class StandardizedParams:
                 f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
             )
 
-    @property
-    def across_period_icc(self) -> float:
-        """Correlation between outcomes in the same cluster, different periods."""
-        if self.model is CovarianceModel.CROSS_SECTIONAL:
-            return self.rho_w
-        if self.model is CovarianceModel.COHORT:
-            return self.rho_w + self.pi * (1.0 - self.rho_w)
-        return self.rho_a
-
 
 @dataclass(frozen=True)
 class CompoundSymmetry:
@@ -326,11 +317,6 @@ class CorrelationSpec:
     @property
     def is_raw(self) -> bool:
         return self.raw is not None
-
-    @property
-    def variance_scale(self) -> float:
-        """Total outcome variance of the working scale."""
-        return self.raw.total_variance if self.is_raw else 1.0
 
     def standardized_params(self) -> StandardizedParams:
         if self.is_raw:

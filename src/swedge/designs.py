@@ -12,10 +12,11 @@ serialization.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,11 +122,6 @@ class DesignGrid:
 
     def __reduce__(self):  # copies and unpickled grids get a read-only array too
         return DesignGrid, (self.codes, self.label, self.reconstructed)
-
-    @classmethod
-    def from_codes(cls, codes: Iterable[Sequence[int]], label: str = "",
-                   reconstructed: bool = False) -> "DesignGrid":
-        return cls(codes=codes, label=label, reconstructed=reconstructed)
 
     @property
     def n_clusters(self) -> int:
@@ -283,7 +279,7 @@ def _fig2c() -> DesignGrid:
         [_C, _C, _2, _2],
         [_C, _C, _C, _2],
     ]
-    return DesignGrid.from_codes(rows, label="fig2c", reconstructed=True)
+    return DesignGrid(rows, label="fig2c", reconstructed=True)
 
 
 def _fig5a() -> DesignGrid:
@@ -311,7 +307,7 @@ def _fig5b() -> DesignGrid:
         [_C, _C, _C, _B],
         [_C, _C, _C, _B],
     ]
-    return DesignGrid.from_codes(rows, label="fig5b", reconstructed=True)
+    return DesignGrid(rows, label="fig5b", reconstructed=True)
 
 
 def _fig8_design1() -> DesignGrid:
@@ -327,7 +323,7 @@ def _fig8_design1() -> DesignGrid:
         [_C, _C, _C, _B, _B],
         [_C, _C, _C, _C, _B],
     ]
-    return DesignGrid.from_codes(rows, label="fig8-design1", reconstructed=True)
+    return DesignGrid(rows, label="fig8-design1", reconstructed=True)
 
 
 def _fig8_design2() -> DesignGrid:
@@ -344,7 +340,7 @@ def _fig8_design2() -> DesignGrid:
         [_C, _C, _C, _C, _1],
         [_C, _C, _C, _2, _2],
     ]
-    return DesignGrid.from_codes(rows, label="fig8-design2", reconstructed=True)
+    return DesignGrid(rows, label="fig8-design2", reconstructed=True)
 
 
 def _fig8_design3() -> DesignGrid:
@@ -360,7 +356,7 @@ def _fig8_design3() -> DesignGrid:
         [_C, _C, _C, _B, _B],
         [_C, _C, _C, _B, _B],
     ]
-    return DesignGrid.from_codes(rows, label="fig8-design3", reconstructed=True)
+    return DesignGrid(rows, label="fig8-design3", reconstructed=True)
 
 
 def _fig8_design4() -> DesignGrid:
@@ -376,7 +372,7 @@ def _fig8_design4() -> DesignGrid:
         [_C, _C, _C, _2, _B],
         [_C, _C, _2, _2, _2],
     ]
-    return DesignGrid.from_codes(rows, label="fig8-design4", reconstructed=True)
+    return DesignGrid(rows, label="fig8-design4", reconstructed=True)
 
 
 _CATALOG = {
@@ -475,7 +471,7 @@ def parse_design(text: str) -> DesignGrid:
             raise DesignError("design JSON 'label' must be a string and 'reconstructed' a boolean")
         grid = DesignGrid(payload["cells"], label=label, reconstructed=reconstructed)
         # numpy reads true and false among integers as 1 and 0
-        if any(isinstance(cell, bool) for row in payload["cells"] for cell in row):
+        if bool in set(map(type, itertools.chain.from_iterable(payload["cells"]))):
             raise DesignError("design JSON cells must be condition codes, not true or false")
         return grid
     label, reconstructed = "", False

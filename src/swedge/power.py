@@ -17,10 +17,10 @@ from .covariance import CorrelationSpec, CovarianceModel, ParameterError, cluste
 from .designs import DesignGrid
 from .variance import (
     RankDeficiencyError,
-    TreatmentCovariance,
     closed_form_covariance,
     closed_form_stack,
     contrast_variance,
+    quadratic_form,
 )
 
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
@@ -67,8 +67,12 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if effect == 0:
         return alpha
-    crit = normal_quantile(1.0 - alpha / 2.0)
-    shift = abs(effect) / se
+    return _two_sided_power(abs(effect) / se, normal_quantile(1.0 - alpha / 2.0))
+
+
+def _two_sided_power(shift: float, crit: float) -> float:
+    """Power of the two-sided test with critical value ``crit`` when the
+    statistic is centred at ``shift`` = |effect| / se."""
     return normal_cdf(shift - crit) + normal_cdf(-shift - crit)
 
 
@@ -193,13 +197,6 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
     """
     cov = closed_form_covariance(grid, correlation.cov_entries(),
                                  additive=effects.additive)
-    return _power_result(grid, correlation.model, correlation.describe(), cov, effects)
-
-
-def _power_result(grid: DesignGrid, model: CovarianceModel, metadata: dict,
-                  cov: TreatmentCovariance, effects: EffectSpec) -> PowerResult:
-    """Per-effect SE and power from one covariance; ``metadata`` describes
-    the correlation spec and gains the alpha and estimable effects."""
     deltas = effects.deltas()
     rows = []
     for label, delta in deltas.items():
@@ -212,35 +209,35 @@ def _power_result(grid: DesignGrid, model: CovarianceModel, metadata: dict,
         rows.append(EffectPower(label=label, effect=delta, se=se,
                                 power=wald_power(delta, se, effects.alpha)))
     for spec in effects.contrasts:
-        var = contrast_variance(spec.weights, cov)
-        se = float(np.sqrt(var))
+        se = float(np.sqrt(contrast_variance(spec.weights, cov)))
         effect = _contrast_effect(spec, cov.labels, deltas)
         rows.append(EffectPower(label=spec.label, effect=effect, se=se,
                                 power=wald_power(effect, se, effects.alpha)))
-    metadata["alpha"] = effects.alpha
-    metadata["estimable_effects"] = list(cov.labels)
-    return PowerResult(
-        rows=tuple(rows),
-        design_label=grid.label,
-        model=model,
-        metadata=metadata,
-    )
+    metadata = {**correlation.describe(), "alpha": effects.alpha,
+                "estimable_effects": list(cov.labels)}
+    return PowerResult(rows=tuple(rows), design_label=grid.label, model=correlation.model,
+                       metadata=metadata)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One parameter point of a sweep; exactly one of result/error is set.
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Power across a grid of correlation values, one array per column.
 
-    ``error_type`` is the class of the exception behind ``error``.
+    ``labels`` are the result labels in :func:`design_power` order and
+    ``effects`` their effect sizes (nan when the design gives no point a
+    result).  ``icc`` maps ``"rho_w"`` and the model's second ICC, if any,
+    to (K,) arrays: the point's own value, else the template's, and nan
+    ``rho_w`` where the point cannot be read.  ``se`` and ``power`` are
+    (K, n) arrays, nan in failed rows; ``errors`` maps the index of each
+    failed point to the text and class of its :func:`design_power` error.
     """
 
-    index: int
-    rho_w: float
-    rho_a: float | None
-    pi: float | None
-    result: PowerResult | None
-    error: str | None
-    error_type: type[Exception] | None = None
+    labels: tuple[str, ...]
+    effects: tuple[float, ...]
+    icc: dict[str, np.ndarray]
+    se: np.ndarray
+    power: np.ndarray
+    errors: dict[int, tuple[str, type[Exception]]]
 
 
 def _point_iccs(point, model: CovarianceModel) -> dict[str, float]:
@@ -269,61 +266,72 @@ def _readable_iccs(point, model: CovarianceModel) -> dict[str, float] | None:
         return None
 
 
-def _batched_covariances(grid: DesignGrid, correlation: CorrelationSpec, additive: bool,
-                         iccs: list) -> dict[int, TreatmentCovariance]:
-    """Closed-form covariances, by point index, of the readable points
-    that pass every check, from one design summary."""
-    readable = [k for k, point in enumerate(iccs) if point is not None]
-    if correlation.is_raw or not readable:
-        return {}
-    names = [name for name in ("rho_w", correlation.model.second_icc) if name]
-    values = {name: np.array([iccs[k].get(name, getattr(correlation, name))
-                              for k in readable]) for name in names}
-    valid, sig_c, sig_a = cluster_cov_stack(correlation.model, correlation.n_per_period,
-                                            **values)
-    labels, solved, matrices = closed_form_stack(grid, sig_c, sig_a, additive=additive)
-    indices = np.flatnonzero(valid)[solved].tolist()
-    return {readable[k]: TreatmentCovariance(labels=labels, matrix=matrix)
-            for k, matrix in zip(indices, matrices)}
+def _batch_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
+    """Effect sizes and (m, n) variances of the result columns from m
+    covariance matrices of ``labels``; None if the design cannot give them."""
+    deltas = effects.deltas()
+    if any(label not in labels for label in deltas) \
+            or any(len(spec.weights) != len(labels) for spec in effects.contrasts):
+        return None
+    try:
+        sizes = [*deltas.values(),
+                 *(_contrast_effect(spec, labels, deltas) for spec in effects.contrasts)]
+    except ParameterError:
+        return None
+    columns = [matrices[:, i, i] for i in map(labels.index, deltas)]
+    columns += [quadratic_form(np.array(spec.weights, dtype=float), matrices)
+                for spec in effects.contrasts]
+    return np.array(sizes), np.stack(columns, axis=-1)
 
 
 def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
-          points=DEFAULT_RHO_GRID) -> list[SweepRow]:
+          points=DEFAULT_RHO_GRID) -> SweepTable:
     """Evaluate power across a grid of correlation values.
 
     Each point is a rho_w value, or a ``(rho_w, pi)`` pair for the cohort
     model / ``(rho_w, rho_a)`` pair for the nested exchangeable model.
-    Invalid points are reported in their row's ``error`` field without
-    aborting the rest; row order follows input order.
-
-    All points are solved as one batch from one summary of the design.  A
-    point that fails any check there goes through :func:`design_power`
-    instead, which raises the error its row reports.
+    Invalid points are reported in the table's ``errors`` without aborting
+    the rest.  All points are solved as one batch from one summary of the
+    design, and SE and power are computed a column at a time.  A point the
+    batch cannot finish goes through :func:`design_power`, which raises the
+    error the table reports for it.
     """
-    model = correlation.model
+    model, second = correlation.model, correlation.model.second_icc
     points = list(points)
     iccs = [_readable_iccs(point, model) for point in points]
-    batched = _batched_covariances(grid, correlation, effects.additive, iccs)
-    template = correlation.describe()
-    rows = []
-    for idx, point in enumerate(points):
-        result = error = error_type = None
-        if idx in batched:
-            try:
-                result = _power_result(grid, model, {**template, **iccs[idx]},
-                                       batched[idx], effects)
-            except (ParameterError, RankDeficiencyError):
-                pass  # design_power below raises it again, for the row
-        if result is None:
-            try:
-                result = design_power(grid, correlation.with_icc(**_point_iccs(point, model)),
-                                      effects)
-            except (ParameterError, RankDeficiencyError) as exc:
-                error, error_type = str(exc), type(exc)
-        # The point's own values, over the template's; rho_w is nan when the
-        # point cannot be read.
-        values = {"rho_a": correlation.rho_a, "pi": correlation.pi,
-                  **(iccs[idx] or {"rho_w": math.nan})}
-        rows.append(SweepRow(index=idx, result=result, error=error, error_type=error_type,
-                             **values))
-    return rows
+    defaults = {"rho_w": math.nan, **({second: getattr(correlation, second)} if second else {})}
+    icc = {name: np.array([(point or {}).get(name, default) for point in iccs], dtype=float)
+           for name, default in defaults.items()}
+    readable = np.flatnonzero([point is not None and not correlation.is_raw for point in iccs])
+    valid, sig_c, sig_a = cluster_cov_stack(model, correlation.n_per_period,
+                                            **{name: col[readable] for name, col in icc.items()})
+    estimable, solved, matrices = closed_form_stack(grid, sig_c, sig_a,
+                                                    additive=effects.additive)
+    labels = (*effects.deltas(), *(spec.label for spec in effects.contrasts))
+    se = np.full((len(points), len(labels)), math.nan)
+    power = se.copy()
+    batch = _batch_columns(effects, estimable, matrices)
+    sizes, variances = batch or (np.full(len(labels), math.nan), None)
+    if variances is not None:
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(variances)
+            finished = np.isfinite(root).all(axis=1) & (root > 0.0).all(axis=1)
+        rows = readable[valid][solved][finished]
+        se[rows] = root[finished]
+        crit = normal_quantile(1.0 - effects.alpha / 2.0)
+        for j, (size, shifts) in enumerate(zip(sizes.tolist(), (abs(sizes) / se[rows]).T)):
+            power[rows, j] = effects.alpha if size == 0 else \
+                [_two_sided_power(shift, crit) for shift in shifts.tolist()]
+
+    errors = {}
+    for k in np.flatnonzero(np.isnan(se[:, 0])).tolist():
+        try:
+            result = design_power(grid, correlation.with_icc(**_point_iccs(points[k], model)),
+                                  effects)
+        except (ParameterError, RankDeficiencyError) as exc:
+            errors[k] = (str(exc), type(exc))
+            continue
+        se[k] = [r.se for r in result.rows]
+        power[k] = [r.power for r in result.rows]
+    return SweepTable(labels=labels, effects=tuple(sizes.tolist()), icc=icc, se=se,
+                      power=power, errors=errors)

@@ -369,6 +369,14 @@ def oracle_covariance(
     return TreatmentCovariance(labels=labels, matrix=block, scale=cs.scale)
 
 
+def quadratic_form(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``c' M c`` over the last two axes of ``m``, one matrix or a stack, written
+    elementwise so that a matrix in a stack gets the bits it gets on its own;
+    overflow gives inf, not a warning."""
+    with np.errstate(all="ignore"):
+        return ((m * c[:, None]).sum(-2) * c).sum(-1)
+
+
 def contrast_variance(weights, cov: TreatmentCovariance) -> float:
     """Variance of a weighted combination of the effect estimates."""
     c = np.asarray(weights, dtype=float)
@@ -378,7 +386,7 @@ def contrast_variance(weights, cov: TreatmentCovariance) -> float:
         )
     if not c.any():
         raise ParameterError("contrast weights must not all be zero")
-    var = float(c @ cov.matrix @ c)
+    var = float(quadratic_form(c, cov.matrix))
     if not np.isfinite(var):
         raise ParameterError(f"contrast variance is not finite (weights {c.tolist()})")
     return var

@@ -81,7 +81,7 @@ def random_grid(
             for _ in range(n_clusters)
         ]
         try:
-            grid = DesignGrid.from_codes(rows, label="random")
+            grid = DesignGrid(rows, label="random")
         except ValueError:
             continue
         if _estimable(grid):

@@ -107,10 +107,10 @@ def test_criterion_3_model_reductions():
                             n_per_period=15, rho_w=0.0, rho_a=0.0),
             effects, points=[(r, r) for r in RHO_GRID],
         )
-        for a, b, c in zip(base, cohort, nested):
-            for label in ("trt1", "trt2"):
-                worst = max(worst, abs(a.result.power(label) - b.result.power(label)))
-                worst = max(worst, abs(a.result.power(label) - c.result.power(label)))
+        for label in ("trt1", "trt2"):
+            a, b, c = (t.power[:, t.labels.index(label)] for t in (base, cohort, nested))
+            worst = max(worst, float(np.abs(a - b).max()))
+            worst = max(worst, float(np.abs(a - c).max()))
     report(
         3,
         "cohort pi=0 and nested rho_a=rho_w reproduce cross-sectional power",
@@ -155,8 +155,8 @@ def test_criterion_5_contrast_nadir():
         delta1=0.4, delta2=0.4,
         contrasts=(ContrastSpec("diff", (1.0, -1.0), effect=0.4),),
     )
-    rows = sweep(grid, cs_spec(0.0), effects, points=RHO_GRID)
-    powers = np.array([r.result.power("diff") for r in rows])
+    table = sweep(grid, cs_spec(0.0), effects, points=RHO_GRID)
+    powers = table.power[:, table.labels.index("diff")]
     nadir = RHO_GRID[int(np.argmin(powers))]
     report(
         5,
@@ -198,8 +198,8 @@ def test_criterion_7_interaction_power_ordering():
     effects = EffectSpec(delta3=0.6)
     powers = {}
     for k, grid in grids.items():
-        rows = sweep(grid, cs_spec(0.0), effects, points=RHO_GRID)
-        powers[k] = np.array([r.result.power("interaction") for r in rows])
+        table = sweep(grid, cs_spec(0.0), effects, points=RHO_GRID)
+        powers[k] = table.power[:, table.labels.index("interaction")]
     design2_top = bool(
         np.all(powers[2] > np.maximum(powers[1], np.maximum(powers[3], powers[4])))
     )
@@ -286,9 +286,9 @@ class TestCriterion8Properties:
                worst <= 1e-12, detail=f"worst gap {worst:.2e}")
 
     def test_non_monotone_power_curve(self):
-        rows = sweep(catalog_design("fig1"), cs_spec(0.0), EffectSpec(delta1=0.4),
-                     points=RHO_GRID)
-        powers = np.array([r.result.power("trt1") for r in rows])
+        table = sweep(catalog_design("fig1"), cs_spec(0.0), EffectSpec(delta1=0.4),
+                      points=RHO_GRID)
+        powers = table.power[:, table.labels.index("trt1")]
         k = int(np.argmin(powers))
         interior = 0 < k < len(powers) - 1
         dips = powers[0] > powers[k] and powers[-1] > powers[k]

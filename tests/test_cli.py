@@ -188,6 +188,18 @@ class TestRejectedInputs:
         assert out == ""
         assert err == f"error: --rho-a must lie in [0, 1), got {float(rho_a)}\n"
 
+    @pytest.mark.parametrize("command", [("sweep",), ("compare", "--design", "fig1")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho-step", "nan"), ("--rho-step", "inf"), ("--rho-min", "nan"),
+        ("--rho-min", "-inf"), ("--rho-max", "inf"), ("--rho-max", "nan"),
+    ])
+    def test_non_finite_sweep_grid_flag_exits_2(self, capsys, command, flag, value):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs",
+                             "--n", "15", "--delta", "0.4", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1e308", "1e-320"])
     def test_unrepresentable_components_exit_2(self, capsys, value):

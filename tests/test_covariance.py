@@ -67,7 +67,6 @@ class TestStandardize:
         raw = RawComponents(sigma_alpha_sq=1.0, sigma_psi_sq=1.0, sigma_e_sq=2.0)
         params = standardize(raw, COHORT)
         assert params.rho_w == pytest.approx(0.25, abs=1e-15)
-        assert params.across_period_icc == pytest.approx(0.5, abs=1e-15)
         assert params.pi == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_nested_exchangeable(self):
@@ -214,4 +213,3 @@ class TestCorrelationSpec:
         raw = RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=3.0)
         spec = CorrelationSpec(model=CS, n_per_period=10, raw=raw)
         assert spec.describe()["sigma_y_sq"] == pytest.approx(4.0)
-        assert spec.variance_scale == pytest.approx(4.0)

@@ -70,7 +70,7 @@ def test_json_cells_give_a_grid_or_a_design_error(cells, extra):
 @example(rows=[[0, 1]], label="\r", reconstructed=False)
 def test_serialize_then_parse_round_trips(rows, label, reconstructed):
     try:
-        grid = DesignGrid.from_codes(rows, label=label, reconstructed=reconstructed)
+        grid = DesignGrid(rows, label=label, reconstructed=reconstructed)
     except DesignError:
         assert len(rows[0]) < 2
         return

@@ -26,28 +26,28 @@ C, T1, T2, B = 0, 1, 2, 3
 
 
 def all_control(n_clusters=4, n_periods=3):
-    return DesignGrid.from_codes([[C] * n_periods] * n_clusters)
+    return DesignGrid([[C] * n_periods] * n_clusters)
 
 
 class TestGridStructure:
     def test_ragged_rows_are_a_structural_error(self):
         with pytest.raises(DesignError, match="ragged"):
-            DesignGrid.from_codes([[0, 1], [0, 1, 1]])
+            DesignGrid([[0, 1], [0, 1, 1]])
 
     def test_empty_grid(self):
         with pytest.raises(DesignError):
-            DesignGrid.from_codes([])
+            DesignGrid([])
 
     def test_single_period_rejected(self):
         with pytest.raises(DesignError):
-            DesignGrid.from_codes([[0], [1]])
+            DesignGrid([[0], [1]])
 
     def test_unknown_code(self):
         with pytest.raises(DesignError, match="condition code"):
-            DesignGrid.from_codes([[0, 4]])
+            DesignGrid([[0, 4]])
 
     def test_counts_and_indicators(self):
-        grid = DesignGrid.from_codes([[C, T1, B], [C, T2, T2]])
+        grid = DesignGrid([[C, T1, B], [C, T2, T2]])
         counts = grid.condition_counts()
         assert counts[Condition.TRT1] == 1
         assert counts[Condition.BOTH] == 1
@@ -56,7 +56,7 @@ class TestGridStructure:
         assert w.tolist() == [[0, 0, 1], [0, 1, 1]]
 
     def test_swap_treatments_exchanges_the_two_bits(self):
-        grid = DesignGrid.from_codes([[C, T1, T2, B]], label="x", reconstructed=True)
+        grid = DesignGrid([[C, T1, T2, B]], label="x", reconstructed=True)
         swapped = grid.swap_treatments()
         assert swapped.to_codes() == [[C, T2, T1, B]]
         assert (swapped.label, swapped.reconstructed) == ("x", True)
@@ -64,7 +64,7 @@ class TestGridStructure:
 
     def test_codes_are_a_read_only_copy(self):
         source = np.array([[C, T1], [C, B]], dtype=np.int8)
-        grid = DesignGrid.from_codes(source, label="x", reconstructed=True)
+        grid = DesignGrid(source, label="x", reconstructed=True)
         with pytest.raises(ValueError):
             grid.codes[0, 0] = B
         source[0, 0] = B
@@ -84,7 +84,7 @@ class TestValidation:
         assert validate_design(all_control()) == []
 
     def test_treatment_swap_is_flagged_at_the_cell(self):
-        grid = DesignGrid.from_codes([[C, T1, T2], [C, C, T1]])
+        grid = DesignGrid([[C, T1, T2], [C, C, T1]])
         violations = validate_design(grid)
         assert len(violations) == 1
         v = violations[0]
@@ -103,14 +103,14 @@ class TestValidation:
         ],
     )
     def test_disallowed_transitions(self, row):
-        assert validate_design(DesignGrid.from_codes([row])) != []
+        assert validate_design(DesignGrid([row])) != []
 
     @pytest.mark.parametrize(
         "row",
         [[C, C, T1], [C, T1, B], [C, T2, B], [C, C, B], [C, B, B], [T1, T1, B]],
     )
     def test_allowed_transitions(self, row):
-        assert validate_design(DesignGrid.from_codes([row])) == []
+        assert validate_design(DesignGrid([row])) == []
 
     # The transition table the bit rule replaced: a cluster may stay put,
     # start from control, or add the second treatment to a single one.
@@ -121,12 +121,12 @@ class TestValidation:
 
     def test_bit_rule_flags_what_the_old_transition_table_barred(self):
         pairs = {(before, after) for before in (C, T1, T2, B) for after in (C, T1, T2, B)}
-        flagged = {pair for pair in pairs if validate_design(DesignGrid.from_codes([pair]))}
+        flagged = {pair for pair in pairs if validate_design(DesignGrid([pair]))}
         assert flagged == pairs - self.OLD_ALLOWED
         assert len(flagged) == 7
 
     def test_violations_are_listed_row_major(self):
-        grid = DesignGrid.from_codes([[T1, C, T1, T2], [B, T2, C, C]])
+        grid = DesignGrid([[T1, C, T1, T2], [B, T2, C, C]])
         found = [(v.cluster_index, v.period_index, v.before, v.after)
                  for v in validate_design(grid)]
         assert found == [
@@ -137,12 +137,12 @@ class TestValidation:
         ]
 
     def test_require_valid_strict_raises(self):
-        grid = DesignGrid.from_codes([[C, T1, T2]])
+        grid = DesignGrid([[C, T1, T2]])
         with pytest.raises(TransitionViolationError):
             require_valid(grid, TransitionPolicy.STRICT)
 
     def test_require_valid_permissive_returns_warnings(self):
-        grid = DesignGrid.from_codes([[C, T1, T2]])
+        grid = DesignGrid([[C, T1, T2]])
         warnings = require_valid(grid, TransitionPolicy.PERMISSIVE)
         assert len(warnings) == 1
 
@@ -151,12 +151,12 @@ class TestDesignMatrix:
     """The dense fixed-effects matrix the Schur-complement checks build on."""
 
     def test_two_period_single_treatment_block(self):
-        grid = DesignGrid.from_codes([[C, T1]])
+        grid = DesignGrid([[C, T1]])
         z = dense_design_matrix(grid)
         assert z.tolist() == [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]]
 
     def test_both_condition_sets_all_three_columns(self):
-        grid = DesignGrid.from_codes([[C, B]])
+        grid = DesignGrid([[C, B]])
         z = dense_design_matrix(grid)[:, grid.n_periods :]
         assert z[:, 0].tolist() == [0, 1]
         assert z[:, 1].tolist() == [0, 1]
@@ -245,7 +245,7 @@ class TestGenerators:
         b = generate_standard_swd(2, 1, Condition.TRT1)
         with pytest.raises(DesignError, match="disjoint"):
             concurrent_design(a, b)
-        factorial = DesignGrid.from_codes([[C, B, B]])
+        factorial = DesignGrid([[C, B, B]])
         with pytest.raises(DesignError, match="disjoint"):
             concurrent_design(a, factorial)
 
@@ -369,7 +369,7 @@ class TestSerialization:
             assert parse_design(serialize_design(grid, fmt="json")) == grid
 
     def test_header_label_with_spaces(self):
-        grid = DesignGrid.from_codes([[0, 1]], label="my trial, phase 2")
+        grid = DesignGrid([[0, 1]], label="my trial, phase 2")
         assert parse_design(serialize_design(grid)).label == "my trial, phase 2"
 
     def test_json_alternative_form(self):

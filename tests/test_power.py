@@ -163,7 +163,7 @@ class TestDesignPower:
             assert 0.14 <= gain <= 0.20
 
     def test_all_control_design_errors(self):
-        grid = DesignGrid.from_codes([[0, 0, 0]] * 4)
+        grid = DesignGrid([[0, 0, 0]] * 4)
         with pytest.raises(RankDeficiencyError):
             design_power(grid, cs_spec(), EffectSpec(delta1=0.4))
 
@@ -236,39 +236,45 @@ class TestDesignPower:
 
 class TestSweep:
     def test_empty_grid_gives_empty_table(self):
-        rows = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=())
-        assert rows == []
+        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=())
+        assert table.se.shape == table.power.shape == (0, 1)
+        assert table.icc["rho_w"].shape == (0,) and table.errors == {}
 
     def test_rows_follow_input_order(self):
         points = (0.3, 0.1, 0.2)
-        rows = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=points)
-        assert [r.rho_w for r in rows] == [0.3, 0.1, 0.2]
-        assert [r.index for r in rows] == [0, 1, 2]
+        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=points)
+        assert table.icc["rho_w"].tolist() == [0.3, 0.1, 0.2]
+        assert table.power.shape == (3, 1)
 
     def test_invalid_point_reported_with_index_others_computed(self):
-        rows = sweep(
+        table = sweep(
             catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
             points=(0.1, 1.5, 0.2),
         )
-        assert rows[0].error is None and rows[2].error is None
-        assert rows[1].error is not None and rows[1].result is None
-        assert rows[1].index == 1
+        assert not np.isnan(table.power[[0, 2]]).any()
+        assert np.isnan(table.se[1]).all() and np.isnan(table.power[1]).all()
+        assert list(table.errors) == [1]
 
     def test_malformed_points_become_error_rows(self):
-        rows = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
-                     points=[0.1, ("x", 2), (0.1, 0.2)])
-        assert rows[0].error is None
-        assert rows[1].error is not None and np.isnan(rows[1].rho_w)
-        assert rows[2].error is not None  # pairs invalid under cross-sectional
+        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
+                      points=[0.1, ("x", 2), (0.1, 0.2)])
+        assert 0 not in table.errors
+        assert 1 in table.errors and np.isnan(table.icc["rho_w"][1])
+        assert 2 in table.errors  # pairs invalid under cross-sectional
 
     def test_non_numeric_pair_entries_become_error_rows(self):
         template = CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15,
                                    rho_w=0.1, pi=0.4)
-        rows = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
-                     points=[(0.1, 0.5), ("x", 0.5), (0.1, None)])
-        assert rows[0].error is None
-        assert "not a number" in rows[1].error and np.isnan(rows[1].rho_w)
-        assert "not a number" in rows[2].error
+        table = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
+                      points=[(0.1, 0.5), ("x", 0.5), (0.1, None)])
+        assert 0 not in table.errors
+        assert "not a number" in table.errors[1][0] and np.isnan(table.icc["rho_w"][1])
+        assert "not a number" in table.errors[2][0]
+
+    def test_errors_are_kept_as_text_and_class(self):
+        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
+                      points=(1.5,))
+        assert table.errors == {0: ("rho_w must lie in [0, 1), got 1.5", ParameterError)}
 
     def test_programming_errors_propagate(self, monkeypatch):
         import swedge.power
@@ -276,9 +282,9 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise ValueError("bug, not a bad sweep point")
 
-        # The batch solves a point it can and calls wald_power; a point it
-        # cannot (fig1 has no treatment 2) goes through design_power.
-        for name, effects in (("wald_power", EffectSpec(delta1=0.4)),
+        # The batch solves a point it can with the shared power formula; a
+        # point it cannot (fig1 has no treatment 2) goes through design_power.
+        for name, effects in (("_two_sided_power", EffectSpec(delta1=0.4)),
                               ("design_power", EffectSpec(delta1=0.4, delta2=0.4))):
             with monkeypatch.context() as patch:
                 patch.setattr(swedge.power, name, broken)
@@ -290,14 +296,14 @@ class TestSweep:
             model=CovarianceModel.NESTED_EXCHANGEABLE, n_per_period=15,
             rho_w=0.05, rho_a=0.05,
         )
-        rows = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
-                     points=(0.01, 0.10))
-        assert rows[0].error is not None  # rho_a would exceed rho_w
-        assert rows[1].error is None
+        table = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
+                      points=(0.01, 0.10))
+        assert 0 in table.errors  # rho_a would exceed rho_w
+        assert 1 not in table.errors
 
     def test_figure1_curve_has_interior_minimum(self):
-        rows = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4))
-        powers = np.array([r.result.power("trt1") for r in rows])
+        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4))
+        powers = table.power[:, table.labels.index("trt1")]
         k = int(np.argmin(powers))
         assert 0 < k < len(powers) - 1
         assert powers[0] > powers[k] and powers[-1] > powers[k]
@@ -308,10 +314,11 @@ class TestSweep:
             delta1=0.4, delta2=0.4,
             contrasts=(ContrastSpec("diff", (1.0, -1.0), effect=0.4),),
         )
-        rows = sweep(grid, cs_spec(), spec)
-        mains = np.array([r.result.power("trt1") for r in rows])
-        diffs = np.array([r.result.power("diff") for r in rows])
-        assert rows[int(np.argmin(diffs))].rho_w > rows[int(np.argmin(mains))].rho_w
+        table = sweep(grid, cs_spec(), spec)
+        mains = table.power[:, table.labels.index("trt1")]
+        diffs = table.power[:, table.labels.index("diff")]
+        rho_w = table.icc["rho_w"]
+        assert rho_w[int(np.argmin(diffs))] > rho_w[int(np.argmin(mains))]
 
     @pytest.mark.parametrize("design_id", ["fig2b", "fig2c"])
     def test_contrast_nadir_near_twelve_percent_icc(self, design_id):
@@ -320,9 +327,9 @@ class TestSweep:
             delta1=0.4, delta2=0.4,
             contrasts=(ContrastSpec("diff", (1.0, -1.0), effect=0.4),),
         )
-        rows = sweep(grid, cs_spec(), spec)
-        diffs = np.array([r.result.power("diff") for r in rows])
-        nadir = rows[int(np.argmin(diffs))].rho_w
+        table = sweep(grid, cs_spec(), spec)
+        diffs = table.power[:, table.labels.index("diff")]
+        nadir = table.icc["rho_w"][int(np.argmin(diffs))]
         assert 0.08 <= nadir <= 0.16
 
     def test_stacking_extra_controls_never_reduces_power(self):
@@ -336,7 +343,7 @@ class TestSweep:
             from designgen import random_single_treatment_grid
 
             grid = random_single_treatment_grid(rng, max_clusters=8)
-            controls = DesignGrid.from_codes([[0] * grid.n_periods] * 3)
+            controls = DesignGrid([[0] * grid.n_periods] * 3)
             stacked = concurrent_design(grid, controls)
             spec = random_correlation(rng, CS)
             cs = spec.cov_entries()
@@ -350,25 +357,27 @@ class TestSweep:
     def test_cohort_pi_zero_matches_cross_sectional_pointwise(self):
         grid = catalog_design("fig2b")
         effects = EffectSpec(delta1=0.4, delta2=0.4)
-        cs_rows = sweep(grid, cs_spec(), effects)
+        cs_table = sweep(grid, cs_spec(), effects)
         cohort = CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15,
                                  rho_w=0.0, pi=0.0)
-        cohort_rows = sweep(grid, cohort, effects)
-        for a, b in zip(cs_rows, cohort_rows):
-            assert abs(a.result.power("trt1") - b.result.power("trt1")) <= 1e-12
+        cohort_table = sweep(grid, cohort, effects)
+        for a, b in zip(cs_table.power[:, cs_table.labels.index("trt1")],
+                        cohort_table.power[:, cohort_table.labels.index("trt1")]):
+            assert abs(a - b) <= 1e-12
 
     def test_nested_rho_a_equal_rho_w_matches_cross_sectional_pointwise(self):
         grid = catalog_design("fig2b")
         effects = EffectSpec(delta1=0.4, delta2=0.4)
-        cs_rows = sweep(grid, cs_spec(), effects)
+        cs_table = sweep(grid, cs_spec(), effects)
         nested = CorrelationSpec(
             model=CovarianceModel.NESTED_EXCHANGEABLE, n_per_period=15,
             rho_w=0.0, rho_a=0.0,
         )
-        nested_rows = sweep(grid, nested, effects,
-                            points=[(r, r) for r in DEFAULT_RHO_GRID])
-        for a, b in zip(cs_rows, nested_rows):
-            assert abs(a.result.power("trt1") - b.result.power("trt1")) <= 1e-12
+        nested_table = sweep(grid, nested, effects,
+                             points=[(r, r) for r in DEFAULT_RHO_GRID])
+        for a, b in zip(cs_table.power[:, cs_table.labels.index("trt1")],
+                        nested_table.power[:, nested_table.labels.index("trt1")]):
+            assert abs(a - b) <= 1e-12
 
     def test_default_grid_shape(self):
         assert len(DEFAULT_RHO_GRID) == 300

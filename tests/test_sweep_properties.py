@@ -107,13 +107,6 @@ def bits(x):
     return None if x is None else float(x).hex()
 
 
-def fingerprint(result):
-    if result is None:
-        return None
-    return (result.design_label, result.model, repr(result.metadata),
-            [(r.label, bits(r.effect), bits(r.se), bits(r.power)) for r in result.rows])
-
-
 @settings(deadline=None, max_examples=300)
 @given(grid=grids(), template=templates(), effects=effect_specs(), data=st.data())
 @example(grid=catalog_design("fig5a"),
@@ -122,17 +115,24 @@ def fingerprint(result):
          effects=EffectSpec(delta1=0.4, delta2=0.4, delta3=0.4), data=None)
 def test_batched_sweep_matches_a_design_power_loop(grid, template, effects, data):
     grid_points = [0.1, 0.2, math.nan, 1.5] if data is None else data.draw(points)
-    rows = sweep(grid, template, effects, points=grid_points)
-    assert [r.index for r in rows] == list(range(len(grid_points)))
-    for row, point in zip(rows, grid_points):
+    table = sweep(grid, template, effects, points=grid_points)
+    second = template.model.second_icc
+    assert list(table.icc) == (["rho_w", second] if second else ["rho_w"])
+    assert table.se.shape == table.power.shape == (len(grid_points), len(table.labels))
+    for k, point in enumerate(grid_points):
         iccs, result, error, error_type = reference_row(grid, template, effects, point)
         values = {"rho_a": template.rho_a, "pi": template.pi, **iccs}
-        assert bits(row.rho_w) == bits(values["rho_w"])
-        assert bits(row.rho_a) == bits(values["rho_a"])
-        assert bits(row.pi) == bits(values["pi"])
-        assert row.error == error
-        assert row.error_type is error_type
-        assert fingerprint(row.result) == fingerprint(result)
+        for name, column in table.icc.items():
+            assert bits(column[k]) == bits(values[name])
+        if result is None:
+            assert table.errors[k] == (error, error_type)
+            assert np.isnan(table.se[k]).all() and np.isnan(table.power[k]).all()
+            continue
+        assert k not in table.errors
+        assert table.labels == result.labels()
+        assert [bits(r.effect) for r in result.rows] == list(map(bits, table.effects))
+        assert [bits(r.se) for r in result.rows] == list(map(bits, table.se[k]))
+        assert [bits(r.power) for r in result.rows] == list(map(bits, table.power[k]))
 
 
 @settings(deadline=None, max_examples=200)

@@ -28,6 +28,7 @@ from swedge.variance import (
     closed_form_stack,
     contrast_variance,
     information_matrix,
+    quadratic_form,
     oracle_covariance,
 )
 
@@ -66,7 +67,7 @@ def dense_schur_complement(grid, cs):
 
 class TestInformationMatrix:
     def test_all_control_grid_is_zero(self):
-        grid = DesignGrid.from_codes([[C, C, C]] * 4)
+        grid = DesignGrid([[C, C, C]] * 4)
         assert np.array_equal(information_matrix(grid, std_cs()), np.zeros((3, 3)))
 
     def test_figure1_absent_effects_have_zero_rows_and_columns(self):
@@ -81,7 +82,7 @@ class TestInformationMatrix:
     def test_single_cluster_single_step_is_confounded(self):
         # with one cluster, the treated period 2 is indistinguishable from
         # the period-2 effect, so nothing of the treatment is identified
-        grid = DesignGrid.from_codes([[C, T1]])
+        grid = DesignGrid([[C, T1]])
         cs = std_cs(rho_w=0.2, n=10)
         s = information_matrix(grid, cs)
         assert np.abs(s).max() <= 1e-12 / cs.within_variance
@@ -171,7 +172,7 @@ class TestClosedFormAgainstOracle:
 
 class TestReductionsAndErrors:
     def test_all_control_design_is_inestimable(self):
-        grid = DesignGrid.from_codes([[C, C, C]] * 3)
+        grid = DesignGrid([[C, C, C]] * 3)
         cs = std_cs()
         with pytest.raises(RankDeficiencyError):
             closed_form_covariance(grid, cs)
@@ -186,7 +187,7 @@ class TestReductionsAndErrors:
     def test_single_sequence_confounded_with_time(self):
         # every cluster transitions in the same period: the treatment
         # column coincides with a period indicator pattern
-        grid = DesignGrid.from_codes([[C, T1], [C, T1], [C, T1]])
+        grid = DesignGrid([[C, T1], [C, T1], [C, T1]])
         with pytest.raises(RankDeficiencyError) as err:
             closed_form_covariance(grid, std_cs())
         assert err.value.effect == "trt1"
@@ -207,7 +208,7 @@ class TestReductionsAndErrors:
         assert additive.labels == ("trt1", "trt2")
 
     def test_error_carries_condition_estimate(self):
-        grid = DesignGrid.from_codes([[C, T1], [C, T1]])
+        grid = DesignGrid([[C, T1], [C, T1]])
         with pytest.raises(RankDeficiencyError) as err:
             closed_form_covariance(grid, std_cs())
         assert err.value.effect == "trt1"
@@ -286,7 +287,7 @@ class TestMatrixProperties:
         for _ in range(15):
             grid = random_grid(rng, max_clusters=8)
             cs = random_correlation(rng, MODELS[int(rng.integers(0, 3))]).cov_entries()
-            bigger = DesignGrid.from_codes(
+            bigger = DesignGrid(
                 grid.to_codes() + [[0] * grid.n_periods], label="augmented"
             )
             before = oracle_covariance(grid, cs)
@@ -300,6 +301,16 @@ def _swap_label(label):
 
 
 class TestContrastVariance:
+    def test_quadratic_form_gives_each_matrix_of_a_stack_its_own_bits(self):
+        rng = np.random.default_rng(600)
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            half = rng.normal(size=(int(rng.integers(1, 9)), n, n))
+            stack = half @ half.swapaxes(-1, -2) * 10.0 ** rng.integers(-3, 4)
+            c = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, rng.normal()], size=n)
+            alone = [float(quadratic_form(c, m)).hex() for m in stack]
+            assert alone == [v.hex() for v in quadratic_form(c, stack).tolist()]
+
     def test_unit_vector_recovers_variance(self):
         cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
         assert contrast_variance((1.0, 0.0), cov) == pytest.approx(cov.variance("trt1"))
