@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RANK = 3
 
+#: The most points a --rho-min/--rho-max/--rho-step grid may have.
+MAX_SWEEP_POINTS = 100_000
+
 
 class CliError(Exception):
     """Input-level problem; rendered to stderr with exit code 2."""
@@ -59,6 +62,44 @@ def _json_value(x: float) -> float:
     # Round-trips through the CSV representation so both formats carry
     # numerically identical values.
     return float(_machine(x))
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _json_number(token: str) -> str:
+    """The JSON text of ``float(token)`` for a token written by :func:`_machine`.
+
+    A ``.12g`` token without an exponent is already the float's shortest
+    repr, save the ``.0`` of an integral value; the rare exponent token is
+    re-encoded.
+    """
+    if "e" not in token:
+        if "." in token:
+            return token
+        if token.lstrip("-").isdigit():
+            return token + ".0"
+    return _json(float(token))
+
+
+def _json_row_writer(header: list[str]):
+    """A function from a CSV line of ``header`` columns, written by
+    :func:`_machine`, to the line's JSON object with its keys sorted.
+
+    The header's names must be distinct.
+    """
+    template = "{{" + ",".join(
+        _json(header[i]).replace("{", "{{").replace("}", "}}") + f":{{{i}}}"
+        for i in sorted(range(len(header)), key=header.__getitem__)) + "}}"
+
+    def json_row(line: str) -> str:
+        fields = line.split(",")
+        if "e" in line or line.count(".") != len(fields):
+            fields = map(_json_number, fields)
+        return template.format(*fields)
+
+    return json_row
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -83,9 +124,9 @@ def _render_csv(header: list[str], lines: list[str]) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _render_json(meta: dict, rows: list[dict]) -> str:
-    return json.dumps({"meta": meta, "rows": rows}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+def _render_json(meta: dict, rows: list[str]) -> str:
+    """The JSON document of ``meta`` and the already encoded ``rows``."""
+    return '{"meta":' + _json(meta) + ',"rows":[' + ",".join(rows) + "]}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +298,20 @@ def _sweep_points(args) -> list:
             values = [float(tok) for tok in args.rho_values.split(",") if tok.strip()]
         except ValueError:
             raise CliError(f"bad --rho-values list {args.rho_values!r}") from None
+        for value in values:
+            if not math.isfinite(value):
+                raise CliError(f"--rho-values entries must be finite, got {value}")
     else:
         for flag, value in _flags_given(args, ("rho_min", "rho_max", "rho_step")).items():
             if not math.isfinite(value):
                 raise CliError(f"{flag} must be finite, got {value}")
         if args.rho_step <= 0:
             raise CliError("--rho-step must be positive")
-        count = int(round((args.rho_max - args.rho_min) / args.rho_step)) + 1
+        steps = (args.rho_max - args.rho_min) / args.rho_step
+        count = round(steps) + 1 if math.isfinite(steps) else steps
+        if count > MAX_SWEEP_POINTS:
+            raise CliError(f"the sweep grid would have more than {MAX_SWEEP_POINTS} points; "
+                           "raise --rho-step or narrow --rho-min/--rho-max")
         if count < 1:
             raise CliError("empty sweep grid; check --rho-min/--rho-max/--rho-step")
         values = [round(args.rho_min + k * args.rho_step, 12) for k in range(count)]
@@ -309,8 +357,8 @@ def cmd_power(args) -> int:
     header = ["label", "effect", "se", "power"]
     if args.format == "json":
         rows = [
-            {"label": r.label, "effect": _json_value(r.effect),
-             "se": _json_value(r.se), "power": _json_value(r.power)}
+            _json({"label": r.label, "effect": _json_value(r.effect),
+                   "se": _json_value(r.se), "power": _json_value(r.power)})
             for r in result.rows
         ]
         text = _render_json(_meta(args, [args.design], correlation, effects), rows)
@@ -372,22 +420,28 @@ def _sweep_table(args, specs: list[str]) -> int:
         header += [f"gain_{l}_{name}" for l in shared]
         columns.append(power - powers[0])
 
+    repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
+    if repeated is not None:
+        raise CliError(f"column {repeated!r} would appear twice in the output; "
+                       "give every design and contrast its own name")
+
     # The first design's error at a point is the one reported.
     errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
-    # Each kept row is formatted once, to 12 significant digits; json and
-    # table values are read back from that text.
+    # Each kept row is formatted once, to 12 significant digits; json rows
+    # are written from that text and table values read back from it.
     row_format = ",".join(["{:.12g}"] * len(header))
+    json_row = _json_row_writer(header)
     lines, json_rows = [], []
     for k, values in enumerate(np.column_stack(columns).tolist()):
         if k in errors:
             sys.stderr.write(f"point {k} (rho_w={values[0]:g}): {errors[k]}\n")
-            json_rows.append({**dict(zip(tables[0].icc, map(_json_value, values))),
-                              "error": errors[k]})
+            json_rows.append(_json({**dict(zip(tables[0].icc, map(_json_value, values))),
+                                    "error": errors[k]}))
             continue
         line = row_format.format(*values)
         lines.append(line)
         if args.format == "json":
-            json_rows.append(dict(zip(header, map(float, line.split(",")))))
+            json_rows.append(json_row(line))
 
     if args.format == "json":
         meta = _meta(args, specs, correlation, effect_specs[0])

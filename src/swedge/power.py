@@ -67,13 +67,19 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if effect == 0:
         return alpha
-    return _two_sided_power(abs(effect) / se, normal_quantile(1.0 - alpha / 2.0))
+    return _two_sided_power([abs(effect) / se], normal_quantile(1.0 - alpha / 2.0))[0]
 
 
-def _two_sided_power(shift: float, crit: float) -> float:
-    """Power of the two-sided test with critical value ``crit`` when the
-    statistic is centred at ``shift`` = |effect| / se."""
-    return normal_cdf(shift - crit) + normal_cdf(-shift - crit)
+def _two_sided_power(shifts: list[float], crit: float) -> list[float]:
+    """Power of the two-sided test with critical value ``crit`` for each
+    statistic centred at a shift = |effect| / se.
+
+    Each value is ``normal_cdf(shift - crit) + normal_cdf(-shift - crit)``
+    written out, with the same bits.
+    """
+    root2 = math.sqrt(2.0)
+    return [0.5 * math.erfc((crit - shift) / root2) + 0.5 * math.erfc((shift + crit) / root2)
+            for shift in shifts]
 
 
 @dataclass(frozen=True)
@@ -241,9 +247,10 @@ class SweepTable:
 
 
 def _point_iccs(point, model: CovarianceModel) -> dict[str, float]:
-    """Named ICC values of a sweep point: ``rho_w``, and for a pair also
-    the model's second ICC."""
-    if not isinstance(point, (tuple, list)):
+    """Named ICC values of a sweep point: ``rho_w``, and for a pair (a
+    tuple, list or 1-D array) also the model's second ICC."""
+    if not isinstance(point, (tuple, list)) \
+            and not (isinstance(point, np.ndarray) and point.ndim == 1):
         return {"rho_w": _point_float(point)}
     if model.second_icc is None:
         raise ParameterError("cross-sectional sweep points are single rho_w values")
@@ -264,6 +271,32 @@ def _readable_iccs(point, model: CovarianceModel) -> dict[str, float] | None:
         return _point_iccs(point, model)
     except ParameterError:
         return None
+
+
+def _icc_columns(points: list, correlation: CorrelationSpec) -> tuple[dict, np.ndarray]:
+    """The (K,) ICC columns of the sweep points and the indices of the
+    points that can be read.
+
+    A plain grid, K numbers or, for a model with a second ICC, K pairs of
+    numbers, is read in one array call.  Any other grid is read point by
+    point, and a point that cannot be read gets a nan ``rho_w``.
+    """
+    second = correlation.model.second_icc
+    defaults = {"rho_w": math.nan, **({second: getattr(correlation, second)} if second else {})}
+    try:
+        values = np.array(points)
+    except (TypeError, ValueError, OverflowError):
+        values = np.array(None)
+    shapes = [(len(points),), (len(points), 2)] if second else [(len(points),)]
+    if values.dtype.kind in "fi" and values.shape in shapes and not correlation.is_raw:
+        icc = {name: np.full(len(points), default) for name, default in defaults.items()}
+        icc.update(zip(icc, np.atleast_2d(values.T).astype(float)))
+        return icc, np.arange(len(points))
+    iccs = [_readable_iccs(point, correlation.model) for point in points]
+    icc = {name: np.array([(point or {}).get(name, default) for point in iccs], dtype=float)
+           for name, default in defaults.items()}
+    readable = np.flatnonzero([point is not None and not correlation.is_raw for point in iccs])
+    return icc, readable
 
 
 def _batch_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
@@ -289,20 +322,17 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     """Evaluate power across a grid of correlation values.
 
     Each point is a rho_w value, or a ``(rho_w, pi)`` pair for the cohort
-    model / ``(rho_w, rho_a)`` pair for the nested exchangeable model.
-    Invalid points are reported in the table's ``errors`` without aborting
-    the rest.  All points are solved as one batch from one summary of the
-    design, and SE and power are computed a column at a time.  A point the
-    batch cannot finish goes through :func:`design_power`, which raises the
-    error the table reports for it.
+    model / ``(rho_w, rho_a)`` pair for the nested exchangeable model; the
+    rows of a (K, 2) array are pairs too.  Invalid points are reported in
+    the table's ``errors`` without aborting the rest.  All points are solved
+    as one batch from one summary of the design, and SE and power are
+    computed a column at a time.  A point the batch cannot finish goes
+    through :func:`design_power`, which raises the error the table reports
+    for it.
     """
-    model, second = correlation.model, correlation.model.second_icc
+    model = correlation.model
     points = list(points)
-    iccs = [_readable_iccs(point, model) for point in points]
-    defaults = {"rho_w": math.nan, **({second: getattr(correlation, second)} if second else {})}
-    icc = {name: np.array([(point or {}).get(name, default) for point in iccs], dtype=float)
-           for name, default in defaults.items()}
-    readable = np.flatnonzero([point is not None and not correlation.is_raw for point in iccs])
+    icc, readable = _icc_columns(points, correlation)
     valid, sig_c, sig_a = cluster_cov_stack(model, correlation.n_per_period,
                                             **{name: col[readable] for name, col in icc.items()})
     estimable, solved, matrices = closed_form_stack(grid, sig_c, sig_a,
@@ -321,7 +351,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
         crit = normal_quantile(1.0 - effects.alpha / 2.0)
         for j, (size, shifts) in enumerate(zip(sizes.tolist(), (abs(sizes) / se[rows]).T)):
             power[rows, j] = effects.alpha if size == 0 else \
-                [_two_sided_power(shift, crit) for shift in shifts.tolist()]
+                _two_sided_power(shifts.tolist(), crit)
 
     errors = {}
     for k in np.flatnonzero(np.isnan(se[:, 0])).tolist():

@@ -225,6 +225,49 @@ class TestRejectedInputs:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: information matrix is not finite")
 
+    @pytest.mark.parametrize("argv, column", [
+        (("sweep", "--design", "fig2b", "--contrast", "trt1=1,-1"), "se_trt1"),
+        (("sweep", "--design", "fig2b", "--contrast", "d=1,-1", "--contrast", "d=1,1"),
+         "se_d"),
+        (("compare", "--design", "fig1", "--design", "fig1"), "se_trt1_fig1"),
+        (("compare", "--design", "fig2b", "--design", "fig1", "--design", "fig1"),
+         "se_trt1_fig1"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_column_name_exits_2(self, capsys, argv, column, fmt):
+        code, out, err = run(capsys, *argv, "--model", "cs", "--n", "15", "--delta", "0.4",
+                             "--rho-values", "0.05,0.1", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: column {column!r} would appear twice")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [("sweep",), ("compare", "--design", "fig1")])
+    @pytest.mark.parametrize("grid", [
+        ("--rho-step", "1e-320"),
+        ("--rho-min", "0", "--rho-max", "0.3", "--rho-step", "1e-6"),  # 300,001 points
+        ("--rho-min", "0", "--rho-max", "0.1", "--rho-step", "1e-6"),  # 100,001 points
+    ])
+    def test_oversized_sweep_grid_exits_2(self, capsys, command, grid):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs",
+                             "--n", "15", "--delta", "0.4", *grid)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the sweep grid would have more than 100000 points; "
+                       "raise --rho-step or narrow --rho-min/--rho-max\n")
+
+    @pytest.mark.parametrize("values, bad", [
+        ("0.1,nan", "nan"), ("inf", "inf"), ("0.1,-inf,0.2", "-inf"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_rho_values_exit_2(self, capsys, values, bad, fmt):
+        code, out, err = run(capsys, "sweep", "--design", "fig1", "--model", "cs",
+                             "--n", "15", "--delta", "0.4", "--rho-values", values,
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --rho-values entries must be finite, got {bad}\n"
+
     def test_wrong_length_contrast_fails_every_sweep_point(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--design", "fig2b", "--model", "cs", "--n", "10",
@@ -314,6 +357,30 @@ class TestSweepCommand:
             for col, value in zip(cols, csv_row.split(",")):
                 assert float(value) == json_row[col]
 
+    @pytest.mark.parametrize("model", [
+        ("--model", "cs"),
+        ("--model", "cohort", "--pi", "0.3"),
+        ("--model", "nested", "--rho-a", "1e-6"),
+        ("--model", "nested", "--cac", "0.5"),
+    ])
+    def test_json_rows_carry_the_csv_text(self, capsys, model):
+        # exponent tokens (1e-05), integral powers (1) and a contrast label
+        # with a quote, a backslash and a non-ASCII character
+        base = ("sweep", "--design", "fig2b", *model, "--n", "15", "--delta", "0.4",
+                "--contrast", 'é"x\\=1,1@9', "--rho-values", "0.00001,0.05,0.25")
+        code, out_csv, _ = run(capsys, *base, "--format", "csv")
+        assert code == 0
+        code, out_json, _ = run(capsys, *base, "--format", "json")
+        assert code == 0
+        header, *lines = out_csv.splitlines()
+        names = header.split(",")
+        reference = json.dumps(
+            {"meta": json.loads(out_json)["meta"],
+             "rows": [dict(zip(names, map(float, line.split(",")))) for line in lines]},
+            sort_keys=True, separators=(",", ":"))
+        assert out_json == reference + "\n"
+        assert '"rho_w":1e-05' in out_json and ':1.0,' in out_json
+
     def test_point_errors_reported_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--design", "fig1", "--model", "cs", "--n", "15",
@@ -393,15 +460,19 @@ class TestSweepCommand:
 
 
 class TestCompareCommand:
-    def test_identical_designs_zero_difference(self, capsys):
+    def test_identical_designs_zero_difference(self, tmp_path, capsys):
+        # a copy under its own name: the same name twice would repeat columns
+        path = tmp_path / "fig1-copy.csv"
+        path.write_text(serialize_design(catalog_design("fig1"), fmt="csv"),
+                        encoding="utf-8")
         code, out, _ = run(
-            capsys, "compare", "--design", "fig1", "--design", "fig1",
+            capsys, "compare", "--design", "fig1", "--design", str(path),
             "--model", "cs", "--n", "15", "--delta", "0.4",
             "--rho-values", "0.05,0.1", "--format", "csv",
         )
         assert code == 0
         header, *rows = out.strip().splitlines()
-        gain_idx = header.split(",").index("gain_trt1_fig1")
+        gain_idx = header.split(",").index("gain_trt1_fig1-copy")
         for row in rows:
             assert float(row.split(",")[gain_idx]) == 0.0
 

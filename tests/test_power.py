@@ -17,6 +17,7 @@ from swedge.power import (
     design_power,
     normal_cdf,
     normal_quantile,
+    _two_sided_power,
     sweep,
     wald_power,
 )
@@ -111,6 +112,15 @@ class TestNormalDistribution:
             crit = norm.ppf(1 - alpha / 2)
             ref = norm.cdf(abs(effect) / se - crit) + norm.cdf(-abs(effect) / se - crit)
             assert wald_power(effect, se, alpha) == pytest.approx(ref, rel=1e-13, abs=1e-16)
+
+    def test_power_of_a_column_is_the_sum_of_two_cdfs_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        shifts = np.concatenate([rng.uniform(0, 40, 2000), 10 ** rng.uniform(-300, 3, 2000),
+                                 [0.0, 1.959963984540054]]).tolist()
+        for crit in (1.959963984540054, 2.5758293035489004, 1.2815515655446004):
+            ours = _two_sided_power(shifts, crit)
+            ref = [normal_cdf(s - crit) + normal_cdf(-s - crit) for s in shifts]
+            assert [x.hex() for x in ours] == [x.hex() for x in ref]
 
 
 class TestEffectSpec:

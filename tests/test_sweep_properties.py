@@ -80,6 +80,38 @@ def effect_specs(draw):
 points = st.lists(st.one_of(icc_values, st.tuples(icc_values, icc_values)), max_size=8)
 
 
+@st.composite
+def typed_grids(draw):
+    """Grids one array call reads (numpy and Python floats, ints, pairs, (K,)
+    and (K, 2) arrays) and grids left to the per-point reader (bools,
+    numeric strings, mixed scalars and pairs, (K, 3) arrays)."""
+    kind = draw(st.sampled_from(["float64", "float32", "int", "bool", "str", "mixed",
+                                 "pairs", "array1", "array2", "array3"]))
+    size = draw(st.integers(0, 6))
+    width = {"pairs": 2, "array2": 2, "array3": 3}.get(kind, 1)
+    floats = draw(st.lists(st.one_of(st.floats(0.0, 0.99),
+                                     st.sampled_from([math.nan, -0.1, 0.0, 1.0, 1.5])),
+                           min_size=size * width, max_size=size * width))
+    if kind == "float64":
+        return [np.float64(v) for v in floats]
+    if kind == "float32":
+        return [np.float32(v) for v in floats]
+    if kind == "int":
+        return draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    if kind == "bool":
+        return draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    if kind == "str":
+        return [repr(v) for v in floats]
+    if kind == "mixed":
+        scalar = st.one_of(st.floats(0.0, 0.99), st.integers(0, 1), st.booleans())
+        return draw(st.lists(st.one_of(scalar, st.tuples(scalar, scalar)),
+                             min_size=size, max_size=size))
+    if kind == "pairs":
+        return [draw(st.sampled_from([tuple, list]))(floats[2 * k:2 * k + 2])
+                for k in range(size)]
+    return np.array(floats).reshape(-1, width) if width > 1 else np.array(floats)
+
+
 def as_number(value):
     try:
         return float(value)
@@ -92,9 +124,11 @@ def reference_row(grid, template, effects, point):
     second = template.model.second_icc
     iccs = {"rho_w": math.nan}
     try:
-        if isinstance(point, tuple):
+        if isinstance(point, (tuple, list, np.ndarray)):
             if second is None:
                 raise ParameterError("cross-sectional sweep points are single rho_w values")
+            if len(point) != 2:
+                raise ParameterError(f"sweep point {point!r} must have two entries")
             iccs = {"rho_w": as_number(point[0]), second: as_number(point[1])}
         else:
             iccs = {"rho_w": as_number(point)}
@@ -114,7 +148,8 @@ def bits(x):
                                   rho_w=0.0),
          effects=EffectSpec(delta1=0.4, delta2=0.4, delta3=0.4), data=None)
 def test_batched_sweep_matches_a_design_power_loop(grid, template, effects, data):
-    grid_points = [0.1, 0.2, math.nan, 1.5] if data is None else data.draw(points)
+    grid_points = [0.1, 0.2, math.nan, 1.5] if data is None \
+        else data.draw(st.one_of(points, typed_grids()))
     table = sweep(grid, template, effects, points=grid_points)
     second = template.model.second_icc
     assert list(table.icc) == (["rho_w", second] if second else ["rho_w"])
