@@ -12,11 +12,7 @@ from .covariance import (
     ParameterError,
     RawComponents,
     SingularCovarianceError,
-    StandardizedParams,
-    cluster_cov_entries,
-    raw_cov_entries,
     standardize,
-    unstandardize,
 )
 from .designs import (
     Condition,
@@ -24,14 +20,12 @@ from .designs import (
     DesignGrid,
     TransitionPolicy,
     TransitionViolation,
-    TransitionViolationError,
     UnknownDesignError,
     catalog_design,
     catalog_ids,
     concurrent_design,
     generate_standard_swd,
     parse_design,
-    require_valid,
     serialize_design,
     validate_design,
 )
@@ -76,18 +70,15 @@ __all__ = [
     "RankDeficiencyError",
     "RawComponents",
     "SingularCovarianceError",
-    "StandardizedParams",
     "SweepTable",
     "TransitionPolicy",
     "TransitionViolation",
-    "TransitionViolationError",
     "TreatmentCovariance",
     "UnknownDesignError",
     "active_effects",
     "catalog_design",
     "catalog_ids",
     "closed_form_covariance",
-    "cluster_cov_entries",
     "concurrent_design",
     "contrast_variance",
     "design_power",
@@ -95,12 +86,9 @@ __all__ = [
     "information_matrix",
     "oracle_covariance",
     "parse_design",
-    "raw_cov_entries",
-    "require_valid",
     "serialize_design",
     "standardize",
     "sweep",
-    "unstandardize",
     "validate_design",
     "wald_power",
     "__version__",

@@ -315,6 +315,9 @@ def _sweep_points(args) -> list:
         if count < 1:
             raise CliError("empty sweep grid; check --rho-min/--rho-max/--rho-step")
         values = [round(args.rho_min + k * args.rho_step, 12) for k in range(count)]
+        if len(set(values)) < len(values):
+            raise CliError(f"--rho-step {args.rho_step:g} is finer than the 12 decimals "
+                           "the grid values are rounded to, so two of them would be equal")
     if args.cac is not None:
         return [(v, args.cac * v) for v in values]
     return values

@@ -4,9 +4,9 @@ Three models are supported: repeated cross-sectional, cohort (closed or
 open, via the individual autocorrelation), and nested exchangeable.  Each
 model induces a compound-symmetric T x T covariance matrix for the vector
 of cluster-period means, so downstream linear algebra only ever needs the
-diagonal and off-diagonal entries.  Parameters may be supplied either as
-intracluster correlations (standardized scale, total variance 1) or as raw
-variance components.
+diagonal and off-diagonal entries.  A :class:`CorrelationSpec` holds the
+parameters, either as intracluster correlations (standardized scale, total
+variance 1) or as raw variance components.
 """
 
 from __future__ import annotations
@@ -96,47 +96,12 @@ class RawComponents:
 
 
 @dataclass(frozen=True)
-class StandardizedParams:
-    """Correlation-scale parameters: total outcome variance is 1.
-
-    rho_w is the within-period intracluster correlation.  The cohort model
-    adds the individual autocorrelation ``pi``; the nested exchangeable
-    model adds the across-period correlation ``rho_a`` (which it requires
-    to satisfy rho_a <= rho_w).
-    """
-
-    model: CovarianceModel
-    rho_w: float
-    rho_a: float | None = None
-    pi: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho_w < 1.0:
-            raise ParameterError(f"rho_w must lie in [0, 1), got {self.rho_w}")
-        second = self.model.second_icc
-        for name in ("rho_a", "pi"):
-            if name == second and getattr(self, name) is None:
-                raise ParameterError(f"the {self.model.value} model requires {name}")
-            if name != second and getattr(self, name) is not None:
-                raise ParameterError(f"{name} does not apply to the {self.model.value} model")
-        if self.pi is not None and not 0.0 <= self.pi <= 1.0:
-            raise ParameterError(f"pi must lie in [0, 1], got {self.pi}")
-        if self.rho_a is not None and not 0.0 <= self.rho_a <= self.rho_w:
-            raise ParameterError(
-                f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
-            )
-
-
-@dataclass(frozen=True)
 class CompoundSymmetry:
     """Effective covariance of cluster-period means: constant diagonal and
-    off-diagonal.  ``scale`` records the outcome variance the entries are
-    expressed against (1.0 when standardized).
-    """
+    off-diagonal."""
 
     diag: float
     offdiag: float
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.offdiag < 0:
@@ -171,38 +136,17 @@ def _entries(model: CovarianceModel, n: float, rho_w, rho_a=None, pi=None):
     return diag, rho_a
 
 
-def cluster_cov_entries(params: StandardizedParams, n_per_period: int) -> CompoundSymmetry:
-    """Compound-symmetry entries of the standardized cluster-mean covariance.
-
-    Parameters
-    ----------
-    params : StandardizedParams
-        Correlation-scale parameters for any of the three models.
-    n_per_period : int
-        Number of individuals observed per cluster-period.
-
-    Returns
-    -------
-    CompoundSymmetry
-        Diagonal and off-diagonal entries with scale 1.
-    """
-    if n_per_period < 1:
-        raise ParameterError(f"n_per_period must be >= 1, got {n_per_period}")
-    diag, off = _entries(params.model, float(n_per_period), params.rho_w,
-                         rho_a=params.rho_a, pi=params.pi)
-    return CompoundSymmetry(diag=diag, offdiag=off, scale=1.0)
-
-
 def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
                       rho_a=None, pi=None):
-    """:func:`cluster_cov_entries` over numpy arrays of ICCs, one entry per point.
+    """:meth:`CorrelationSpec.cov_entries` over numpy arrays of ICCs, one
+    entry per point.
 
     ``rho_w`` and the model's second ICC are arrays of one shape.  Returns
     ``(ok, within, between)``: a mask of the points that pass every domain
-    check of :class:`StandardizedParams` and :class:`CompoundSymmetry`,
-    and the within variance (diagonal minus off-diagonal) and between
-    variance (the off-diagonal) of those points, in order.  Building the
-    scalar objects says what is wrong with the other points.
+    check of :class:`CorrelationSpec` and :class:`CompoundSymmetry`, and
+    the within variance (diagonal minus off-diagonal) and between variance
+    (the off-diagonal) of those points, in order.  Building the scalar
+    objects says what is wrong with the other points.
     """
     ok = (0.0 <= rho_w) & (rho_w < 1.0)
     if pi is not None:
@@ -218,76 +162,30 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     return ok, (diag - off)[valid], off[valid]
 
 
-def raw_cov_entries(
-    raw: RawComponents, model: CovarianceModel, n_per_period: int
-) -> CompoundSymmetry:
-    """Compound-symmetry entries in raw outcome-variance units."""
-    if n_per_period < 1:
-        raise ParameterError(f"n_per_period must be >= 1, got {n_per_period}")
-    raw.check_model(model)
-    n = float(n_per_period)
-    diag = raw.sigma_alpha_sq + raw.sigma_e_sq / n
-    off = raw.sigma_alpha_sq
-    if model is CovarianceModel.COHORT:
-        diag += raw.sigma_psi_sq / n
-        off += raw.sigma_psi_sq / n
-    elif model is CovarianceModel.NESTED_EXCHANGEABLE:
-        diag += raw.sigma_nu_sq
-    return CompoundSymmetry(diag=diag, offdiag=off, scale=raw.total_variance)
-
-
-def standardize(raw: RawComponents, model: CovarianceModel) -> StandardizedParams:
-    """Convert raw variance components to correlation-scale parameters."""
+def standardize(raw: RawComponents, model: CovarianceModel) -> dict[str, float]:
+    """The ICCs of raw variance components, as :class:`CorrelationSpec`
+    keywords: ``CorrelationSpec(model=m, n_per_period=n, **standardize(raw, m))``."""
     raw.check_model(model)
     total = raw.total_variance
-    if total <= 0:
-        raise ParameterError("total outcome variance must be positive")
     if model is CovarianceModel.CROSS_SECTIONAL:
-        return StandardizedParams(model=model, rho_w=raw.sigma_alpha_sq / total)
+        return {"rho_w": raw.sigma_alpha_sq / total}
     if model is CovarianceModel.COHORT:
-        individual = raw.sigma_psi_sq + raw.sigma_e_sq
-        return StandardizedParams(
-            model=model,
-            rho_w=raw.sigma_alpha_sq / total,
-            pi=raw.sigma_psi_sq / individual,
-        )
-    return StandardizedParams(
-        model=model,
-        rho_w=(raw.sigma_nu_sq + raw.sigma_alpha_sq) / total,
-        rho_a=raw.sigma_alpha_sq / total,
-    )
-
-
-def unstandardize(params: StandardizedParams, sigma_y_sq: float) -> RawComponents:
-    """Recover raw variance components from correlations and a total variance."""
-    if sigma_y_sq <= 0:
-        raise ParameterError("sigma_y_sq must be positive")
-    model = params.model
-    if model is CovarianceModel.CROSS_SECTIONAL:
-        return RawComponents(
-            sigma_alpha_sq=params.rho_w * sigma_y_sq,
-            sigma_e_sq=(1.0 - params.rho_w) * sigma_y_sq,
-        )
-    if model is CovarianceModel.COHORT:
-        psi = params.pi * (1.0 - params.rho_w) * sigma_y_sq
-        return RawComponents(
-            sigma_alpha_sq=params.rho_w * sigma_y_sq,
-            sigma_psi_sq=psi,
-            sigma_e_sq=(1.0 - params.rho_w) * (1.0 - params.pi) * sigma_y_sq,
-        )
-    return RawComponents(
-        sigma_alpha_sq=params.rho_a * sigma_y_sq,
-        sigma_nu_sq=(params.rho_w - params.rho_a) * sigma_y_sq,
-        sigma_e_sq=(1.0 - params.rho_w) * sigma_y_sq,
-    )
+        return {"rho_w": raw.sigma_alpha_sq / total,
+                "pi": raw.sigma_psi_sq / (raw.sigma_psi_sq + raw.sigma_e_sq)}
+    return {"rho_w": (raw.sigma_nu_sq + raw.sigma_alpha_sq) / total,
+            "rho_a": raw.sigma_alpha_sq / total}
 
 
 @dataclass(frozen=True)
 class CorrelationSpec:
     """Model selection plus exactly one parameterization and the cell size.
 
-    Either the correlation parameters (``rho_w`` with the model's extras)
-    or ``raw`` variance components must be given, never both.
+    Either the correlation parameters or ``raw`` variance components must
+    be given, never both.  The correlations are on the standardized scale
+    (total outcome variance 1): the within-period ICC ``rho_w``, plus the
+    individual autocorrelation ``pi`` for the cohort model or the
+    across-period ICC ``rho_a`` (at most ``rho_w``) for the nested
+    exchangeable model.
     """
 
     model: CovarianceModel
@@ -309,27 +207,44 @@ class CorrelationSpec:
             raise ParameterError("give exactly one of rho_w (standardized) or raw components")
         if has_raw and (self.rho_a is not None or self.pi is not None):
             raise ParameterError("rho_a / pi cannot be combined with raw components")
-        if has_icc:
-            self.standardized_params()  # validates domains eagerly
-        else:
+        if has_raw:
             self.raw.check_model(self.model)
+            return
+        if not 0.0 <= self.rho_w < 1.0:
+            raise ParameterError(f"rho_w must lie in [0, 1), got {self.rho_w}")
+        second = self.model.second_icc
+        for name in ("rho_a", "pi"):
+            if name == second and getattr(self, name) is None:
+                raise ParameterError(f"the {self.model.value} model requires {name}")
+            if name != second and getattr(self, name) is not None:
+                raise ParameterError(f"{name} does not apply to the {self.model.value} model")
+        if self.pi is not None and not 0.0 <= self.pi <= 1.0:
+            raise ParameterError(f"pi must lie in [0, 1], got {self.pi}")
+        if self.rho_a is not None and not 0.0 <= self.rho_a <= self.rho_w:
+            raise ParameterError(
+                f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
+            )
 
     @property
     def is_raw(self) -> bool:
         return self.raw is not None
 
-    def standardized_params(self) -> StandardizedParams:
-        if self.is_raw:
-            return standardize(self.raw, self.model)
-        return StandardizedParams(
-            model=self.model, rho_w=self.rho_w, rho_a=self.rho_a, pi=self.pi
-        )
-
     def cov_entries(self) -> CompoundSymmetry:
-        """Compound-symmetry entries on this spec's working scale."""
-        if self.is_raw:
-            return raw_cov_entries(self.raw, self.model, self.n_per_period)
-        return cluster_cov_entries(self.standardized_params(), self.n_per_period)
+        """Compound-symmetry entries of the cluster-mean covariance, in raw
+        outcome-variance units for raw components."""
+        n = float(self.n_per_period)
+        if not self.is_raw:
+            diag, off = _entries(self.model, n, self.rho_w, rho_a=self.rho_a, pi=self.pi)
+            return CompoundSymmetry(diag=diag, offdiag=off)
+        raw = self.raw
+        diag = raw.sigma_alpha_sq + raw.sigma_e_sq / n
+        off = raw.sigma_alpha_sq
+        if self.model is CovarianceModel.COHORT:
+            diag += raw.sigma_psi_sq / n
+            off += raw.sigma_psi_sq / n
+        elif self.model is CovarianceModel.NESTED_EXCHANGEABLE:
+            diag += raw.sigma_nu_sq
+        return CompoundSymmetry(diag=diag, offdiag=off)
 
     def with_icc(
         self, rho_w: float, rho_a: float | None = None, pi: float | None = None

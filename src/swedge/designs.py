@@ -29,15 +29,6 @@ class UnknownDesignError(KeyError):
     """Catalog lookup for an id that does not exist."""
 
 
-class TransitionViolationError(DesignError):
-    """Design rejected under the strict transition policy."""
-
-    def __init__(self, violations: Sequence["TransitionViolation"]):
-        self.violations = list(violations)
-        detail = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"{len(self.violations)} disallowed transition(s): {detail}")
-
-
 class Condition(IntEnum):
     """Cell condition; integer values double as the design-file codes."""
 
@@ -162,8 +153,7 @@ def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
 
     A treatment, once started, never stops: a transition is disallowed
     when a bit set in one period is clear in the next.  Whether the
-    entries are errors or warnings is the caller's policy (see
-    :func:`require_valid`).
+    entries are errors or warnings is the caller's :class:`TransitionPolicy`.
     """
     codes = grid.codes
     stopped = codes[:, :-1] & ~codes[:, 1:]
@@ -173,19 +163,6 @@ def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
                             after=Condition(int(codes[i, j + 1])))
         for i, j in zip(*np.nonzero(stopped))
     ]
-
-
-def require_valid(
-    grid: DesignGrid, policy: TransitionPolicy = TransitionPolicy.STRICT
-) -> list[TransitionViolation]:
-    """Raise under the strict policy if the grid has disallowed transitions.
-
-    Returns the violation list (warnings) under the permissive policy.
-    """
-    violations = validate_design(grid)
-    if violations and policy is TransitionPolicy.STRICT:
-        raise TransitionViolationError(violations)
-    return violations
 
 
 # ---------------------------------------------------------------------------

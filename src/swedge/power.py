@@ -16,6 +16,7 @@ import numpy as np
 from .covariance import CorrelationSpec, CovarianceModel, ParameterError, cluster_cov_stack
 from .designs import DesignGrid
 from .variance import (
+    EFFECT_LABELS,
     RankDeficiencyError,
     closed_form_covariance,
     closed_form_stack,
@@ -114,7 +115,8 @@ class EffectSpec:
     treatment 2 and their interaction, in outcome standard deviations when
     the correlation spec is standardized (raw effect units otherwise).
     Leave an entry ``None`` to skip it; at least one effect or contrast
-    must be requested.  ``additive`` analyzes the design under assumed
+    must be requested, and each contrast needs a label of its own, none of
+    the effect labels.  ``additive`` analyzes the design under assumed
     additive treatment effects, dropping the interaction column from the
     model entirely.
     """
@@ -129,6 +131,9 @@ class EffectSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise ParameterError(f"alpha {self.alpha:g} is too small: 1 - alpha/2 rounds to 1, "
+                                 "which has no normal quantile")
         for label, delta in self.deltas().items():
             if not math.isfinite(delta):
                 raise ParameterError(f"effect size for {label} must be finite, got {delta}")
@@ -137,10 +142,15 @@ class EffectSpec:
             raise ParameterError("request at least one effect or contrast")
         if self.additive and self.delta3 is not None:
             raise ParameterError("an additive analysis has no interaction effect to size")
+        labels = [spec.label for spec in self.contrasts]
+        for k, label in enumerate(labels):
+            if label in EFFECT_LABELS or label in labels[:k]:
+                raise ParameterError(f"contrast label {label!r} repeats an effect or contrast "
+                                     "label; give each contrast its own label")
 
     def deltas(self) -> dict[str, float]:
         """Mapping of effect label to requested effect size."""
-        pairs = zip(("trt1", "trt2", "interaction"), (self.delta1, self.delta2, self.delta3))
+        pairs = zip(EFFECT_LABELS, (self.delta1, self.delta2, self.delta3))
         return {label: delta for label, delta in pairs if delta is not None}
 
 
@@ -232,10 +242,10 @@ class SweepTable:
     ``labels`` are the result labels in :func:`design_power` order and
     ``effects`` their effect sizes (nan when the design gives no point a
     result).  ``icc`` maps ``"rho_w"`` and the model's second ICC, if any,
-    to (K,) arrays: the point's own value, else the template's, and nan
-    ``rho_w`` where the point cannot be read.  ``se`` and ``power`` are
-    (K, n) arrays, nan in failed rows; ``errors`` maps the index of each
-    failed point to the text and class of its :func:`design_power` error.
+    to (K,) arrays: the point's own value, else the template's.  ``se``
+    and ``power`` are (K, n) arrays, nan in failed rows; ``errors`` maps
+    the index of each failed point to the text and class of its
+    :func:`design_power` error.
     """
 
     labels: tuple[str, ...]
@@ -246,57 +256,29 @@ class SweepTable:
     errors: dict[int, tuple[str, type[Exception]]]
 
 
-def _point_iccs(point, model: CovarianceModel) -> dict[str, float]:
-    """Named ICC values of a sweep point: ``rho_w``, and for a pair (a
-    tuple, list or 1-D array) also the model's second ICC."""
-    if not isinstance(point, (tuple, list)) \
-            and not (isinstance(point, np.ndarray) and point.ndim == 1):
-        return {"rho_w": _point_float(point)}
-    if model.second_icc is None:
-        raise ParameterError("cross-sectional sweep points are single rho_w values")
-    if len(point) != 2:
-        raise ParameterError(f"sweep point {point!r} must have two entries")
-    return {"rho_w": _point_float(point[0]), model.second_icc: _point_float(point[1])}
+def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
+    """The (K,) ICC columns a sweep grid gives: ``rho_w``, and for a
+    (K, 2) grid also the model's second ICC.
 
-
-def _point_float(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"sweep point entry {value!r} is not a number") from None
-
-
-def _readable_iccs(point, model: CovarianceModel) -> dict[str, float] | None:
-    try:
-        return _point_iccs(point, model)
-    except ParameterError:
-        return None
-
-
-def _icc_columns(points: list, correlation: CorrelationSpec) -> tuple[dict, np.ndarray]:
-    """The (K,) ICC columns of the sweep points and the indices of the
-    points that can be read.
-
-    A plain grid, K numbers or, for a model with a second ICC, K pairs of
-    numbers, is read in one array call.  Any other grid is read point by
-    point, and a point that cannot be read gets a nan ``rho_w``.
+    The grid must be a numeric array-like of ints or floats, of shape
+    (K,), or (K, 2) for a model with a second ICC; the spec must hold
+    ICCs.  Anything else raises :class:`ParameterError`.
     """
+    if correlation.is_raw:
+        raise ParameterError("cannot sweep correlations on a raw-component spec")
     second = correlation.model.second_icc
-    defaults = {"rho_w": math.nan, **({second: getattr(correlation, second)} if second else {})}
     try:
         values = np.array(points)
     except (TypeError, ValueError, OverflowError):
         values = np.array(None)
-    shapes = [(len(points),), (len(points), 2)] if second else [(len(points),)]
-    if values.dtype.kind in "fi" and values.shape in shapes and not correlation.is_raw:
-        icc = {name: np.full(len(points), default) for name, default in defaults.items()}
-        icc.update(zip(icc, np.atleast_2d(values.T).astype(float)))
-        return icc, np.arange(len(points))
-    iccs = [_readable_iccs(point, correlation.model) for point in points]
-    icc = {name: np.array([(point or {}).get(name, default) for point in iccs], dtype=float)
-           for name, default in defaults.items()}
-    readable = np.flatnonzero([point is not None and not correlation.is_raw for point in iccs])
-    return icc, readable
+    numeric = values.dtype.kind in "fiu"
+    if numeric and values.shape[1:] == (2,) and second is None:
+        raise ParameterError("cross-sectional sweep points are single rho_w values")
+    if not numeric or values.ndim == 0 or values.shape[1:] not in ((), (2,)):
+        pairs = f", or a (K, 2) array-like of (rho_w, {second}) pairs" if second else ""
+        raise ParameterError(f"sweep points must be a numeric (K,) array-like of rho_w "
+                             f"values{pairs}")
+    return dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float)))
 
 
 def _batch_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
@@ -321,24 +303,29 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
           points=DEFAULT_RHO_GRID) -> SweepTable:
     """Evaluate power across a grid of correlation values.
 
-    Each point is a rho_w value, or a ``(rho_w, pi)`` pair for the cohort
-    model / ``(rho_w, rho_a)`` pair for the nested exchangeable model; the
-    rows of a (K, 2) array are pairs too.  Invalid points are reported in
-    the table's ``errors`` without aborting the rest.  All points are solved
-    as one batch from one summary of the design, and SE and power are
-    computed a column at a time.  A point the batch cannot finish goes
-    through :func:`design_power`, which raises the error the table reports
-    for it.
+    ``points`` is a numeric array-like of ints or floats: K rho_w values,
+    which keep the template's second ICC, or for the cohort / nested
+    exchangeable model K ``(rho_w, pi)`` / ``(rho_w, rho_a)`` pairs.  Any
+    other grid, or a raw-component template, raises
+    :class:`ParameterError` before any point is solved.  Points outside
+    the model's domain are reported in the table's ``errors`` without
+    aborting the rest.  All points are solved as one batch from one
+    summary of the design, and SE and power are computed a column at a
+    time.  A point the batch cannot finish goes through
+    :func:`design_power`, which raises the error the table reports for it.
     """
     model = correlation.model
-    points = list(points)
-    icc, readable = _icc_columns(points, correlation)
-    valid, sig_c, sig_a = cluster_cov_stack(model, correlation.n_per_period,
-                                            **{name: col[readable] for name, col in icc.items()})
+    given = _icc_columns(points, correlation)
+    count = len(given["rho_w"])
+    icc = {"rho_w": given["rho_w"]}
+    if model.second_icc:
+        icc[model.second_icc] = given.get(model.second_icc,
+                                          np.full(count, getattr(correlation, model.second_icc)))
+    valid, sig_c, sig_a = cluster_cov_stack(model, correlation.n_per_period, **icc)
     estimable, solved, matrices = closed_form_stack(grid, sig_c, sig_a,
                                                     additive=effects.additive)
     labels = (*effects.deltas(), *(spec.label for spec in effects.contrasts))
-    se = np.full((len(points), len(labels)), math.nan)
+    se = np.full((count, len(labels)), math.nan)
     power = se.copy()
     batch = _batch_columns(effects, estimable, matrices)
     sizes, variances = batch or (np.full(len(labels), math.nan), None)
@@ -346,7 +333,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
         with np.errstate(invalid="ignore"):
             root = np.sqrt(variances)
             finished = np.isfinite(root).all(axis=1) & (root > 0.0).all(axis=1)
-        rows = readable[valid][solved][finished]
+        rows = np.flatnonzero(valid)[solved][finished]
         se[rows] = root[finished]
         crit = normal_quantile(1.0 - effects.alpha / 2.0)
         for j, (size, shifts) in enumerate(zip(sizes.tolist(), (abs(sizes) / se[rows]).T)):
@@ -354,9 +341,10 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
                 _two_sided_power(shifts.tolist(), crit)
 
     errors = {}
-    for k in np.flatnonzero(np.isnan(se[:, 0])).tolist():
+    failed = np.flatnonzero(np.isnan(se[:, 0]))
+    for k, *values in zip(failed.tolist(), *(col[failed].tolist() for col in given.values())):
         try:
-            result = design_power(grid, correlation.with_icc(**_point_iccs(points[k], model)),
+            result = design_power(grid, correlation.with_icc(**dict(zip(given, values))),
                                   effects)
         except (ParameterError, RankDeficiencyError) as exc:
             errors[k] = (str(exc), type(exc))

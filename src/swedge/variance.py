@@ -139,16 +139,11 @@ def active_effects(grid: DesignGrid) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TreatmentCovariance:
-    """Symmetric covariance matrix of the estimable effect estimates.
-
-    ``scale`` is the outcome variance of the working scale (1.0 when the
-    inputs were standardized); entries are in squared effect units on that
-    scale.
-    """
+    """Symmetric covariance matrix of the estimable effect estimates, in
+    squared effect units of the covariance entries' scale."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-    scale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -274,7 +269,7 @@ def closed_form_covariance(
         matrix = _invert_symmetric(s)
     if not np.isfinite(matrix).all():
         raise _unrepresentable("covariance of the effect estimates", cs)
-    return TreatmentCovariance(labels=labels, matrix=matrix, scale=cs.scale)
+    return TreatmentCovariance(labels=labels, matrix=matrix)
 
 
 def _unrepresentable(what: str, cs: CompoundSymmetry) -> ParameterError:
@@ -366,7 +361,7 @@ def oracle_covariance(
         ) from None
     full_cov = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(size)))
     block = full_cov[n_periods:, n_periods:]
-    return TreatmentCovariance(labels=labels, matrix=block, scale=cs.scale)
+    return TreatmentCovariance(labels=labels, matrix=block)
 
 
 def quadratic_form(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -378,7 +373,8 @@ def quadratic_form(c: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def contrast_variance(weights, cov: TreatmentCovariance) -> float:
-    """Variance of a weighted combination of the effect estimates."""
+    """Variance of a weighted combination of the effect estimates; it must
+    be finite and positive for a standard error to exist."""
     c = np.asarray(weights, dtype=float)
     if c.ndim != 1 or c.size != cov.dim:
         raise ParameterError(
@@ -389,4 +385,7 @@ def contrast_variance(weights, cov: TreatmentCovariance) -> float:
     var = float(quadratic_form(c, cov.matrix))
     if not np.isfinite(var):
         raise ParameterError(f"contrast variance is not finite (weights {c.tolist()})")
+    if var <= 0:
+        raise ParameterError(f"contrast variance is not positive, got {var:g} "
+                             f"(weights {c.tolist()})")
     return var

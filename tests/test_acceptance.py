@@ -274,9 +274,8 @@ class TestCriterion8Properties:
                 p_raw = design_power(
                     grid, raw_spec, EffectSpec(delta1=theta, delta2=theta)
                 ).power("trt1")
-                std = standardize(raw, model)
                 std_spec = CorrelationSpec(model=model, n_per_period=n,
-                                           rho_w=std.rho_w, rho_a=std.rho_a, pi=std.pi)
+                                           **standardize(raw, model))
                 delta = theta / np.sqrt(raw.total_variance)
                 p_std = design_power(
                     grid, std_spec, EffectSpec(delta1=delta, delta2=delta)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from swedge.covariance import CovarianceModel, StandardizedParams, cluster_cov_entries
+from swedge.covariance import CorrelationSpec, CovarianceModel
 from swedge.designs import generate_standard_swd
 from swedge.variance import EFFECT_LABELS, closed_form_covariance, oracle_covariance
 
@@ -65,8 +65,8 @@ def reference_covariance(grid, cs, labels) -> np.ndarray:
 @pytest.mark.parametrize("rho_w", [0.05, 0.9999])
 def test_stress_point_accuracy_envelope(rho_w):
     grid = generate_standard_swd(20, 5)
-    params = StandardizedParams(model=CovarianceModel.CROSS_SECTIONAL, rho_w=rho_w)
-    cs = cluster_cov_entries(params, 5000)
+    cs = CorrelationSpec(model=CovarianceModel.CROSS_SECTIONAL, n_per_period=5000,
+                         rho_w=rho_w).cov_entries()
     closed = closed_form_covariance(grid, cs)
     oracle = oracle_covariance(grid, cs)
     assert closed.labels == oracle.labels == ("trt1",)

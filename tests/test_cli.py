@@ -135,6 +135,8 @@ class TestRejectedInputs:
         (("--rho-w", "0.05", "--delta", "0.3", "--alpha", "nan"), "alpha"),
         (("--rho-w", "0.05", "--contrast", "a=1,0,0@0.3"),
          "contrast length 3 does not match covariance dimension 2"),
+        (("--rho-w", "0.05", "--delta", "0.3", "--alpha", "1e-300"),
+         "alpha 1e-300 is too small: 1 - alpha/2 rounds to 1"),
     ])
     def test_exits_2_with_message(self, capsys, extra, message):
         code, out, err = run(capsys, *self.BASE, *extra)
@@ -226,9 +228,6 @@ class TestRejectedInputs:
         assert lines[0].startswith("error: information matrix is not finite")
 
     @pytest.mark.parametrize("argv, column", [
-        (("sweep", "--design", "fig2b", "--contrast", "trt1=1,-1"), "se_trt1"),
-        (("sweep", "--design", "fig2b", "--contrast", "d=1,-1", "--contrast", "d=1,1"),
-         "se_d"),
         (("compare", "--design", "fig1", "--design", "fig1"), "se_trt1_fig1"),
         (("compare", "--design", "fig2b", "--design", "fig1", "--design", "fig1"),
          "se_trt1_fig1"),
@@ -241,6 +240,45 @@ class TestRejectedInputs:
         assert out == ""
         assert err.startswith(f"error: column {column!r} would appear twice")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, contrasts, label", [
+        (("power", "--rho-w", "0.1"), ("trt1=1,-1",), "trt1"),
+        (("power", "--rho-w", "0.1"), ("interaction=1,-1",), "interaction"),
+        (("power", "--rho-w", "0.1"), ("d=1,-1", "d=1,1"), "d"),
+        (("sweep", "--rho-values", "0.05,0.1"), ("trt1=1,-1",), "trt1"),
+        (("sweep", "--rho-values", "0.05,0.1"), ("d=1,-1", "d=1,1"), "d"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_contrast_label_repeating_a_result_label_exits_2(self, capsys, command, contrasts,
+                                                             label, fmt):
+        flags = [arg for text in contrasts for arg in ("--contrast", text)]
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs", "--n", "15",
+                             "--delta", "0.4", *flags, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: contrast label {label!r} repeats an effect or contrast label; "
+                       "give each contrast its own label\n")
+
+    @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
+                                         ("sweep", "--rho-values", "0.1,0.2")])
+    def test_underflowing_contrast_variance_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs",
+                             "--n", "15", "--delta", "0.4", "--contrast", "c=1e-200,0@0.3")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "contrast variance is not positive, got 0 (weights [1e-200, 0.0])" in err
+
+    @pytest.mark.parametrize("command", [("sweep",), ("compare", "--design", "fig1")])
+    def test_rho_step_finer_than_the_rounding_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs",
+                             "--n", "15", "--delta", "0.4", "--rho-min", "0.1",
+                             "--rho-max", "0.1000000000005", "--rho-step", "1e-13")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --rho-step 1e-13 is finer than the 12 decimals the grid "
+                       "values are rounded to, so two of them would be equal\n")
 
     @pytest.mark.parametrize("command", [("sweep",), ("compare", "--design", "fig1")])
     @pytest.mark.parametrize("grid", [

@@ -9,15 +9,12 @@ from swedge.designs import (
     Condition,
     DesignError,
     DesignGrid,
-    TransitionPolicy,
-    TransitionViolationError,
     UnknownDesignError,
     catalog_design,
     catalog_ids,
     concurrent_design,
     generate_standard_swd,
     parse_design,
-    require_valid,
     serialize_design,
     validate_design,
 )
@@ -135,16 +132,6 @@ class TestValidation:
             (1, 1, Condition.BOTH, Condition.TRT2),
             (1, 2, Condition.TRT2, Condition.CONTROL),
         ]
-
-    def test_require_valid_strict_raises(self):
-        grid = DesignGrid([[C, T1, T2]])
-        with pytest.raises(TransitionViolationError):
-            require_valid(grid, TransitionPolicy.STRICT)
-
-    def test_require_valid_permissive_returns_warnings(self):
-        grid = DesignGrid([[C, T1, T2]])
-        warnings = require_valid(grid, TransitionPolicy.PERMISSIVE)
-        assert len(warnings) == 1
 
 
 class TestDesignMatrix:

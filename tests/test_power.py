@@ -7,6 +7,7 @@ from swedge.covariance import (
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
+    RawComponents,
     standardize,
 )
 from swedge.designs import DesignGrid, catalog_design
@@ -156,6 +157,21 @@ class TestEffectSpec:
             design_power(catalog_design("fig2b"), cs_spec(),
                          EffectSpec(delta1=1e308, delta2=1e308, contrasts=(spec,)))
 
+    @pytest.mark.parametrize("labels", [("trt1",), ("trt2",), ("interaction",), ("d", "e", "d")])
+    def test_contrast_label_must_be_its_own(self, labels):
+        contrasts = tuple(ContrastSpec(label=label, weights=(1.0, -1.0)) for label in labels)
+        with pytest.raises(ParameterError, match=f"^contrast label {labels[-1]!r} repeats"):
+            EffectSpec(delta1=0.4, contrasts=contrasts)
+
+    def test_underflowing_contrast_variance_rejected(self):
+        effects = EffectSpec(contrasts=(ContrastSpec("c", (1e-200, 0.0), effect=0.3),))
+        message = "contrast variance is not positive, got 0 (weights [1e-200, 0.0])"
+        with pytest.raises(ParameterError) as info:
+            design_power(catalog_design("fig2b"), cs_spec(), effects)
+        assert str(info.value) == message
+        table = sweep(catalog_design("fig2b"), cs_spec(), effects, points=(0.1, 0.2))
+        assert table.errors == {0: (message, ParameterError), 1: (message, ParameterError)}
+
 
 class TestDesignPower:
     def test_concurrent_design_symmetric_power(self):
@@ -232,11 +248,8 @@ class TestDesignPower:
                     grid, raw_spec, EffectSpec(delta1=theta, delta2=theta)
                 ).power("trt1")
 
-                std = standardize(raw, model)
-                std_spec = CorrelationSpec(
-                    model=model, n_per_period=n,
-                    rho_w=std.rho_w, rho_a=std.rho_a, pi=std.pi,
-                )
+                std_spec = CorrelationSpec(model=model, n_per_period=n,
+                                           **standardize(raw, model))
                 std_power = design_power(
                     grid, std_spec,
                     EffectSpec(delta1=theta / sigma_y, delta2=theta / sigma_y),
@@ -265,21 +278,52 @@ class TestSweep:
         assert np.isnan(table.se[1]).all() and np.isnan(table.power[1]).all()
         assert list(table.errors) == [1]
 
-    def test_malformed_points_become_error_rows(self):
-        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
-                      points=[0.1, ("x", 2), (0.1, 0.2)])
-        assert 0 not in table.errors
-        assert 1 in table.errors and np.isnan(table.icc["rho_w"][1])
-        assert 2 in table.errors  # pairs invalid under cross-sectional
+    COHORT_TEMPLATE = CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15,
+                                      rho_w=0.1, pi=0.4)
+    RAW_TEMPLATE = CorrelationSpec(model=CS, n_per_period=15,
+                                   raw=RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=3.0))
 
-    def test_non_numeric_pair_entries_become_error_rows(self):
-        template = CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15,
-                                   rho_w=0.1, pi=0.4)
-        table = sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4),
-                      points=[(0.1, 0.5), ("x", 0.5), (0.1, None)])
-        assert 0 not in table.errors
-        assert "not a number" in table.errors[1][0] and np.isnan(table.icc["rho_w"][1])
-        assert "not a number" in table.errors[2][0]
+    @pytest.mark.parametrize("template, points, message", [
+        (cs_spec(), [0.1, ("x", 2), (0.1, 0.2)], "^sweep points must be a numeric [(]K,[)] array-like of rho_w values$"),
+        (cs_spec(), [(0.1, 0.2)], "^cross-sectional sweep points are single rho_w values$"),
+        (cs_spec(), np.zeros((0, 2)), "^cross-sectional sweep points are single rho_w values$"),
+        (cs_spec(), [True, False], "rho_w values$"),
+        (cs_spec(), ["0.1"], "rho_w values$"),
+        (cs_spec(), [None], "rho_w values$"),
+        (cs_spec(), 0.1, "rho_w values$"),
+        (cs_spec(), np.array([0.1], dtype=object), "rho_w values$"),
+        (cs_spec(), [1j], "rho_w values$"),
+        (COHORT_TEMPLATE, [(0.1, 0.5), ("x", 0.5), (0.1, None)],
+         "or a [(]K, 2[)] array-like of [(]rho_w, pi[)] pairs$"),
+        (COHORT_TEMPLATE, [0.1, (0.1, 0.5)], "pairs$"),
+        (COHORT_TEMPLATE, np.zeros((2, 3)), "pairs$"),
+        (COHORT_TEMPLATE, np.zeros((2, 1)), "pairs$"),
+        (COHORT_TEMPLATE, np.zeros((2, 2, 2)), "pairs$"),
+        (RAW_TEMPLATE, [0.1], "^cannot sweep correlations on a raw-component spec$"),
+    ], ids=["cs-unreadable", "cs-pairs", "cs-empty-pairs", "bools", "strings", "none",
+            "scalar", "object-array", "complex", "cohort-unreadable", "cohort-mixed",
+            "cohort-k-by-3", "cohort-k-by-1", "cohort-3d", "raw-template"])
+    def test_a_grid_that_is_not_numeric_k_or_k_by_2_raises_before_solving(
+            self, monkeypatch, template, points, message):
+        import swedge.power
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a malformed grid reached the solver")
+
+        monkeypatch.setattr(swedge.power, "cluster_cov_stack", unreachable)
+        monkeypatch.setattr(swedge.power, "design_power", unreachable)
+        with pytest.raises(ParameterError, match=message):
+            sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4), points=points)
+
+    def test_int_and_float32_grids_are_read_as_numbers(self):
+        effects = EffectSpec(delta1=0.4)
+        table = sweep(catalog_design("fig1"), cs_spec(), effects,
+                      points=np.array([0, 1], dtype=np.uint8))
+        assert table.icc["rho_w"].tolist() == [0.0, 1.0] and list(table.errors) == [1]
+        table = sweep(catalog_design("fig1"), self.COHORT_TEMPLATE, effects,
+                      points=np.array([[0.25, 0.5]], dtype=np.float32))
+        assert table.icc["rho_w"].tolist() == [0.25] and table.icc["pi"].tolist() == [0.5]
+        assert table.errors == {}
 
     def test_errors_are_kept_as_text_and_class(self):
         table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),

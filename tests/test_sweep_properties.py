@@ -1,13 +1,16 @@
 """Property tests of the batched sweep engine.
 
 ``sweep`` solves every point of a grid as one batch from one design
-summary.  It must give, bit for bit, what a loop of ``design_power`` over
-``with_icc`` specs gives, including the text and type of every error.
+summary.  On a numeric grid it must give, bit for bit, what a loop of
+``design_power`` over ``with_icc`` specs gives, including the text and
+type of every error; any other grid must raise before any point is solved.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from swedge.covariance import (
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
+    RawComponents,
     cluster_cov_stack,
 )
 from swedge.designs import DesignGrid, catalog_design, catalog_ids
@@ -23,9 +27,9 @@ from swedge.power import ContrastSpec, EffectSpec, design_power, sweep
 from swedge.variance import RankDeficiencyError, closed_form_stack
 
 MODELS = tuple(CovarianceModel)
-ODD_VALUES = (math.nan, math.inf, -math.inf, -0.1, 0.0, -0.0, 1.0, 1.5, 1e-300, "x", None)
+ODD_VALUES = (math.nan, math.inf, -math.inf, -0.1, 0.0, -0.0, 1.0, 1.5, 1e-300)
 
-# ICC values inside the domain, on and beyond its edges, not finite and not numbers.
+# ICC values inside the domain, on and beyond its edges, and not finite.
 icc_values = st.one_of(st.floats(0.0, 0.99), st.sampled_from(ODD_VALUES))
 
 
@@ -75,63 +79,60 @@ def effect_specs(draw):
                       additive=additive, **deltas)
 
 
-# A point is one value or a pair; a pair is an error under the
-# cross-sectional model.
-points = st.lists(st.one_of(icc_values, st.tuples(icc_values, icc_values)), max_size=8)
+@st.composite
+def numeric_grids(draw, model):
+    """Grids ``sweep`` reads: K numbers or, for a model with a second ICC,
+    K pairs, as Python, numpy float64 or float32 floats, ints, or a (K,)
+    or (K, 2) array."""
+    width = 2 if model.second_icc and draw(st.booleans()) else 1
+    kind = draw(st.sampled_from(["float", "float64", "float32", "int", "array"]))
+    size = draw(st.integers(0, 8)) * width
+    if kind == "int":
+        values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    else:
+        values = draw(st.lists(icc_values, min_size=size, max_size=size))
+        values = [{"float64": np.float64, "float32": np.float32}.get(kind, float)(v)
+                  for v in values]
+    if kind == "array":
+        return np.array(values).reshape(-1, 2) if width == 2 else np.array(values)
+    if width == 1:
+        return values
+    return [draw(st.sampled_from([tuple, list]))(values[k:k + 2])
+            for k in range(0, size, 2)]
 
 
 @st.composite
-def typed_grids(draw):
-    """Grids one array call reads (numpy and Python floats, ints, pairs, (K,)
-    and (K, 2) arrays) and grids left to the per-point reader (bools,
-    numeric strings, mixed scalars and pairs, (K, 3) arrays)."""
-    kind = draw(st.sampled_from(["float64", "float32", "int", "bool", "str", "mixed",
-                                 "pairs", "array1", "array2", "array3"]))
-    size = draw(st.integers(0, 6))
-    width = {"pairs": 2, "array2": 2, "array3": 3}.get(kind, 1)
-    floats = draw(st.lists(st.one_of(st.floats(0.0, 0.99),
-                                     st.sampled_from([math.nan, -0.1, 0.0, 1.0, 1.5])),
-                           min_size=size * width, max_size=size * width))
-    if kind == "float64":
-        return [np.float64(v) for v in floats]
-    if kind == "float32":
-        return [np.float32(v) for v in floats]
-    if kind == "int":
-        return draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+def malformed_grids(draw, model):
+    """Grids ``sweep`` rejects: bools, strings, None, object arrays,
+    scalars mixed with pairs, a bare number, other shapes, and pairs under
+    the cross-sectional model."""
+    kinds = ["bool", "str", "none", "object", "mixed", "scalar", "shape"]
+    kind = draw(st.sampled_from(kinds + ([] if model.second_icc else ["pairs"])))
+    size = draw(st.integers(1, 6))
+    floats = draw(st.lists(icc_values, min_size=size, max_size=size))
     if kind == "bool":
         return draw(st.lists(st.booleans(), min_size=size, max_size=size))
     if kind == "str":
         return [repr(v) for v in floats]
+    if kind == "none":
+        return floats[:-1] + [None]
+    if kind == "object":
+        return np.array(floats, dtype=object)
     if kind == "mixed":
-        scalar = st.one_of(st.floats(0.0, 0.99), st.integers(0, 1), st.booleans())
-        return draw(st.lists(st.one_of(scalar, st.tuples(scalar, scalar)),
-                             min_size=size, max_size=size))
+        return draw(st.permutations(floats + [(floats[0], floats[0])]))
+    if kind == "scalar":
+        return floats[0]
     if kind == "pairs":
-        return [draw(st.sampled_from([tuple, list]))(floats[2 * k:2 * k + 2])
-                for k in range(size)]
-    return np.array(floats).reshape(-1, width) if width > 1 else np.array(floats)
-
-
-def as_number(value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"sweep point entry {value!r} is not a number") from None
+        return [(v, v) for v in floats]
+    shape = draw(st.sampled_from([(size, 1), (size, 3), (size, 2, 2), (1, size, 2)]))
+    return np.resize(np.array(floats), shape)
 
 
 def reference_row(grid, template, effects, point):
     """A point's (iccs, result, error text, error type), one design_power at a time."""
-    second = template.model.second_icc
-    iccs = {"rho_w": math.nan}
+    values = point if isinstance(point, (tuple, list, np.ndarray)) else (point,)
+    iccs = {name: float(v) for name, v in zip(("rho_w", template.model.second_icc), values)}
     try:
-        if isinstance(point, (tuple, list, np.ndarray)):
-            if second is None:
-                raise ParameterError("cross-sectional sweep points are single rho_w values")
-            if len(point) != 2:
-                raise ParameterError(f"sweep point {point!r} must have two entries")
-            iccs = {"rho_w": as_number(point[0]), second: as_number(point[1])}
-        else:
-            iccs = {"rho_w": as_number(point)}
         return iccs, design_power(grid, template.with_icc(**iccs), effects), None, None
     except (ParameterError, RankDeficiencyError) as exc:
         return iccs, None, str(exc), type(exc)
@@ -149,7 +150,7 @@ def bits(x):
          effects=EffectSpec(delta1=0.4, delta2=0.4, delta3=0.4), data=None)
 def test_batched_sweep_matches_a_design_power_loop(grid, template, effects, data):
     grid_points = [0.1, 0.2, math.nan, 1.5] if data is None \
-        else data.draw(st.one_of(points, typed_grids()))
+        else data.draw(numeric_grids(template.model))
     table = sweep(grid, template, effects, points=grid_points)
     second = template.model.second_icc
     assert list(table.icc) == (["rho_w", second] if second else ["rho_w"])
@@ -168,6 +169,28 @@ def test_batched_sweep_matches_a_design_power_loop(grid, template, effects, data
         assert [bits(r.effect) for r in result.rows] == list(map(bits, table.effects))
         assert [bits(r.se) for r in result.rows] == list(map(bits, table.se[k]))
         assert [bits(r.power) for r in result.rows] == list(map(bits, table.power[k]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(template=templates(), effects=effect_specs(), data=st.data())
+def test_any_other_grid_raises_before_solving(template, effects, data):
+    grid_points = data.draw(malformed_grids(template.model))
+    solver = mock.Mock(side_effect=AssertionError("a malformed grid reached the solver"))
+    with mock.patch("swedge.power.cluster_cov_stack", solver), \
+            pytest.raises(ParameterError, match="^(sweep points must be|cross-sectional)"):
+        sweep(catalog_design("fig2b"), template, effects, points=grid_points)
+
+
+@settings(deadline=None, max_examples=50)
+@given(template=templates(), effects=effect_specs(), data=st.data())
+def test_a_raw_component_template_raises_before_solving(template, effects, data):
+    raw = CorrelationSpec(model=template.model, n_per_period=template.n_per_period,
+                          raw=RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=3.0))
+    solver = mock.Mock(side_effect=AssertionError("a raw template reached the solver"))
+    with mock.patch("swedge.power.cluster_cov_stack", solver), \
+            pytest.raises(ParameterError, match="^cannot sweep correlations on a raw"):
+        sweep(catalog_design("fig2b"), raw, effects,
+              points=data.draw(numeric_grids(template.model)))
 
 
 @settings(deadline=None, max_examples=200)

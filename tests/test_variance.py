@@ -13,8 +13,6 @@ from swedge.covariance import (
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
-    StandardizedParams,
-    cluster_cov_entries,
 )
 from swedge.designs import (
     DesignGrid,
@@ -41,8 +39,8 @@ MODELS = (
 
 
 def std_cs(rho_w=0.1, n=15):
-    params = StandardizedParams(model=CovarianceModel.CROSS_SECTIONAL, rho_w=rho_w)
-    return cluster_cov_entries(params, n)
+    return CorrelationSpec(model=CovarianceModel.CROSS_SECTIONAL, n_per_period=n,
+                           rho_w=rho_w).cov_entries()
 
 
 def dense_cluster_cov(cs, t):
