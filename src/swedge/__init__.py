@@ -15,10 +15,8 @@ from .covariance import (
     standardize,
 )
 from .designs import (
-    Condition,
     DesignError,
     DesignGrid,
-    TransitionPolicy,
     TransitionViolation,
     UnknownDesignError,
     catalog_design,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompoundSymmetry",
-    "Condition",
     "ContrastSpec",
     "CorrelationSpec",
     "CovarianceModel",
@@ -71,7 +68,6 @@ __all__ = [
     "RawComponents",
     "SingularCovarianceError",
     "SweepTable",
-    "TransitionPolicy",
     "TransitionViolation",
     "TreatmentCovariance",
     "UnknownDesignError",

@@ -27,7 +27,6 @@ from .covariance import (
 from .designs import (
     DesignError,
     DesignGrid,
-    TransitionPolicy,
     UnknownDesignError,
     catalog_design,
     catalog_ids,
@@ -36,7 +35,7 @@ from .designs import (
     validate_design,
 )
 from .power import ContrastSpec, EffectSpec, design_power, sweep
-from .variance import RankDeficiencyError, active_effects
+from .variance import NO_EFFECTS_ESTIMABLE, RankDeficiencyError, active_effects
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,8 +103,11 @@ def _json_row_writer(header: list[str]):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -162,12 +164,14 @@ def _read_design(spec: str) -> DesignGrid:
     return grid
 
 
-def _load_design(spec: str, policy: TransitionPolicy) -> DesignGrid:
+def _load_design(spec: str, policy: str) -> DesignGrid:
+    """The design ``spec`` names; a disallowed transition in it is an
+    error under the "strict" policy and a warning under "permissive"."""
     grid = _read_design(spec)
     violations = validate_design(grid)
     if violations:
         listing = "\n".join(f"  {v}" for v in violations)
-        if policy is TransitionPolicy.STRICT:
+        if policy == "strict":
             raise CliError(f"design {spec!r} has disallowed transitions:\n{listing}")
         sys.stderr.write(f"warning: design {spec!r} has disallowed transitions:\n{listing}\n")
     return grid
@@ -250,13 +254,9 @@ def _parse_contrast(text: str) -> ContrastSpec:
 
 
 def _effects_from_args(args, grid: DesignGrid) -> EffectSpec:
-    labels = list(active_effects(grid))
-    if args.additive and "interaction" in labels:
-        labels.remove("interaction")
+    labels = active_effects(grid, args.additive)
     if not labels:
-        raise RankDeficiencyError(
-            "design has no treated cluster-periods; no effects are estimable"
-        )
+        raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
     deltas = list(args.delta or [])
     if not deltas and not args.contrast:
         raise CliError("give --delta (one value per estimable effect) and/or --contrast")
@@ -351,8 +351,7 @@ def _meta(args, designs: list[str], correlation: CorrelationSpec,
 
 
 def cmd_power(args) -> int:
-    policy = TransitionPolicy(args.policy)
-    grid = _load_design(args.design, policy)
+    grid = _load_design(args.design, args.policy)
     correlation = _correlation_from_args(args)
     effects = _effects_from_args(args, grid)
     result = design_power(grid, correlation, effects)
@@ -386,14 +385,13 @@ def _sweep_table(args, specs: list[str]) -> int:
     With two or more designs, columns carry a ``_<design>`` suffix and the
     ``gain_`` columns give each design's power minus the first design's.
     """
-    policy = TransitionPolicy(args.policy)
     correlation = _sweep_template(args)
     points = _sweep_points(args)
     compare = len(specs) > 1
 
     names, effect_specs, tables = [], [], []
     for spec in specs:
-        grid = _load_design(spec, policy)
+        grid = _load_design(spec, args.policy)
         effects = _effects_from_args(args, grid)
         table = sweep(grid, correlation, effects, points=points)
         if len(table.errors) == len(points):
@@ -492,7 +490,6 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    policy = TransitionPolicy(args.policy)
     spec = args.design
     grid = _read_design(spec)
     violations = validate_design(grid)
@@ -501,7 +498,7 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     for v in violations:
         print(str(v))
-    if policy is TransitionPolicy.PERMISSIVE:
+    if args.policy == "permissive":
         print(f"{spec}: {len(violations)} warning(s) under the permissive policy")
         return EXIT_OK
     return EXIT_INPUT

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 from typing import Sequence
 
 import numpy as np
@@ -29,33 +28,24 @@ class UnknownDesignError(KeyError):
     """Catalog lookup for an id that does not exist."""
 
 
-class Condition(IntEnum):
-    """Cell condition; integer values double as the design-file codes."""
-
-    CONTROL = 0
-    TRT1 = 1
-    TRT2 = 2
-    BOTH = 3
-
-
-class TransitionPolicy(Enum):
-    STRICT = "strict"
-    PERMISSIVE = "permissive"
+# The names of the cell codes 0-3, as messages print them.
+_CONDITION_NAMES = ("CONTROL", "TRT1", "TRT2", "BOTH")
 
 
 @dataclass(frozen=True)
 class TransitionViolation:
-    """A disallowed transition entering (cluster_index, period_index)."""
+    """A disallowed transition entering (cluster_index, period_index),
+    from cell code ``before`` to cell code ``after``."""
 
     cluster_index: int
     period_index: int
-    before: Condition
-    after: Condition
+    before: int
+    after: int
 
     def __str__(self) -> str:
         return (
             f"cluster {self.cluster_index + 1}, period {self.period_index + 1}: "
-            f"{self.before.name} -> {self.after.name}"
+            f"{_CONDITION_NAMES[self.before]} -> {_CONDITION_NAMES[self.after]}"
         )
 
 
@@ -125,9 +115,9 @@ class DesignGrid:
     def to_codes(self) -> list[list[int]]:
         return self.codes.tolist()
 
-    def condition_counts(self) -> dict[Condition, int]:
-        counts = np.bincount(self.codes.ravel(), minlength=len(Condition))
-        return dict(zip(Condition, counts.tolist()))
+    def condition_counts(self) -> dict[int, int]:
+        """Number of cells holding each code 0-3."""
+        return dict(enumerate(np.bincount(self.codes.ravel(), minlength=4).tolist()))
 
     def indicators(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, W) 0/1 arrays of shape (I, T) for treatments 1 and 2."""
@@ -153,14 +143,13 @@ def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
 
     A treatment, once started, never stops: a transition is disallowed
     when a bit set in one period is clear in the next.  Whether the
-    entries are errors or warnings is the caller's :class:`TransitionPolicy`.
+    entries are errors or warnings is the caller's policy.
     """
     codes = grid.codes
     stopped = codes[:, :-1] & ~codes[:, 1:]
     return [
         TransitionViolation(cluster_index=int(i), period_index=int(j) + 1,
-                            before=Condition(int(codes[i, j])),
-                            after=Condition(int(codes[i, j + 1])))
+                            before=int(codes[i, j]), after=int(codes[i, j + 1]))
         for i, j in zip(*np.nonzero(stopped))
     ]
 
@@ -172,24 +161,28 @@ def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
 def generate_standard_swd(
     sequences: int,
     clusters_per_sequence: int,
-    treatment: Condition = Condition.TRT1,
+    treatment: int = 1,
     label: str = "",
 ) -> DesignGrid:
     """Classic one-treatment stepped wedge layout.
 
     Sequence s (1-based) stays in control through period s and receives
-    ``treatment`` from period s+1 on, over T = sequences + 1 periods, so
-    every cluster is treated in the final period.
+    ``treatment`` (cell code 1, 2 or 3) from period s+1 on, over
+    T = sequences + 1 periods, so every cluster is treated in the final
+    period.
     """
     if sequences < 1:
         raise DesignError("need at least one sequence")
     if clusters_per_sequence < 1:
         raise DesignError("need at least one cluster per sequence")
-    if treatment is Condition.CONTROL:
+    if treatment == 0:
         raise DesignError("treatment condition cannot be CONTROL")
+    if isinstance(treatment, bool) or not isinstance(treatment, (int, np.integer)) \
+            or not 1 <= treatment <= 3:
+        raise DesignError(f"treatment must be the cell code 1, 2 or 3, got {treatment!r}")
     starts = np.repeat(np.arange(1, sequences + 1), clusters_per_sequence)
     treated = np.arange(sequences + 1) >= starts[:, None]
-    return DesignGrid(np.where(treated, int(treatment), 0), label=label)
+    return DesignGrid(np.where(treated, treatment, 0), label=label)
 
 
 def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -> DesignGrid:
@@ -203,15 +196,14 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
         raise DesignError(
             f"period mismatch: {grid_a.n_periods} vs {grid_b.n_periods}"
         )
-    used_a = {c for c, n in grid_a.condition_counts().items() if n} - {Condition.CONTROL}
-    used_b = {c for c, n in grid_b.condition_counts().items() if n} - {Condition.CONTROL}
-    valid = (used_a <= {Condition.TRT1} and used_b <= {Condition.TRT2}) or (
-        used_a <= {Condition.TRT2} and used_b <= {Condition.TRT1}
-    )
+    used_a = {c for c, n in grid_a.condition_counts().items() if n} - {0}
+    used_b = {c for c, n in grid_b.condition_counts().items() if n} - {0}
+    valid = (used_a <= {1} and used_b <= {2}) or (used_a <= {2} and used_b <= {1})
     if not valid or (used_a & used_b):
         raise DesignError(
             "concurrent stacking needs disjoint single-treatment grids "
-            f"(got {sorted(c.name for c in used_a)} and {sorted(c.name for c in used_b)})"
+            f"(got {sorted(_CONDITION_NAMES[c] for c in used_a)} and "
+            f"{sorted(_CONDITION_NAMES[c] for c in used_b)})"
         )
     if not label:
         label = "+".join(p for p in (grid_a.label, grid_b.label) if p)
@@ -222,19 +214,16 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
 # Design catalog
 # ---------------------------------------------------------------------------
 
-_C, _1, _2, _B = 0, 1, 2, 3
-
-
 def _fig1() -> DesignGrid:
-    return generate_standard_swd(3, 2, Condition.TRT1, label="fig1")
+    return generate_standard_swd(3, 2, label="fig1")
 
 
 def _fig2a_trt1() -> DesignGrid:
-    return generate_standard_swd(3, 2, Condition.TRT1, label="fig2a-trt1")
+    return generate_standard_swd(3, 2, label="fig2a-trt1")
 
 
 def _fig2a_trt2() -> DesignGrid:
-    return generate_standard_swd(3, 2, Condition.TRT2, label="fig2a-trt2")
+    return generate_standard_swd(3, 2, treatment=2, label="fig2a-trt2")
 
 
 def _fig2b() -> DesignGrid:
@@ -245,16 +234,16 @@ def _fig2c() -> DesignGrid:
     # 10-cluster concurrent variant: one cluster dropped from the last
     # sequence of each treatment's wedge.  Rebuilt from summary counts.
     rows = [
-        [_C, _1, _1, _1],
-        [_C, _1, _1, _1],
-        [_C, _C, _1, _1],
-        [_C, _C, _1, _1],
-        [_C, _C, _C, _1],
-        [_C, _2, _2, _2],
-        [_C, _2, _2, _2],
-        [_C, _C, _2, _2],
-        [_C, _C, _2, _2],
-        [_C, _C, _C, _2],
+        [0, 1, 1, 1],
+        [0, 1, 1, 1],
+        [0, 0, 1, 1],
+        [0, 0, 1, 1],
+        [0, 0, 0, 1],
+        [0, 2, 2, 2],
+        [0, 2, 2, 2],
+        [0, 0, 2, 2],
+        [0, 0, 2, 2],
+        [0, 0, 0, 2],
     ]
     return DesignGrid(rows, label="fig2c", reconstructed=True)
 
@@ -263,7 +252,7 @@ def _fig5a() -> DesignGrid:
     # Late factorial: the 12-cluster concurrent design with every cluster
     # switched to the combined condition in the final period.
     codes = _fig2b().codes.copy()
-    codes[:, -1] = Condition.BOTH
+    codes[:, -1] = 3
     return DesignGrid(codes, label="fig5a")
 
 
@@ -273,16 +262,16 @@ def _fig5b() -> DesignGrid:
     # after a single-treatment phase.  Rebuilt from summary counts (6
     # cluster-periods per single treatment, 12 combined).
     rows = [
-        [_C, _C, _B, _B],
-        [_C, _C, _B, _B],
-        [_C, _1, _1, _B],
-        [_C, _1, _1, _B],
-        [_C, _1, _1, _B],
-        [_C, _2, _2, _B],
-        [_C, _2, _2, _B],
-        [_C, _2, _2, _B],
-        [_C, _C, _C, _B],
-        [_C, _C, _C, _B],
+        [0, 0, 3, 3],
+        [0, 0, 3, 3],
+        [0, 1, 1, 3],
+        [0, 1, 1, 3],
+        [0, 1, 1, 3],
+        [0, 2, 2, 3],
+        [0, 2, 2, 3],
+        [0, 2, 2, 3],
+        [0, 0, 0, 3],
+        [0, 0, 0, 3],
     ]
     return DesignGrid(rows, label="fig5b", reconstructed=True)
 
@@ -291,14 +280,14 @@ def _fig8_design1() -> DesignGrid:
     # Concurrent-style: each cluster makes a single transition from
     # control into one condition (including straight to combined).
     rows = [
-        [_C, _1, _1, _1, _1],
-        [_C, _C, _1, _1, _1],
-        [_C, _2, _2, _2, _2],
-        [_C, _C, _2, _2, _2],
-        [_C, _B, _B, _B, _B],
-        [_C, _C, _B, _B, _B],
-        [_C, _C, _C, _B, _B],
-        [_C, _C, _C, _C, _B],
+        [0, 1, 1, 1, 1],
+        [0, 0, 1, 1, 1],
+        [0, 2, 2, 2, 2],
+        [0, 0, 2, 2, 2],
+        [0, 3, 3, 3, 3],
+        [0, 0, 3, 3, 3],
+        [0, 0, 0, 3, 3],
+        [0, 0, 0, 0, 3],
     ]
     return DesignGrid(rows, label="fig8-design1", reconstructed=True)
 
@@ -308,14 +297,14 @@ def _fig8_design2() -> DesignGrid:
     # control -> treatment 2 -> combined, two adopt a single treatment
     # late.  Close to symmetric, with treatment 2 sequenced slightly later.
     rows = [
-        [_C, _1, _B, _B, _B],
-        [_C, _1, _1, _1, _B],
-        [_C, _C, _1, _1, _B],
-        [_C, _C, _2, _B, _B],
-        [_C, _2, _2, _B, _B],
-        [_C, _C, _2, _2, _B],
-        [_C, _C, _C, _C, _1],
-        [_C, _C, _C, _2, _2],
+        [0, 1, 3, 3, 3],
+        [0, 1, 1, 1, 3],
+        [0, 0, 1, 1, 3],
+        [0, 0, 2, 3, 3],
+        [0, 2, 2, 3, 3],
+        [0, 0, 2, 2, 3],
+        [0, 0, 0, 0, 1],
+        [0, 0, 0, 2, 2],
     ]
     return DesignGrid(rows, label="fig8-design2", reconstructed=True)
 
@@ -324,14 +313,14 @@ def _fig8_design3() -> DesignGrid:
     # Six clusters step into a single treatment classic-wedge style; every
     # cluster ends combined, with only two combined cells before the end.
     rows = [
-        [_C, _1, _1, _1, _B],
-        [_C, _C, _1, _1, _B],
-        [_C, _C, _1, _1, _B],
-        [_C, _2, _2, _2, _B],
-        [_C, _C, _2, _2, _B],
-        [_C, _C, _2, _2, _B],
-        [_C, _C, _C, _B, _B],
-        [_C, _C, _C, _B, _B],
+        [0, 1, 1, 1, 3],
+        [0, 0, 1, 1, 3],
+        [0, 0, 1, 1, 3],
+        [0, 2, 2, 2, 3],
+        [0, 0, 2, 2, 3],
+        [0, 0, 2, 2, 3],
+        [0, 0, 0, 3, 3],
+        [0, 0, 0, 3, 3],
     ]
     return DesignGrid(rows, label="fig8-design3", reconstructed=True)
 
@@ -340,14 +329,14 @@ def _fig8_design4() -> DesignGrid:
     # Like design 3 but with earlier combined starts and two clusters that
     # never reach the combined condition.
     rows = [
-        [_C, _1, _B, _B, _B],
-        [_C, _C, _1, _1, _B],
-        [_C, _C, _C, _1, _B],
-        [_C, _C, _1, _1, _1],
-        [_C, _2, _B, _B, _B],
-        [_C, _C, _2, _2, _B],
-        [_C, _C, _C, _2, _B],
-        [_C, _C, _2, _2, _2],
+        [0, 1, 3, 3, 3],
+        [0, 0, 1, 1, 3],
+        [0, 0, 0, 1, 3],
+        [0, 0, 1, 1, 1],
+        [0, 2, 3, 3, 3],
+        [0, 0, 2, 2, 3],
+        [0, 0, 0, 2, 3],
+        [0, 0, 2, 2, 2],
     ]
     return DesignGrid(rows, label="fig8-design4", reconstructed=True)
 

@@ -7,6 +7,7 @@ type I error rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -45,6 +46,14 @@ def normal_quantile(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def _critical_value(alpha: float) -> float:
+    """Critical value of the two-sided test at level ``alpha`` in (0, 1)."""
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
+                             "which has no normal quantile")
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
 def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
     """Two-sided Wald power for a single coefficient.
 
@@ -68,7 +77,7 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     if effect == 0:
         return alpha
-    return _two_sided_power([abs(effect) / se], normal_quantile(1.0 - alpha / 2.0))[0]
+    return _two_sided_power([abs(effect) / se], _critical_value(alpha))[0]
 
 
 def _two_sided_power(shifts: list[float], crit: float) -> list[float]:
@@ -131,9 +140,7 @@ class EffectSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
-        if 1.0 - self.alpha / 2.0 == 1.0:
-            raise ParameterError(f"alpha {self.alpha:g} is too small: 1 - alpha/2 rounds to 1, "
-                                 "which has no normal quantile")
+        _critical_value(self.alpha)  # raises for an alpha too small to have one
         for label, delta in self.deltas().items():
             if not math.isfinite(delta):
                 raise ParameterError(f"effect size for {label} must be finite, got {delta}")
@@ -262,7 +269,8 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
 
     The grid must be a numeric array-like of ints or floats, of shape
     (K,), or (K, 2) for a model with a second ICC; the spec must hold
-    ICCs.  Anything else raises :class:`ParameterError`.
+    ICCs.  Anything else, a grid holding a bool included, raises
+    :class:`ParameterError`.
     """
     if correlation.is_raw:
         raise ParameterError("cannot sweep correlations on a raw-component spec")
@@ -272,6 +280,10 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
     except (TypeError, ValueError, OverflowError):
         values = np.array(None)
     numeric = values.dtype.kind in "fiu"
+    if numeric and values.ndim in (1, 2) and not isinstance(points, np.ndarray):
+        # numpy reads True and False among numbers as 1 and 0
+        cells = points if values.ndim == 1 else itertools.chain.from_iterable(points)
+        numeric = {bool, np.bool_}.isdisjoint(map(type, cells))
     if numeric and values.shape[1:] == (2,) and second is None:
         raise ParameterError("cross-sectional sweep points are single rho_w values")
     if not numeric or values.ndim == 0 or values.shape[1:] not in ((), (2,)):
@@ -335,7 +347,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
             finished = np.isfinite(root).all(axis=1) & (root > 0.0).all(axis=1)
         rows = np.flatnonzero(valid)[solved][finished]
         se[rows] = root[finished]
-        crit = normal_quantile(1.0 - effects.alpha / 2.0)
+        crit = _critical_value(effects.alpha)
         for j, (size, shifts) in enumerate(zip(sizes.tolist(), (abs(sizes) / se[rows]).T)):
             power[rows, j] = effects.alpha if size == 0 else \
                 _two_sided_power(shifts.tolist(), crit)

@@ -24,13 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import CompoundSymmetry, ParameterError
-from .designs import Condition, DesignGrid
+from .designs import DesignGrid
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
 
 # Information matrices with a worse condition number than this are treated
 # as rank deficient rather than invertible-but-noisy.
 CONDITION_LIMIT = 1e12
+
+NO_EFFECTS_ESTIMABLE = "design has no treated cluster-periods; no effects are estimable"
 
 
 class RankDeficiencyError(ValueError):
@@ -129,11 +131,12 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
                              np.float64(cs.between_variance))
 
 
-def active_effects(grid: DesignGrid) -> tuple[str, ...]:
-    """Labels of the effects whose indicator columns are nonzero."""
-    counts = grid.condition_counts()
-    both = counts[Condition.BOTH]
-    present = (counts[Condition.TRT1] + both, counts[Condition.TRT2] + both, both)
+def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
+    """Labels of the effects whose indicator columns are nonzero: the
+    effects an analysis of ``grid`` estimates.  ``additive`` drops the
+    interaction, which an additive analysis leaves out of the model."""
+    _, trt1, trt2, both = grid.condition_counts().values()
+    present = (trt1 + both, trt2 + both, 0 if additive else both)
     return tuple(label for label, n in zip(EFFECT_LABELS, present) if n)
 
 
@@ -161,9 +164,6 @@ class TreatmentCovariance:
     def variance(self, label: str) -> float:
         i = self.index(label)
         return float(self.matrix[i, i])
-
-    def covariance(self, label_a: str, label_b: str) -> float:
-        return float(self.matrix[self.index(label_a), self.index(label_b)])
 
     def se(self, label: str) -> float:
         return float(np.sqrt(self.variance(label)))
@@ -229,11 +229,6 @@ def _invert_symmetric(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((adj / det).T)
 
 
-def _estimable_labels(grid: DesignGrid, additive: bool) -> tuple[str, ...]:
-    dropped = ("interaction",) if additive else ()
-    return tuple(label for label in active_effects(grid) if label not in dropped)
-
-
 def closed_form_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
@@ -255,11 +250,9 @@ def closed_form_covariance(
         present effects is (numerically) singular, naming the offending
         effect.
     """
-    labels = _estimable_labels(grid, additive)
+    labels = active_effects(grid, additive)
     if not labels:
-        raise RankDeficiencyError(
-            "design has no treated cluster-periods; no effects are estimable"
-        )
+        raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
     active = [EFFECT_LABELS.index(label) for label in labels]
     s = information_matrix(grid, cs)[np.ix_(active, active)]
     if not np.isfinite(s).all():
@@ -292,7 +285,7 @@ def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
     the bits :func:`closed_form_covariance` gives at its point; the points
     outside the mask are left to it to say what is wrong with them.
     """
-    labels = _estimable_labels(grid, additive)
+    labels = active_effects(grid, additive)
     if not labels:
         return labels, np.zeros(len(sig_c), dtype=bool), np.empty((0, 0, 0))
     active = [EFFECT_LABELS.index(label) for label in labels]
@@ -324,9 +317,7 @@ def oracle_covariance(
     limit = 2 if additive else 3
     active = [k for k in range(limit) if treat[..., k].any()]
     if not active:
-        raise RankDeficiencyError(
-            "design has no treated cluster-periods; no effects are estimable"
-        )
+        raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
     labels = tuple(EFFECT_LABELS[k] for k in active)
 
     # intercept, then indicators of periods 1..T-1 (the last is the reference)

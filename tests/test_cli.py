@@ -145,6 +145,22 @@ class TestRejectedInputs:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("power", "--design", "fig2b", "--model", "cs", "--rho-w", "0.1", "--n", "15",
+         "--delta", "0.4"),
+        ("sweep", "--design", "fig1", "--model", "cs", "--n", "15", "--delta", "0.4",
+         "--rho-values", "0.1,0.2"),
+        ("catalog",),
+        ("catalog", "fig1"),
+    ], ids=["power", "sweep", "catalog-list", "catalog-dump"])
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, missing_dir):
+        target = str(tmp_path / "missing" / "x.csv" if missing_dir else tmp_path)
+        code, out, err = run(capsys, *argv, "--output", target)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write output file {target!r}: ")
+        assert err.count("\n") == 1
+
     def test_unrepresentable_covariance_exits_2(self, capsys):
         # the information matrix is finite here, but the determinant its
         # inverse divides by underflows to zero

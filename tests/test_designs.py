@@ -6,7 +6,6 @@ import pytest
 
 from designgen import dense_design_matrix, random_grid
 from swedge.designs import (
-    Condition,
     DesignError,
     DesignGrid,
     UnknownDesignError,
@@ -45,9 +44,7 @@ class TestGridStructure:
 
     def test_counts_and_indicators(self):
         grid = DesignGrid([[C, T1, B], [C, T2, T2]])
-        counts = grid.condition_counts()
-        assert counts[Condition.TRT1] == 1
-        assert counts[Condition.BOTH] == 1
+        assert grid.condition_counts() == {C: 2, T1: 1, T2: 2, B: 1}
         x, w = grid.indicators()
         assert x.tolist() == [[0, 1, 1], [0, 0, 0]]
         assert w.tolist() == [[0, 0, 1], [0, 1, 1]]
@@ -86,7 +83,8 @@ class TestValidation:
         assert len(violations) == 1
         v = violations[0]
         assert (v.cluster_index, v.period_index) == (0, 2)
-        assert (v.before, v.after) == (Condition.TRT1, Condition.TRT2)
+        assert (v.before, v.after) == (T1, T2)
+        assert str(v) == "cluster 1, period 3: TRT1 -> TRT2"
 
     @pytest.mark.parametrize(
         "row",
@@ -127,10 +125,10 @@ class TestValidation:
         found = [(v.cluster_index, v.period_index, v.before, v.after)
                  for v in validate_design(grid)]
         assert found == [
-            (0, 1, Condition.TRT1, Condition.CONTROL),
-            (0, 3, Condition.TRT1, Condition.TRT2),
-            (1, 1, Condition.BOTH, Condition.TRT2),
-            (1, 2, Condition.TRT2, Condition.CONTROL),
+            (0, 1, T1, C),
+            (0, 3, T1, T2),
+            (1, 1, B, T2),
+            (1, 2, T2, C),
         ]
 
 
@@ -175,7 +173,7 @@ class TestDesignMatrix:
 
 class TestGenerators:
     def test_standard_swd_matches_figure1(self):
-        grid = generate_standard_swd(3, 2, Condition.TRT1)
+        grid = generate_standard_swd(3, 2, T1)
         assert grid.to_codes() == [
             [0, 1, 1, 1],
             [0, 1, 1, 1],
@@ -190,8 +188,8 @@ class TestGenerators:
         assert grid.to_codes() == [[0, 1]]
 
     def test_treatment2_variant_is_a_label_swap(self):
-        g1 = generate_standard_swd(3, 2, Condition.TRT1)
-        g2 = generate_standard_swd(3, 2, Condition.TRT2)
+        g1 = generate_standard_swd(3, 2, T1)
+        g2 = generate_standard_swd(3, 2, T2)
         assert g2 == g1.swap_treatments()
 
     def test_generated_designs_always_validate(self):
@@ -199,16 +197,26 @@ class TestGenerators:
         for _ in range(20):
             s = int(rng.integers(1, 7))
             k = int(rng.integers(1, 4))
-            trt = Condition(int(rng.integers(1, 4)))
+            trt = int(rng.integers(1, 4))
             assert validate_design(generate_standard_swd(s, k, trt)) == []
 
-    def test_control_treatment_rejected(self):
-        with pytest.raises(DesignError):
-            generate_standard_swd(2, 1, Condition.CONTROL)
+    @pytest.mark.parametrize("treatment", [C, np.int8(C), 0.0])
+    def test_control_treatment_rejected(self, treatment):
+        with pytest.raises(DesignError) as info:
+            generate_standard_swd(3, 2, treatment=treatment)
+        assert str(info.value) == "treatment condition cannot be CONTROL"
+
+    def test_treatment_is_a_cell_code(self):
+        assert generate_standard_swd(1, 1, treatment=np.int8(B)).to_codes() == [[C, B]]
+        for treatment in (4, -1, 1.5, True, "2", None):
+            with pytest.raises(DesignError) as info:
+                generate_standard_swd(1, 1, treatment=treatment)
+            assert str(info.value) == ("treatment must be the cell code 1, 2 or 3, "
+                                       f"got {treatment!r}")
 
     def test_concurrent_stacks_rows_in_order(self):
-        a = generate_standard_swd(3, 2, Condition.TRT1)
-        b = generate_standard_swd(3, 2, Condition.TRT2)
+        a = generate_standard_swd(3, 2, T1)
+        b = generate_standard_swd(3, 2, T2)
         stacked = concurrent_design(a, b)
         assert stacked.n_clusters == 12
         assert stacked.to_codes()[:6] == a.to_codes()
@@ -216,51 +224,53 @@ class TestGenerators:
         assert stacked.to_codes() == catalog_design("fig2b").to_codes()
 
     def test_concurrent_allows_all_control_partner(self):
-        a = generate_standard_swd(2, 1, Condition.TRT1)
+        a = generate_standard_swd(2, 1, T1)
         extra = all_control(n_clusters=3, n_periods=a.n_periods)
         stacked = concurrent_design(a, extra)
         assert stacked.n_clusters == a.n_clusters + 3
 
     def test_concurrent_period_mismatch(self):
-        a = generate_standard_swd(2, 1, Condition.TRT1)
-        b = generate_standard_swd(3, 1, Condition.TRT2)
+        a = generate_standard_swd(2, 1, T1)
+        b = generate_standard_swd(3, 1, T2)
         with pytest.raises(DesignError, match="period mismatch"):
             concurrent_design(a, b)
 
     def test_concurrent_overlapping_alphabets(self):
-        a = generate_standard_swd(2, 1, Condition.TRT1)
-        b = generate_standard_swd(2, 1, Condition.TRT1)
+        a = generate_standard_swd(2, 1, T1)
+        b = generate_standard_swd(2, 1, T1)
         with pytest.raises(DesignError, match="disjoint"):
             concurrent_design(a, b)
-        factorial = DesignGrid([[C, B, B]])
-        with pytest.raises(DesignError, match="disjoint"):
+        factorial = DesignGrid([[C, B, B], [C, T1, B]])
+        with pytest.raises(DesignError) as info:
             concurrent_design(a, factorial)
+        assert str(info.value) == ("concurrent stacking needs disjoint single-treatment "
+                                   "grids (got ['TRT1'] and ['BOTH', 'TRT1'])")
 
 
 class TestCatalog:
     def test_fig1(self):
         grid = catalog_design("fig1")
         assert (grid.n_clusters, grid.n_periods) == (6, 4)
-        assert grid.condition_counts()[Condition.TRT1] == 12
+        assert grid.condition_counts()[T1] == 12
         assert not grid.reconstructed
 
     def test_fig5a_counts(self):
         grid = catalog_design("fig5a")
         counts = grid.condition_counts()
         assert grid.n_clusters == 12
-        assert all(row[-1] == Condition.BOTH for row in grid.to_codes())
-        assert counts[Condition.BOTH] == 12
-        assert counts[Condition.TRT1] == 6
-        assert counts[Condition.TRT2] == 6
+        assert all(row[-1] == B for row in grid.to_codes())
+        assert counts[B] == 12
+        assert counts[T1] == 6
+        assert counts[T2] == 6
 
     def test_fig5b_counts(self):
         grid = catalog_design("fig5b")
         counts = grid.condition_counts()
         assert grid.n_clusters == 10
-        assert counts[Condition.BOTH] == 12
-        assert counts[Condition.TRT1] == 6
-        assert counts[Condition.TRT2] == 6
-        early = [row for row in grid.to_codes() if row[2] == Condition.BOTH]
+        assert counts[B] == 12
+        assert counts[T1] == 6
+        assert counts[T2] == 6
+        early = [row for row in grid.to_codes() if row[2] == B]
         assert len(early) == 2
         assert grid.reconstructed
 
@@ -270,24 +280,24 @@ class TestCatalog:
         grid = catalog_design(design_id)
         counts = grid.condition_counts()
         assert grid.n_clusters == 8
-        assert counts[Condition.TRT1] == 7
-        assert counts[Condition.TRT2] == 7
-        assert counts[Condition.BOTH] == 10
+        assert counts[T1] == 7
+        assert counts[T2] == 7
+        assert counts[B] == 10
         assert grid.reconstructed
 
     def test_fig8_design3_combined_timing(self):
         grid = catalog_design("fig8-design3")
         last = grid.n_periods - 1
-        assert all(row[last] == Condition.BOTH for row in grid.to_codes())
+        assert all(row[last] == B for row in grid.to_codes())
         before_last = sum(
             1 for row in grid.to_codes() for j, c in enumerate(row)
-            if c == Condition.BOTH and j < last
+            if c == B and j < last
         )
         assert before_last == 2
 
     def test_fig8_design4_two_clusters_never_combined(self):
         grid = catalog_design("fig8-design4")
-        never = [row for row in grid.to_codes() if Condition.BOTH not in row]
+        never = [row for row in grid.to_codes() if B not in row]
         assert len(never) == 2
 
     def test_every_catalog_design_validates_cleanly(self):
@@ -362,4 +372,4 @@ class TestSerialization:
     def test_json_alternative_form(self):
         grid = parse_design('{"label": "x", "cells": [[0, 1], [0, 3]]}')
         assert grid.label == "x"
-        assert grid.to_codes()[1][1] == Condition.BOTH
+        assert grid.to_codes()[1][1] == B

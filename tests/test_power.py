@@ -70,6 +70,14 @@ class TestWaldPower:
         with pytest.raises(ValueError):
             wald_power(0.4, 1.0, 1.0)
 
+    def test_alpha_whose_quantile_rounds_away_is_rejected_for_a_nonzero_effect(self):
+        # statistics.StatisticsError is a ValueError too, so the text is checked
+        with pytest.raises(ValueError) as info:
+            wald_power(1.0, 1.0, 1e-300)
+        assert str(info.value) == ("alpha 1e-300 is too small: 1 - alpha/2 rounds to 1, "
+                                   "which has no normal quantile")
+        assert wald_power(0.0, 1.0, 1e-300) == 1e-300
+
     @pytest.mark.parametrize("effect, se", [
         (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
         (0.4, float("nan")), (0.4, float("inf")), (0.0, float("nan")),
@@ -293,16 +301,19 @@ class TestSweep:
         (cs_spec(), 0.1, "rho_w values$"),
         (cs_spec(), np.array([0.1], dtype=object), "rho_w values$"),
         (cs_spec(), [1j], "rho_w values$"),
+        (cs_spec(), [0.1, True], "^sweep points must be a numeric [(]K,[)] array-like of rho_w values$"),
+        (cs_spec(), [np.float64(0.1), np.bool_(True)], "rho_w values$"),
         (COHORT_TEMPLATE, [(0.1, 0.5), ("x", 0.5), (0.1, None)],
          "or a [(]K, 2[)] array-like of [(]rho_w, pi[)] pairs$"),
         (COHORT_TEMPLATE, [0.1, (0.1, 0.5)], "pairs$"),
+        (COHORT_TEMPLATE, [(0.1, True), (0.1, 0.5)], "pairs$"),
         (COHORT_TEMPLATE, np.zeros((2, 3)), "pairs$"),
         (COHORT_TEMPLATE, np.zeros((2, 1)), "pairs$"),
         (COHORT_TEMPLATE, np.zeros((2, 2, 2)), "pairs$"),
         (RAW_TEMPLATE, [0.1], "^cannot sweep correlations on a raw-component spec$"),
     ], ids=["cs-unreadable", "cs-pairs", "cs-empty-pairs", "bools", "strings", "none",
-            "scalar", "object-array", "complex", "cohort-unreadable", "cohort-mixed",
-            "cohort-k-by-3", "cohort-k-by-1", "cohort-3d", "raw-template"])
+            "scalar", "object-array", "complex", "cs-bool-mixed", "cs-numpy-bool-mixed",
+            "cohort-unreadable", "cohort-mixed", "cohort-bool-mixed", "cohort-k-by-3", "cohort-k-by-1", "cohort-3d", "raw-template"])
     def test_a_grid_that_is_not_numeric_k_or_k_by_2_raises_before_solving(
             self, monkeypatch, template, points, message):
         import swedge.power

@@ -22,6 +22,7 @@ from swedge.designs import (
 )
 from swedge.variance import (
     RankDeficiencyError,
+    active_effects,
     closed_form_covariance,
     closed_form_stack,
     contrast_variance,
@@ -172,10 +173,24 @@ class TestReductionsAndErrors:
     def test_all_control_design_is_inestimable(self):
         grid = DesignGrid([[C, C, C]] * 3)
         cs = std_cs()
-        with pytest.raises(RankDeficiencyError):
-            closed_form_covariance(grid, cs)
-        with pytest.raises(RankDeficiencyError):
-            oracle_covariance(grid, cs)
+        message = "design has no treated cluster-periods; no effects are estimable"
+        for solve in (closed_form_covariance, oracle_covariance):
+            with pytest.raises(RankDeficiencyError) as err:
+                solve(grid, cs)
+            assert str(err.value) == message
+        assert active_effects(grid) == active_effects(grid, additive=True) == ()
+
+    @pytest.mark.parametrize("cells, effects, additive_effects", [
+        ([[C, T1]], ("trt1",), ("trt1",)),
+        ([[C, T2]], ("trt2",), ("trt2",)),
+        ([[C, B]], ("trt1", "trt2", "interaction"), ("trt1", "trt2")),
+        ([[C, T1], [C, T2]], ("trt1", "trt2"), ("trt1", "trt2")),
+    ])
+    def test_active_effects_follow_the_codes_and_the_analysis(self, cells, effects,
+                                                              additive_effects):
+        grid = DesignGrid(cells)
+        assert active_effects(grid) == effects
+        assert active_effects(grid, additive=True) == additive_effects
 
     def test_treatment2_only_design_reduces_to_one_effect(self):
         grid = generate_standard_swd(3, 1, treatment=2)
@@ -315,7 +330,8 @@ class TestContrastVariance:
 
     def test_difference_identity_on_symmetric_design(self):
         cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
-        expected = 2.0 * (cov.variance("trt1") - cov.covariance("trt1", "trt2"))
+        assert cov.labels == ("trt1", "trt2")
+        expected = 2.0 * (cov.variance("trt1") - cov.matrix[0, 1])
         assert contrast_variance((1.0, -1.0), cov) == pytest.approx(expected, rel=1e-12)
 
     def test_concurrent_beats_factorial_for_treatment_comparison(self):
