@@ -177,9 +177,6 @@ def generate_standard_swd(
         raise DesignError("need at least one cluster per sequence")
     if treatment == 0:
         raise DesignError("treatment condition cannot be CONTROL")
-    if isinstance(treatment, bool) or not isinstance(treatment, (int, np.integer)) \
-            or not 1 <= treatment <= 3:
-        raise DesignError(f"treatment must be the cell code 1, 2 or 3, got {treatment!r}")
     starts = np.repeat(np.arange(1, sequences + 1), clusters_per_sequence)
     treated = np.arange(sequences + 1) >= starts[:, None]
     return DesignGrid(np.where(treated, treatment, 0), label=label)

@@ -208,11 +208,9 @@ class TestGenerators:
 
     def test_treatment_is_a_cell_code(self):
         assert generate_standard_swd(1, 1, treatment=np.int8(B)).to_codes() == [[C, B]]
-        for treatment in (4, -1, 1.5, True, "2", None):
-            with pytest.raises(DesignError) as info:
+        for treatment in (4, -1, 1.5, None):
+            with pytest.raises(DesignError, match="unknown condition code"):
                 generate_standard_swd(1, 1, treatment=treatment)
-            assert str(info.value) == ("treatment must be the cell code 1, 2 or 3, "
-                                       f"got {treatment!r}")
 
     def test_concurrent_stacks_rows_in_order(self):
         a = generate_standard_swd(3, 2, T1)
@@ -240,9 +238,12 @@ class TestGenerators:
         b = generate_standard_swd(2, 1, T1)
         with pytest.raises(DesignError, match="disjoint"):
             concurrent_design(a, b)
-        factorial = DesignGrid([[C, B, B], [C, T1, B]])
-        with pytest.raises(DesignError) as info:
+        factorial = DesignGrid([[C, B, B]])
+        with pytest.raises(DesignError, match="disjoint"):
             concurrent_design(a, factorial)
+        mixed = DesignGrid([[C, B, B], [C, T1, B]])
+        with pytest.raises(DesignError) as info:
+            concurrent_design(a, mixed)
         assert str(info.value) == ("concurrent stacking needs disjoint single-treatment "
                                    "grids (got ['TRT1'] and ['BOTH', 'TRT1'])")
 
