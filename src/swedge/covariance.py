@@ -110,16 +110,9 @@ class CompoundSymmetry:
             raise SingularCovarianceError(
                 f"cluster covariance is singular: diagonal {self.diag} <= off-diagonal {self.offdiag}"
             )
-
-    @property
-    def within_variance(self) -> float:
-        """Effective residual variance (diagonal minus off-diagonal)."""
-        return self.diag - self.offdiag
-
-    @property
-    def between_variance(self) -> float:
-        """Effective cluster-level variance (the off-diagonal entry)."""
-        return self.offdiag
+        if not (math.isfinite(self.diag) and math.isfinite(self.offdiag)):
+            raise ParameterError(f"cluster covariance entries must be finite, got diagonal "
+                                 f"{self.diag}, off-diagonal {self.offdiag}")
 
 
 def _entries(model: CovarianceModel, n: float, rho_w, rho_a=None, pi=None):
@@ -142,11 +135,11 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     entry per point.
 
     ``rho_w`` and the model's second ICC are arrays of one shape.  Returns
-    ``(ok, within, between)``: a mask of the points that pass every domain
+    ``(ok, diag, offdiag)``: a mask of the points that pass every domain
     check of :class:`CorrelationSpec` and :class:`CompoundSymmetry`, and
-    the within variance (diagonal minus off-diagonal) and between variance
-    (the off-diagonal) of those points, in order.  Building the scalar
-    objects says what is wrong with the other points.
+    the diagonal and off-diagonal entries of those points, in order, with
+    the bits the scalar objects hold.  Building those objects at a point
+    outside the mask raises the error that point has.
     """
     ok = (0.0 <= rho_w) & (rho_w < 1.0)
     if pi is not None:
@@ -159,7 +152,7 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     diag, off = _entries(model, float(n_per_period), rho_w[ok], **second)
     valid = (off >= 0.0) & (diag > off)
     ok[ok] = valid
-    return ok, (diag - off)[valid], off[valid]
+    return ok, diag[valid], off[valid]
 
 
 def standardize(raw: RawComponents, model: CovarianceModel) -> dict[str, float]:

@@ -21,8 +21,7 @@ from .variance import (
     RankDeficiencyError,
     closed_form_covariance,
     closed_form_stack,
-    contrast_variance,
-    quadratic_form,
+    contrast_variances,
 )
 
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
@@ -191,23 +190,57 @@ class PowerResult:
         return tuple(r.label for r in self.rows)
 
 
-def _contrast_effect(spec: ContrastSpec, labels: tuple[str, ...],
-                     deltas: dict[str, float]) -> float:
-    if spec.effect is not None:
-        return spec.effect
-    total = 0.0
-    for weight, label in zip(spec.weights, labels):
-        if weight == 0:
-            continue
-        if label not in deltas:
-            raise ParameterError(
-                f"contrast {spec.label!r} has no explicit effect size and no "
-                f"effect size was given for {label}"
-            )
-        total += weight * deltas[label]
-    if not math.isfinite(total):
-        raise ParameterError(f"contrast {spec.label!r} effect size is not finite")
-    return total
+def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
+    """The result columns of ``effects`` from m covariance matrices of the
+    effects ``labels``: ``(names, sizes, se, power, errors)``, the result
+    labels and effect sizes, (m, n) SE and power arrays, nan in failed rows,
+    and a map from each failed row to the first error of its columns.  A
+    contrast variance that is not finite and positive fails its row; any
+    other check fails every row and leaves the effect sizes nan.
+    """
+    deltas = effects.deltas()
+    names = (*deltas, *(spec.label for spec in effects.contrasts))
+    sizes, variances, errors = list(deltas.values()), [], {}
+    try:
+        for label in deltas:
+            if label not in labels:
+                raise RankDeficiencyError(
+                    "effect size requested for an effect the design cannot estimate",
+                    effect=label,
+                )
+            i = labels.index(label)
+            variances.append(matrices[:, i, i])
+        for spec in effects.contrasts:
+            var, failed = contrast_variances(spec.weights, matrices)
+            errors = {**failed, **errors}
+            variances.append(var)
+            size = spec.effect
+            if size is None:  # the weighted combination of the main effect sizes
+                pairs = [(w, label) for w, label in zip(spec.weights, labels) if w != 0]
+                for _, label in pairs:
+                    if label not in deltas:
+                        raise ParameterError(
+                            f"contrast {spec.label!r} has no explicit effect size and no "
+                            f"effect size was given for {label}")
+                size = sum(w * deltas[label] for w, label in pairs)
+                if not math.isfinite(size):
+                    raise ParameterError(f"contrast {spec.label!r} effect size is not finite")
+            sizes.append(size)
+    except (ParameterError, RankDeficiencyError) as exc:
+        errors = {**dict.fromkeys(range(len(matrices)), exc), **errors}
+        nan = np.full((len(matrices), len(names)), math.nan)
+        return names, (math.nan,) * len(names), nan, nan.copy(), errors
+    # a failed row's variance may be nan or 0; a shift beyond the float range has power 1
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        se = np.sqrt(np.array(variances).T)
+        shifts = np.abs(sizes) / se
+    crit = _critical_value(effects.alpha)
+    power = np.array([[effects.alpha] * len(matrices) if size == 0
+                      else _two_sided_power(column, crit)
+                      for size, column in zip(sizes, shifts.T.tolist())]).T
+    if errors:
+        se[list(errors)] = power[list(errors)] = math.nan
+    return names, tuple(sizes), se, power, errors
 
 
 def design_power(grid: DesignGrid, correlation: CorrelationSpec,
@@ -220,25 +253,14 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
     """
     cov = closed_form_covariance(grid, correlation.cov_entries(),
                                  additive=effects.additive)
-    deltas = effects.deltas()
-    rows = []
-    for label, delta in deltas.items():
-        if label not in cov.labels:
-            raise RankDeficiencyError(
-                "effect size requested for an effect the design cannot estimate",
-                effect=label,
-            )
-        se = cov.se(label)
-        rows.append(EffectPower(label=label, effect=delta, se=se,
-                                power=wald_power(delta, se, effects.alpha)))
-    for spec in effects.contrasts:
-        se = float(np.sqrt(contrast_variance(spec.weights, cov)))
-        effect = _contrast_effect(spec, cov.labels, deltas)
-        rows.append(EffectPower(label=spec.label, effect=effect, se=se,
-                                power=wald_power(effect, se, effects.alpha)))
+    names, sizes, se, power, errors = _result_columns(effects, cov.labels, cov.matrix[None])
+    if errors:
+        raise errors[0]
+    rows = tuple(EffectPower(label=label, effect=size, se=s, power=p)
+                 for label, size, s, p in zip(names, sizes, se[0].tolist(), power[0].tolist()))
     metadata = {**correlation.describe(), "alpha": effects.alpha,
                 "estimable_effects": list(cov.labels)}
-    return PowerResult(rows=tuple(rows), design_label=grid.label, model=correlation.model,
+    return PowerResult(rows=rows, design_label=grid.label, model=correlation.model,
                        metadata=metadata)
 
 
@@ -293,24 +315,6 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
     return dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float)))
 
 
-def _batch_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
-    """Effect sizes and (m, n) variances of the result columns from m
-    covariance matrices of ``labels``; None if the design cannot give them."""
-    deltas = effects.deltas()
-    if any(label not in labels for label in deltas) \
-            or any(len(spec.weights) != len(labels) for spec in effects.contrasts):
-        return None
-    try:
-        sizes = [*deltas.values(),
-                 *(_contrast_effect(spec, labels, deltas) for spec in effects.contrasts)]
-    except ParameterError:
-        return None
-    columns = [matrices[:, i, i] for i in map(labels.index, deltas)]
-    columns += [quadratic_form(np.array(spec.weights, dtype=float), matrices)
-                for spec in effects.contrasts]
-    return np.array(sizes), np.stack(columns, axis=-1)
-
-
 def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
           points=DEFAULT_RHO_GRID) -> SweepTable:
     """Evaluate power across a grid of correlation values.
@@ -323,8 +327,8 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     the model's domain are reported in the table's ``errors`` without
     aborting the rest.  All points are solved as one batch from one
     summary of the design, and SE and power are computed a column at a
-    time.  A point the batch cannot finish goes through
-    :func:`design_power`, which raises the error the table reports for it.
+    time; :func:`design_power` is the same computation at one point, and
+    each failed point reports the error it raises there.
     """
     model = correlation.model
     given = _icc_columns(points, correlation)
@@ -333,35 +337,26 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     if model.second_icc:
         icc[model.second_icc] = given.get(model.second_icc,
                                           np.full(count, getattr(correlation, model.second_icc)))
-    valid, sig_c, sig_a = cluster_cov_stack(model, correlation.n_per_period, **icc)
-    estimable, solved, matrices = closed_form_stack(grid, sig_c, sig_a,
-                                                    additive=effects.additive)
-    labels = (*effects.deltas(), *(spec.label for spec in effects.contrasts))
+    valid, diag, offdiag = cluster_cov_stack(model, correlation.n_per_period, **icc)
+    estimable, solved, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
+                                                                  additive=effects.additive)
+    labels, sizes, se_solved, power_solved, result_errors = _result_columns(
+        effects, estimable, matrices)
+    index = np.flatnonzero(valid)
+    rows = index[solved]
     se = np.full((count, len(labels)), math.nan)
     power = se.copy()
-    batch = _batch_columns(effects, estimable, matrices)
-    sizes, variances = batch or (np.full(len(labels), math.nan), None)
-    if variances is not None:
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(variances)
-            finished = np.isfinite(root).all(axis=1) & (root > 0.0).all(axis=1)
-        rows = np.flatnonzero(valid)[solved][finished]
-        se[rows] = root[finished]
-        crit = _critical_value(effects.alpha)
-        for j, (size, shifts) in enumerate(zip(sizes.tolist(), (abs(sizes) / se[rows]).T)):
-            power[rows, j] = effects.alpha if size == 0 else \
-                _two_sided_power(shifts.tolist(), crit)
+    se[rows], power[rows] = se_solved, power_solved
 
     errors = {}
-    failed = np.flatnonzero(np.isnan(se[:, 0]))
-    for k, *values in zip(failed.tolist(), *(col[failed].tolist() for col in given.values())):
+    # the domain errors come from the scalar checks, which solve nothing
+    invalid = np.flatnonzero(~valid)
+    for k, *values in zip(invalid.tolist(), *(col[invalid].tolist() for col in given.values())):
         try:
-            result = design_power(grid, correlation.with_icc(**dict(zip(given, values))),
-                                  effects)
-        except (ParameterError, RankDeficiencyError) as exc:
+            correlation.with_icc(**dict(zip(given, values))).cov_entries()
+        except ParameterError as exc:
             errors[k] = (str(exc), type(exc))
-            continue
-        se[k] = [r.se for r in result.rows]
-        power[k] = [r.power for r in result.rows]
-    return SweepTable(labels=labels, effects=tuple(sizes.tolist()), icc=icc, se=se,
-                      power=power, errors=errors)
+    for at, exceptions in ((index, solve_errors), (rows, result_errors)):
+        errors.update((int(at[j]), (str(exc), type(exc))) for j, exc in exceptions.items())
+    return SweepTable(labels=labels, effects=tuple(map(float, sizes)), icc=icc, se=se,
+                      power=power, errors=dict(sorted(errors.items())))

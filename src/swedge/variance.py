@@ -18,6 +18,7 @@ substituting their effective diagonal/off-diagonal values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -127,8 +128,8 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
 
     One point of :func:`information_stack`, on the summary of ``grid``.
     """
-    return information_stack(design_summary(grid), np.float64(cs.within_variance),
-                             np.float64(cs.between_variance))
+    return information_stack(design_summary(grid), np.float64(cs.diag - cs.offdiag),
+                             np.float64(cs.offdiag))
 
 
 def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
@@ -148,10 +149,6 @@ class TreatmentCovariance:
     labels: tuple[str, ...]
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -167,29 +164,6 @@ class TreatmentCovariance:
 
     def se(self, label: str) -> float:
         return float(np.sqrt(self.variance(label)))
-
-
-def _well_conditioned(eigvals: np.ndarray) -> np.ndarray:
-    """Mask of the matrices, given by their ascending eigenvalues, that
-    pass the rank check."""
-    top = np.abs(eigvals).max(axis=-1)
-    return (top > 0.0) & (eigvals[..., 0] > top / CONDITION_LIMIT)
-
-
-def _check_rank(s: np.ndarray, labels: tuple[str, ...]) -> None:
-    eigvals = np.linalg.eigvalsh(s)
-    if _well_conditioned(eigvals):
-        return
-    top = float(np.max(np.abs(eigvals)))
-    vec = np.linalg.eigh(s)[1][:, 0]
-    effect = labels[int(np.argmax(np.abs(vec)))]
-    cond = np.inf if eigvals[0] <= 0 else top / eigvals[0]
-    raise RankDeficiencyError(
-        "information matrix is rank deficient; the effect is confounded "
-        "with the intercept, period effects, or another treatment column",
-        effect=effect,
-        condition=cond,
-    )
 
 
 def _invert_symmetric(s: np.ndarray) -> np.ndarray:
@@ -232,71 +206,92 @@ def _invert_symmetric(s: np.ndarray) -> np.ndarray:
 def closed_form_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
-    """Covariance of the effect estimates via the closed-form information matrix.
+    """Covariance of the effect estimates via the closed-form information
+    matrix: one point of :func:`closed_form_stack`, raising its error.
 
     The information matrix automatically drops effects whose columns are
     absent (no combined-condition cells -> 2x2; single treatment -> 1x1).
     ``additive`` excludes the interaction column from the analysis model
     even when combined-condition cells exist, for designs analyzed under
     assumed-additive treatment effects.
-
-    Raises
-    ------
-    ParameterError
-        If the covariance entries overflow or underflow the information
-        matrix or its inverse.
-    RankDeficiencyError
-        If no effect is present at all, or the information matrix for the
-        present effects is (numerically) singular, naming the offending
-        effect.
     """
-    labels = active_effects(grid, additive)
-    if not labels:
-        raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
-    active = [EFFECT_LABELS.index(label) for label in labels]
-    s = information_matrix(grid, cs)[np.ix_(active, active)]
-    if not np.isfinite(s).all():
-        raise _unrepresentable("information matrix", cs)
-    _check_rank(s, labels)
-    with np.errstate(all="ignore"):
-        matrix = _invert_symmetric(s)
-    if not np.isfinite(matrix).all():
-        raise _unrepresentable("covariance of the effect estimates", cs)
-    return TreatmentCovariance(labels=labels, matrix=matrix)
+    labels, _, matrices, errors = closed_form_stack(grid, np.array([cs.diag]),
+                                                    np.array([cs.offdiag]), additive)
+    if errors:
+        raise errors[0]
+    return TreatmentCovariance(labels=labels, matrix=matrices[0])
 
 
-def _unrepresentable(what: str, cs: CompoundSymmetry) -> ParameterError:
-    return ParameterError(
-        f"{what} is not finite: the covariance entries "
-        f"(diagonal {cs.diag:g}, off-diagonal {cs.offdiag:g}) are too large "
-        "or too small to represent"
-    )
+def _pointwise(f, *stacks):
+    """``f`` of (K, ...) stacks whose rows it computes independently; one row
+    goes through numpy scalars, which numpy evaluates several times faster
+    than (1,) arrays, to the same bits."""
+    if len(stacks[0]) == 1:
+        return f(*(x[0] for x in stacks))[None]
+    return f(*stacks)
 
 
-def closed_form_stack(grid: DesignGrid, sig_c: np.ndarray, sig_a: np.ndarray,
+def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
                       additive: bool = False):
-    """:func:`closed_form_covariance` at K points from one design summary.
+    """The closed-form covariance of the effect estimates at the K points of
+    the (K,) compound-symmetry entries ``diag`` and ``offdiag``, from one
+    summary of the design; a point gets the bits it gets on its own.
 
-    ``sig_c`` and ``sig_a`` are (K,) arrays of within and between
-    variances.  Returns ``(labels, ok, matrices)``: the estimable effects,
-    a (K,) mask of the points whose information matrix passes the finite
-    and rank checks and has a finite inverse, and the covariance matrices
-    of those points, in order, as one (m, n, n) array.  Each matrix has
-    the bits :func:`closed_form_covariance` gives at its point; the points
-    outside the mask are left to it to say what is wrong with them.
+    A point is solved at its entries times 2**-e, for e the binary exponent
+    of its diagonal, and its covariance multiplied back by 2**e: exact
+    scalings, which change no bit where the unscaled arithmetic stays in
+    range and leave only a covariance out of range unsolved.  Returns
+    ``(labels, solved, matrices, errors)``: the estimable effects, the
+    indices of the solved points, their (m, n, n) covariance matrices, and a
+    map from every other point's index to its error: no effect estimable, an
+    information matrix failing the rank check, or a covariance not finite or
+    with a variance underflowing to 0.
     """
+    count = len(diag)
     labels = active_effects(grid, additive)
     if not labels:
-        return labels, np.zeros(len(sig_c), dtype=bool), np.empty((0, 0, 0))
-    active = [EFFECT_LABELS.index(label) for label in labels]
-    s = information_stack(design_summary(grid), sig_c, sig_a)[:, active][:, :, active]
-    ok = np.isfinite(s).all(axis=(1, 2))
-    ok[ok] = _well_conditioned(np.linalg.eigvalsh(s[ok]))
+        errors = dict.fromkeys(range(count), RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
+        return labels, np.empty(0, dtype=int), np.empty((0, 0, 0)), errors
+    active = np.array([EFFECT_LABELS.index(label) for label in labels])
+    exponent = np.frexp(diag)[1]
+    sig_a = np.ldexp(offdiag, -exponent)
+    summary = design_summary(grid)
+    # finite entries with diag > offdiag >= 0 give a scaled within variance of
+    # at least 2**-54, and so a finite information matrix
+    s = _pointwise(lambda c, a: information_stack(summary, c, a),
+                   np.ldexp(diag, -exponent) - sig_a, sig_a)[:, active[:, None], active]
+    # the indices of the points that passed every check so far
+    at, errors = np.arange(count), {}
+    eigvals = np.linalg.eigvalsh(s)
+    top = np.abs(eigvals).max(axis=-1)
+    well = (top > 0.0) & (eigvals[:, 0] > top / CONDITION_LIMIT)
+    if not well.all():
+        # the offending effect is the largest entry of the null eigenvector
+        nulls = np.linalg.eigh(s[~well])[1][:, :, 0]
+        for k, null, low, high in zip(at[~well].tolist(), nulls, eigvals[~well, 0].tolist(),
+                                      top[~well].tolist()):
+            errors[k] = RankDeficiencyError(
+                "information matrix is rank deficient; the effect is confounded "
+                "with the intercept, period effects, or another treatment column",
+                effect=labels[int(np.argmax(np.abs(null)))],
+                condition=np.inf if low <= 0 else high / low,
+            )
+        at, s = at[well], s[well]
+
     with np.errstate(all="ignore"):
-        matrices = _invert_symmetric(s[ok])
-    finite = np.isfinite(matrices).all(axis=(1, 2))
-    ok[ok] = finite
-    return labels, ok, matrices[finite]
+        matrices = np.ldexp(_pointwise(_invert_symmetric, s), exponent[at, None, None])
+    # a finite variance bounds the covariances of its effect
+    variances = matrices.diagonal(0, 1, 2)
+    solved = (np.isfinite(variances) & (variances > 0.0)).all(axis=1)
+    if not solved.all():
+        for k, row in zip(at[~solved].tolist(), variances[~solved]):
+            what = "a variance of the effect estimates underflows to 0" if np.isfinite(row).all() \
+                else "covariance of the effect estimates is not finite"
+            errors[k] = ParameterError(
+                f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
+                f"{offdiag[k]:g}) are too large or too small to represent")
+        at, matrices = at[solved], matrices[solved]
+    return labels, at, matrices, errors
 
 
 def oracle_covariance(
@@ -323,8 +318,10 @@ def oracle_covariance(
     # intercept, then indicators of periods 1..T-1 (the last is the reference)
     fixed = np.eye(n_periods, k=1)
     fixed[:, 0] = 1.0
-    v_cluster = np.full((n_periods, n_periods), cs.offdiag)
-    np.fill_diagonal(v_cluster, cs.diag)
+    # solved at the entries times 2**-e, exactly, for a diagonal of exponent e
+    exponent = math.frexp(cs.diag)[1]
+    v_cluster = np.full((n_periods, n_periods), math.ldexp(cs.offdiag, -exponent))
+    np.fill_diagonal(v_cluster, math.ldexp(cs.diag, -exponent))
     l_inv = np.linalg.solve(np.linalg.cholesky(v_cluster), np.eye(n_periods))
 
     size = n_periods + len(active)
@@ -351,7 +348,7 @@ def oracle_covariance(
             f"precision matrix is not positive definite: {exc}", condition=condition
         ) from None
     full_cov = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(size)))
-    block = full_cov[n_periods:, n_periods:]
+    block = np.ldexp(full_cov[n_periods:, n_periods:], exponent)
     return TreatmentCovariance(labels=labels, matrix=block)
 
 
@@ -363,20 +360,30 @@ def quadratic_form(c: np.ndarray, m: np.ndarray) -> np.ndarray:
         return ((m * c[:, None]).sum(-2) * c).sum(-1)
 
 
-def contrast_variance(weights, cov: TreatmentCovariance) -> float:
-    """Variance of a weighted combination of the effect estimates; it must
-    be finite and positive for a standard error to exist."""
+def contrast_variances(weights, matrices: np.ndarray):
+    """Variances of a weighted combination of the effect estimates under m
+    covariance matrices, and a map from the row of each variance that is
+    not finite and positive, which gives no standard error, to its error.
+    Weights of the wrong length or all zero raise :class:`ParameterError`."""
     c = np.asarray(weights, dtype=float)
-    if c.ndim != 1 or c.size != cov.dim:
-        raise ParameterError(
-            f"contrast length {c.size} does not match covariance dimension {cov.dim}"
-        )
+    dim = matrices.shape[-1]
+    if c.ndim != 1 or c.size != dim:
+        raise ParameterError(f"contrast length {c.size} does not match covariance dimension {dim}")
     if not c.any():
         raise ParameterError("contrast weights must not all be zero")
-    var = float(quadratic_form(c, cov.matrix))
-    if not np.isfinite(var):
-        raise ParameterError(f"contrast variance is not finite (weights {c.tolist()})")
-    if var <= 0:
-        raise ParameterError(f"contrast variance is not positive, got {var:g} "
-                             f"(weights {c.tolist()})")
-    return var
+    var = quadratic_form(c, matrices)
+    errors = {}
+    for k in np.flatnonzero(~np.isfinite(var) | ~(var > 0.0)).tolist():
+        errors[k] = ParameterError(
+            f"contrast variance is not finite (weights {c.tolist()})" if not np.isfinite(var[k])
+            else f"contrast variance is not positive, got {var[k]:g} (weights {c.tolist()})")
+    return var, errors
+
+
+def contrast_variance(weights, cov: TreatmentCovariance) -> float:
+    """:func:`contrast_variances` under one covariance matrix, raising the
+    error of a variance that gives no standard error."""
+    var, errors = contrast_variances(weights, cov.matrix[None])
+    if errors:
+        raise errors[0]
+    return float(var[0])

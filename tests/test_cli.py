@@ -8,7 +8,9 @@ import pytest
 
 import swedge
 from swedge.cli import main
+from swedge.covariance import CorrelationSpec, CovarianceModel, RawComponents
 from swedge.designs import catalog_design, parse_design, serialize_design
+from swedge.variance import oracle_covariance
 
 
 def run(capsys, *argv):
@@ -22,6 +24,18 @@ def _src_env(**extra) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
     return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def assert_oracle_se(csv_text: str, component: float) -> None:
+    """The SE rows of ``power`` CSV output for fig2b at n = 10 and both raw
+    cross-sectional components equal to ``component`` are the oracle's."""
+    spec = CorrelationSpec(model=CovarianceModel.CROSS_SECTIONAL, n_per_period=10,
+                           raw=RawComponents(sigma_alpha_sq=component, sigma_e_sq=component))
+    oracle = oracle_covariance(catalog_design("fig2b"), spec.cov_entries())
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["trt1", "trt2"]
+    for label, _, se, _ in rows:
+        assert float(se) == pytest.approx(oracle.se(label), rel=1e-10)
 
 
 class TestPowerCommand:
@@ -161,17 +175,30 @@ class TestRejectedInputs:
         assert err.startswith(f"error: cannot write output file {target!r}: ")
         assert err.count("\n") == 1
 
-    def test_unrepresentable_covariance_exits_2(self, capsys):
-        # the information matrix is finite here, but the determinant its
-        # inverse divides by underflows to zero
+    def test_huge_covariance_entries_give_the_oracle_se(self, capsys):
+        # unscaled arithmetic underflows the determinant of the inverse to
+        # zero at these entries
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, *self.BASE, "--sigma-alpha-sq", "1e300",
-                                 "--sigma-e-sq", "1e300", "--delta", "0.3")
-        assert code == 2
-        assert out == ""
-        assert "covariance of the effect estimates is not finite" in err
-        assert "too large or too small to represent" in err
+                                 "--sigma-e-sq", "1e300", "--delta", "0.3", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert_oracle_se(out, 1e300)
+
+    def test_a_variance_underflowing_to_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "power", "--design", "fig2b", "--model", "cs", "--n", "1",
+                             "--sigma-alpha-sq", "1e-323", "--sigma-e-sq", "5e-324",
+                             "--delta", "0.3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a variance of the effect estimates underflows to 0")
+
+    def test_overflowing_covariance_entries_exit_2(self, capsys):
+        code, out, err = run(capsys, "power", "--design", "fig2b", "--model", "cs", "--n", "1",
+                             "--sigma-alpha-sq", "1.7e308", "--sigma-e-sq", "1.7e308",
+                             "--delta", "0.3")
+        assert (code, out) == (2, "")
+        assert err == ("error: cluster covariance entries must be finite, got diagonal inf, "
+                       "off-diagonal 1.7e+308\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("power", "--model", "nested", "--rho-w", "0.1", "--rho-a", "0.05", "--cac", "0.9"),
@@ -218,30 +245,25 @@ class TestRejectedInputs:
         assert out == ""
         assert err == f"error: {flag} must be finite, got {float(value)}\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", ["1e308", "1e-320"])
-    def test_unrepresentable_components_exit_2(self, capsys, value):
+    def test_extreme_components_give_the_oracle_se(self, capsys, value):
         code, out, err = run(capsys, *self.BASE, "--sigma-alpha-sq", value,
-                             "--sigma-e-sq", value, "--delta", "0.3")
-        assert code == 2
-        assert out == ""
-        assert "information matrix is not finite" in err
+                             "--sigma-e-sq", value, "--delta", "0.3", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert_oracle_se(out, float(value))
 
     @pytest.mark.parametrize("value", ["1e308", "1e-320"])
-    def test_unrepresentable_components_print_only_the_error(self, value):
+    def test_extreme_components_print_no_warning(self, value):
         # a fresh interpreter that shows every warning, so a numpy
         # RuntimeWarning would reach stderr
         proc = subprocess.run(
             [sys.executable, "-m", "swedge.cli", *self.BASE, "--sigma-alpha-sq", value,
-             "--sigma-e-sq", value, "--delta", "0.3"],
+             "--sigma-e-sq", value, "--delta", "0.3", "--format", "csv"],
             capture_output=True, text=True, env=_src_env(PYTHONWARNINGS="default"),
             timeout=120,
         )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: information matrix is not finite")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert_oracle_se(proc.stdout, float(value))
 
     @pytest.mark.parametrize("argv, column", [
         (("compare", "--design", "fig1", "--design", "fig1"), "se_trt1_fig1"),

@@ -8,6 +8,7 @@ from swedge.covariance import (
     CovarianceModel,
     ParameterError,
     RawComponents,
+    SingularCovarianceError,
     standardize,
 )
 from swedge.designs import DesignGrid, catalog_design
@@ -347,14 +348,83 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise ValueError("bug, not a bad sweep point")
 
-        # The batch solves a point it can with the shared power formula; a
-        # point it cannot (fig1 has no treatment 2) goes through design_power.
+        # The batch powers a point it solves with the shared power formula;
+        # a point it cannot finish (fig1 has no treatment 2) gets its error
+        # from the result columns, which turn only domain errors of their
+        # checks, such as a contrast's, into point errors.
+        contrast = ContrastSpec("c", (1.0,), effect=0.2)
         for name, effects in (("_two_sided_power", EffectSpec(delta1=0.4)),
-                              ("design_power", EffectSpec(delta1=0.4, delta2=0.4))):
+                              ("_result_columns", EffectSpec(delta1=0.4, delta2=0.4)),
+                              ("contrast_variances", EffectSpec(contrasts=(contrast,)))):
             with monkeypatch.context() as patch:
                 patch.setattr(swedge.power, name, broken)
                 with pytest.raises(ValueError, match="bug"):
                     sweep(catalog_design("fig1"), cs_spec(), effects, points=(0.1,))
+
+    RANK = ("information matrix is rank deficient; the effect is confounded with the "
+            "intercept, period effects, or another treatment column (effect: {}) "
+            "[condition estimate {}]")
+    UNDERFLOW = "contrast variance is not positive, got 0 (weights [1.3e-161, 0.0])"
+
+    @pytest.mark.parametrize("design, template, effects, points, errors", [
+        ("fig1", cs_spec(), EffectSpec(delta1=0.4), (0.1, 1.5, -0.1, float("nan")), {
+            1: ("rho_w must lie in [0, 1), got 1.5", ParameterError),
+            2: ("rho_w must lie in [0, 1), got -0.1", ParameterError),
+            3: ("rho_w must lie in [0, 1), got nan", ParameterError)}),
+        ("fig1", CorrelationSpec(model=CovarianceModel.NESTED_EXCHANGEABLE, n_per_period=15,
+                                 rho_w=0.05, rho_a=0.05), EffectSpec(delta1=0.4), (0.01, 0.1), {
+            0: ("need 0 <= rho_a <= rho_w, got rho_a=0.05, rho_w=0.01", ParameterError)}),
+        ("fig1", CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15, rho_w=0.05,
+                                 pi=0.3), EffectSpec(delta1=0.4), [(0.1, 1.0), (0.1, 0.5)], {
+            0: ("cluster covariance is singular: diagonal 0.16 <= off-diagonal 0.16",
+                SingularCovarianceError)}),
+        ("fig5a", cs_spec(n=40), EffectSpec(delta1=0.4, delta2=0.4, delta3=0.4), (0.2, 0.0), {
+            0: (RANK.format("interaction", "3.132e+15"), RankDeficiencyError),
+            1: (RANK.format("interaction", "inf"), RankDeficiencyError)}),
+        ([[0, 1], [0, 1]], cs_spec(), EffectSpec(delta1=0.4), (0.1,), {
+            0: (RANK.format("trt1", "inf"), RankDeficiencyError)}),
+        ([[0, 0], [0, 0]], cs_spec(), EffectSpec(delta1=0.4), (0.1, 2.0), {
+            0: ("design has no treated cluster-periods; no effects are estimable",
+                RankDeficiencyError),
+            1: ("rho_w must lie in [0, 1), got 2.0", ParameterError)}),
+        ("fig1", cs_spec(), EffectSpec(delta1=0.4, delta2=0.4), (0.1, 1.5), {
+            0: ("effect size requested for an effect the design cannot estimate "
+                "(effect: trt2)", RankDeficiencyError),
+            1: ("rho_w must lie in [0, 1), got 1.5", ParameterError)}),
+        ("fig1", cs_spec(), EffectSpec(delta1=0.4, contrasts=(ContrastSpec("c", (1.0, -1.0),
+                                                                           effect=0.2),)),
+         (0.1,), {0: ("contrast length 2 does not match covariance dimension 1",
+                      ParameterError)}),
+        ("fig2b", cs_spec(), EffectSpec(delta1=0.4, contrasts=(ContrastSpec("c", (1e300, 1e300),
+                                                                            effect=0.3),)),
+         (0.1,), {0: ("contrast variance is not finite (weights [1e+300, 1e+300])",
+                      ParameterError)}),
+        # the second contrast has no effect size, which fails every point
+        # the first contrast's variance does not
+        ("fig2b", cs_spec(), EffectSpec(delta1=0.4, contrasts=(
+            ContrastSpec("c0", (1.3e-161, 0.0), effect=0.3), ContrastSpec("c1", (1.0, -1.0)))),
+         (0.0, 0.5, 0.9, 1.5), {
+            0: ("contrast 'c1' has no explicit effect size and no effect size was given for "
+                "trt2", ParameterError),
+            1: (UNDERFLOW, ParameterError),
+            2: (UNDERFLOW, ParameterError),
+            3: ("rho_w must lie in [0, 1), got 1.5", ParameterError)}),
+    ], ids=["domain", "rho-a-domain", "singular", "rank-fig5a", "rank-grid", "no-effects",
+            "not-estimable", "contrast-length", "contrast-not-finite", "contrast-order"])
+    def test_failed_points_report_their_errors_without_design_power(
+            self, monkeypatch, design, template, effects, points, errors):
+        import swedge.power
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sweep called design_power")
+
+        monkeypatch.setattr(swedge.power, "design_power", unreachable)
+        grid = catalog_design(design) if isinstance(design, str) else DesignGrid(design)
+        table = sweep(grid, template, effects, points=points)
+        assert table.errors == errors
+        failed = sorted(errors)
+        assert np.isnan(table.se[failed]).all() and np.isnan(table.power[failed]).all()
+        assert np.isfinite(np.delete(table.se, failed, axis=0)).all()
 
     def test_nested_fixed_rho_a_invalid_below_it(self):
         template = CorrelationSpec(

@@ -1,4 +1,5 @@
-"""Contract test of ``design_power`` over its whole input domain.
+"""Contract tests of ``design_power`` and the closed form over their whole
+input domain.
 
 Any grid, correlation spec and effect request either gives, for every
 result row, a finite standard error above 0 and a power in [alpha, 1], or
@@ -6,19 +7,29 @@ raises ``ParameterError`` or ``RankDeficiencyError``.  The lower bound on
 power allows for the rounding of the two-tail sum: ``wald_power(1e-300,
 1, alpha)`` is alpha - 8.3e-17 at alpha = 0.2 and alpha - 1.1e-16 at
 alpha = 0.9.
+
+Scaling both covariance entries by 2**k scales the closed-form covariance
+by 2**k, bit for bit wherever the result is a normal float, from the
+largest to the subnormal entries, and it stays within the closed-versus-
+oracle bound of the oracle there.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from designgen import random_grid
-from swedge.covariance import CorrelationSpec, CovarianceModel, ParameterError
+from swedge.covariance import CompoundSymmetry, CorrelationSpec, CovarianceModel, ParameterError
 from swedge.designs import catalog_design
 from swedge.power import ContrastSpec, EffectSpec, design_power
-from swedge.variance import RankDeficiencyError, active_effects
+from swedge.variance import (
+    RankDeficiencyError,
+    active_effects,
+    closed_form_covariance,
+    oracle_covariance,
+)
 
 POWER_MARGIN = 1e-15
 
@@ -97,3 +108,43 @@ def test_design_power_gives_bounded_power_or_a_domain_error(seed, correlation, d
     for row in result.rows:
         assert math.isfinite(row.se) and row.se > 0.0, row
         assert effects.alpha - POWER_MARGIN <= row.power <= 1.0, row
+
+
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def entries(draw):
+    """Compound-symmetry entries: a diagonal from 1e-3 to 10 and an
+    off-diagonal below it."""
+    diag = draw(st.floats(1e-3, 10.0))
+    return diag, diag * draw(st.floats(0.0, 0.999))
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid=st.integers(0, 2**32 - 1).map(
+           lambda seed: random_grid(np.random.default_rng(seed), max_clusters=8, max_periods=5)),
+       entries=entries(), additive=st.booleans(), k=st.integers(-1000, 1000))
+# entries at which unscaled arithmetic underflows the determinant of the inverse
+@example(grid=catalog_design("fig2b"), entries=(1.1e300, 1e300), additive=False, k=0)
+# subnormal entries, 2e-310 and 1e-310, and a subnormal covariance
+@example(grid=catalog_design("fig2b"), entries=(math.ldexp(2e-310, 1000),
+                                                math.ldexp(1e-310, 1000)),
+         additive=False, k=-1000)
+def test_closed_form_scales_with_the_covariance_entries(grid, entries, additive, k):
+    diag, offdiag = entries
+    scaled = CompoundSymmetry(math.ldexp(diag, k), math.ldexp(offdiag, k))
+    assume(math.ldexp(scaled.diag, -k) == diag and math.ldexp(scaled.offdiag, -k) == offdiag)
+    base = closed_form_covariance(grid, CompoundSymmetry(diag, offdiag), additive)
+    expected = np.ldexp(base.matrix, k)
+    try:
+        cov = closed_form_covariance(grid, scaled, additive)
+    except ParameterError:
+        # only a covariance out of the float range has no solution
+        assert not (np.isfinite(expected).all() and (expected.diagonal() >= TINY).all())
+        return
+    assert cov.labels == base.labels
+    normal = (np.abs(base.matrix) >= TINY) & (np.abs(expected) >= TINY) & np.isfinite(expected)
+    assert cov.matrix[normal].tobytes() == expected[normal].tobytes()
+    oracle = oracle_covariance(grid, scaled, additive)
+    assert np.abs(cov.matrix - oracle.matrix).max() <= 1e-10 * np.abs(oracle.matrix).max()

@@ -201,8 +201,8 @@ def test_covariance_masks_match_the_scalar_checks(template, rho_w, second):
     rho_w = [v if isinstance(v, float) else 0.5 for v in rho_w]
     second = [v if isinstance(v, float) else 0.5 for v in second][:len(rho_w)]
     extra = {model.second_icc: np.array(second)} if model.second_icc else {}
-    ok, within, between = cluster_cov_stack(model, template.n_per_period,
-                                            np.array(rho_w), **extra)
+    ok, diag, offdiag = cluster_cov_stack(model, template.n_per_period,
+                                          np.array(rho_w), **extra)
     entries = []
     for k, r in enumerate(rho_w):
         point = {model.second_icc: second[k]} if model.second_icc else {}
@@ -212,8 +212,8 @@ def test_covariance_masks_match_the_scalar_checks(template, rho_w, second):
             assert not ok[k]
             continue
         assert ok[k]
-        entries.append((bits(cs.within_variance), bits(cs.between_variance)))
-    assert [(bits(c), bits(a)) for c, a in zip(within, between)] == entries
+        entries.append((bits(cs.diag), bits(cs.offdiag)))
+    assert [(bits(d), bits(o)) for d, o in zip(diag, offdiag)] == entries
 
 
 SWAPPED = {"trt1": "trt2", "trt2": "trt1", "interaction": "interaction"}
@@ -230,12 +230,12 @@ def test_label_swap_permutes_the_batched_covariance_bit_exactly(seed, template, 
         if model.second_icc else {}
     if model.second_icc == "rho_a":
         extra["rho_a"] = np.minimum(extra["rho_a"], rho_w)
-    _, within, between = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
-                                           **extra)
-    labels, ok, matrices = closed_form_stack(grid, within, between, additive)
-    swapped_labels, swapped_ok, swapped = closed_form_stack(
-        grid.swap_treatments(), within, between, additive)
+    _, diag, offdiag = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
+                                         **extra)
+    labels, solved, matrices, _ = closed_form_stack(grid, diag, offdiag, additive)
+    swapped_labels, swapped_solved, swapped, _ = closed_form_stack(
+        grid.swap_treatments(), diag, offdiag, additive)
     assert sorted(SWAPPED[label] for label in labels) == sorted(swapped_labels)
-    assert np.array_equal(ok, swapped_ok)
+    assert np.array_equal(solved, swapped_solved)
     order = [swapped_labels.index(SWAPPED[label]) for label in labels]
     assert swapped[:, order][:, :, order].tobytes() == matrices.tobytes()

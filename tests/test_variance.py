@@ -84,7 +84,7 @@ class TestInformationMatrix:
         grid = DesignGrid([[C, T1]])
         cs = std_cs(rho_w=0.2, n=10)
         s = information_matrix(grid, cs)
-        assert np.abs(s).max() <= 1e-12 / cs.within_variance
+        assert np.abs(s).max() <= 1e-12 / (cs.diag - cs.offdiag)
 
     def test_information_matrix_matches_dense_schur_complement(self):
         # profile the intercept and period effects out of the dense
@@ -231,26 +231,50 @@ class TestReductionsAndErrors:
         assert err.value.condition is None or err.value.condition > 1e12
 
 
-class TestUnrepresentableCovariance:
-    # at these variances the information matrix is finite, but the
-    # determinant its inverse divides by underflows to zero
+class TestExtremeCovarianceEntries:
+    # unscaled arithmetic underflows the determinant of the inverse to zero
+    # at these entries
     HUGE = CompoundSymmetry(diag=1.1e300, offdiag=1e300)
 
-    def test_closed_form_raises_parameter_error(self):
-        with pytest.raises(ParameterError, match="too large or too small to represent"):
-            closed_form_covariance(catalog_design("fig2b"), self.HUGE)
+    def test_closed_form_matches_the_oracle(self):
+        grid = catalog_design("fig2b")
+        closed = closed_form_covariance(grid, self.HUGE)
+        oracle = oracle_covariance(grid, self.HUGE)
+        assert np.abs(closed.matrix - oracle.matrix).max() <= 1e-10 * np.abs(oracle.matrix).max()
 
-    def test_stack_leaves_the_point_to_the_fallback(self):
+    def test_stack_solves_the_point_as_on_its_own(self):
         grid = catalog_design("fig2b")
         cs = std_cs()
-        labels, ok, matrices = closed_form_stack(
-            grid,
-            np.array([cs.within_variance, self.HUGE.within_variance]),
-            np.array([cs.between_variance, self.HUGE.between_variance]),
-        )
-        assert ok.tolist() == [True, False]
-        assert np.array_equal(matrices[0], closed_form_covariance(grid, cs).matrix)
-        assert matrices.shape == (1, 2, 2)
+        labels, solved, matrices, errors = closed_form_stack(
+            grid, np.array([cs.diag, self.HUGE.diag]), np.array([cs.offdiag, self.HUGE.offdiag]))
+        assert solved.tolist() == [0, 1] and errors == {}
+        for matrix, entries in zip(matrices, (cs, self.HUGE)):
+            assert matrix.tobytes() == closed_form_covariance(grid, entries).matrix.tobytes()
+
+    def test_oracle_solves_subnormal_entries(self, capfd):
+        grid = catalog_design("fig2b")
+        tiny = CompoundSymmetry(diag=2e-310, offdiag=1e-310)
+        oracle = oracle_covariance(grid, tiny)
+        assert capfd.readouterr().err == ""
+        closed = closed_form_covariance(grid, tiny)
+        assert oracle.variance("trt1") == pytest.approx(closed.variance("trt1"), rel=1e-10)
+
+    def test_a_variance_underflowing_to_zero_raises_parameter_error(self):
+        entries = CompoundSymmetry(diag=1.5e-323, offdiag=1e-323)
+        with pytest.raises(ParameterError, match="^a variance of the effect estimates "
+                                                 "underflows to 0"):
+            closed_form_covariance(catalog_design("fig2b"), entries)
+
+    def test_a_covariance_overflowing_raises_parameter_error(self):
+        entries = CompoundSymmetry(diag=1.7e308, offdiag=0.0)
+        with pytest.raises(ParameterError, match="^covariance of the effect estimates is not "
+                                                 "finite"):
+            closed_form_covariance(DesignGrid([[C, T1], [C, C]]), entries)
+
+    @pytest.mark.parametrize("diag, offdiag", [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan)])
+    def test_non_finite_entries_are_rejected(self, diag, offdiag):
+        with pytest.raises(ParameterError, match="^cluster covariance entries must be finite"):
+            CompoundSymmetry(diag=diag, offdiag=offdiag)
 
 
 class TestMatrixProperties:
