@@ -44,7 +44,6 @@ from .variance import (
     TreatmentCovariance,
     active_effects,
     closed_form_covariance,
-    contrast_variance,
     information_matrix,
     oracle_covariance,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "catalog_ids",
     "closed_form_covariance",
     "concurrent_design",
-    "contrast_variance",
     "design_power",
     "generate_standard_swd",
     "information_matrix",

@@ -239,6 +239,9 @@ def _parse_contrast(text: str) -> ContrastSpec:
     label, _, rest = text.partition("=")
     if not rest:
         raise CliError(f"contrast {text!r} must look like label=w1,w2[,w3][@effect]")
+    # the label becomes a CSV field or part of a column name
+    if any(ch in label for ch in ",\n\r"):
+        raise CliError(f"contrast label {label!r} must not hold a comma or a line break")
     effect = None
     if "@" in rest:
         rest, _, eff_text = rest.partition("@")
@@ -593,10 +596,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except (ParameterError, DesignError) as exc:
+    except (CliError, ParameterError, DesignError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except RankDeficiencyError as exc:

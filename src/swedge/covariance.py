@@ -194,6 +194,10 @@ class CorrelationSpec:
             raise ParameterError(f"n_per_period must be an integer, got {n!r}")
         if n < 1:
             raise ParameterError(f"n_per_period must be >= 1, got {n}")
+        try:
+            float(n)
+        except OverflowError:
+            raise ParameterError("n_per_period is too large to represent as a float") from None
         has_icc = self.rho_w is not None
         has_raw = self.raw is not None
         if has_icc == has_raw:

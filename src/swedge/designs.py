@@ -50,7 +50,11 @@ class TransitionViolation:
 
 
 def _code_array(codes) -> np.ndarray:
-    """Read-only int8 copy of an I x T grid of condition codes."""
+    """Read-only int8 copy of an I x T grid of condition codes.
+
+    Every cell must be an int 0-3; a bool is not a code.  An array is
+    judged by its dtype, any other input cell by cell.
+    """
     try:
         rows = list(codes)
         widths = {len(row) for row in rows}
@@ -66,7 +70,11 @@ def _code_array(codes) -> np.ndarray:
         grid = np.array(rows)
     except ValueError:  # a cell is itself a sequence
         grid = np.empty(0)
-    if grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any():
+    bad = grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any()
+    if not bad and not isinstance(codes, np.ndarray):
+        # numpy reads True and False among integers as 1 and 0
+        bad = not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
+    if bad:
         # the cells of an array are reported as Python numbers
         for r, row in enumerate(grid.tolist() if isinstance(codes, np.ndarray) else rows):
             for cell in row:
@@ -432,11 +440,7 @@ def parse_design(text: str) -> DesignGrid:
         reconstructed = payload.get("reconstructed", False)
         if not isinstance(label, str) or not isinstance(reconstructed, bool):
             raise DesignError("design JSON 'label' must be a string and 'reconstructed' a boolean")
-        grid = DesignGrid(payload["cells"], label=label, reconstructed=reconstructed)
-        # numpy reads true and false among integers as 1 and 0
-        if bool in set(map(type, itertools.chain.from_iterable(payload["cells"]))):
-            raise DesignError("design JSON cells must be condition codes, not true or false")
-        return grid
+        return DesignGrid(payload["cells"], label=label, reconstructed=reconstructed)
     label, reconstructed = "", False
     lines = []
     for lineno, line in enumerate(stripped.splitlines(), start=1):

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .covariance import CorrelationSpec, CovarianceModel, ParameterError, cluster_cov_stack
+from .covariance import CorrelationSpec, ParameterError, cluster_cov_stack
 from .designs import DesignGrid
 from .variance import (
     EFFECT_LABELS,
@@ -174,7 +174,6 @@ class PowerResult:
 
     rows: tuple[EffectPower, ...]
     design_label: str
-    model: CovarianceModel
     metadata: dict = field(compare=False)
 
     def row(self, label: str) -> EffectPower:
@@ -182,9 +181,6 @@ class PowerResult:
             if r.label == label:
                 return r
         raise KeyError(f"no result row for {label!r}")
-
-    def power(self, label: str) -> float:
-        return self.row(label).power
 
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.rows)
@@ -260,8 +256,7 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
                  for label, size, s, p in zip(names, sizes, se[0].tolist(), power[0].tolist()))
     metadata = {**correlation.describe(), "alpha": effects.alpha,
                 "estimable_effects": list(cov.labels)}
-    return PowerResult(rows=rows, design_label=grid.label, model=correlation.model,
-                       metadata=metadata)
+    return PowerResult(rows=rows, design_label=grid.label, metadata=metadata)
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,26 +144,11 @@ def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class TreatmentCovariance:
     """Symmetric covariance matrix of the estimable effect estimates, in
-    squared effect units of the covariance entries' scale."""
+    squared effect units of the covariance entries' scale: row and column i
+    belong to ``labels[i]``."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise RankDeficiencyError(
-                f"effect not estimable in this design ({', '.join(self.labels)} available)",
-                effect=label,
-            ) from None
-
-    def variance(self, label: str) -> float:
-        i = self.index(label)
-        return float(self.matrix[i, i])
-
-    def se(self, label: str) -> float:
-        return float(np.sqrt(self.variance(label)))
 
 
 def _invert_symmetric(s: np.ndarray) -> np.ndarray:
@@ -364,13 +349,12 @@ def contrast_variances(weights, matrices: np.ndarray):
     """Variances of a weighted combination of the effect estimates under m
     covariance matrices, and a map from the row of each variance that is
     not finite and positive, which gives no standard error, to its error.
-    Weights of the wrong length or all zero raise :class:`ParameterError`."""
+    Weights of the wrong length raise :class:`ParameterError`; that they
+    are not all zero is :class:`~swedge.power.ContrastSpec`'s check."""
     c = np.asarray(weights, dtype=float)
     dim = matrices.shape[-1]
     if c.ndim != 1 or c.size != dim:
         raise ParameterError(f"contrast length {c.size} does not match covariance dimension {dim}")
-    if not c.any():
-        raise ParameterError("contrast weights must not all be zero")
     var = quadratic_form(c, matrices)
     errors = {}
     for k in np.flatnonzero(~np.isfinite(var) | ~(var > 0.0)).tolist():
@@ -378,12 +362,3 @@ def contrast_variances(weights, matrices: np.ndarray):
             f"contrast variance is not finite (weights {c.tolist()})" if not np.isfinite(var[k])
             else f"contrast variance is not positive, got {var[k]:g} (weights {c.tolist()})")
     return var, errors
-
-
-def contrast_variance(weights, cov: TreatmentCovariance) -> float:
-    """:func:`contrast_variances` under one covariance matrix, raising the
-    error of a variance that gives no standard error."""
-    var, errors = contrast_variances(weights, cov.matrix[None])
-    if errors:
-        raise errors[0]
-    return float(var[0])

@@ -127,7 +127,7 @@ def _main_power(grid, rho_w, additive=False):
         delta2=0.4 if "trt2" in active_effects(grid) else None,
         additive=additive,
     )
-    return design_power(grid, cs_spec(rho_w), effects).power("trt1")
+    return design_power(grid, cs_spec(rho_w), effects).row("trt1").power
 
 
 def test_criterion_4_concurrent_gain_band():
@@ -273,13 +273,13 @@ class TestCriterion8Properties:
                 raw_spec = CorrelationSpec(model=model, n_per_period=n, raw=raw)
                 p_raw = design_power(
                     grid, raw_spec, EffectSpec(delta1=theta, delta2=theta)
-                ).power("trt1")
+                ).row("trt1").power
                 std_spec = CorrelationSpec(model=model, n_per_period=n,
                                            **standardize(raw, model))
                 delta = theta / np.sqrt(raw.total_variance)
                 p_std = design_power(
                     grid, std_spec, EffectSpec(delta1=delta, delta2=delta)
-                ).power("trt1")
+                ).row("trt1").power
                 worst = max(worst, abs(p_raw - p_std))
         report(8, "raw and standardized parameterizations agree",
                worst <= 1e-12, detail=f"worst gap {worst:.2e}")

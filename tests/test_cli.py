@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,9 +34,9 @@ def assert_oracle_se(csv_text: str, component: float) -> None:
                            raw=RawComponents(sigma_alpha_sq=component, sigma_e_sq=component))
     oracle = oracle_covariance(catalog_design("fig2b"), spec.cov_entries())
     rows = [line.split(",") for line in csv_text.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["trt1", "trt2"]
-    for label, _, se, _ in rows:
-        assert float(se) == pytest.approx(oracle.se(label), rel=1e-10)
+    assert [row[0] for row in rows] == list(oracle.labels) == ["trt1", "trt2"]
+    for k, (_, _, se, _) in enumerate(rows):
+        assert float(se) == pytest.approx(math.sqrt(oracle.matrix[k, k]), rel=1e-10)
 
 
 class TestPowerCommand:
@@ -296,6 +297,27 @@ class TestRejectedInputs:
         assert out == ""
         assert err == (f"error: contrast label {label!r} repeats an effect or contrast label; "
                        "give each contrast its own label\n")
+
+    @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
+                                         ("sweep", "--rho-values", "0.05,0.1")])
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_contrast_label_breaking_a_csv_field_exits_2(self, capsys, command, label, fmt):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs", "--n", "15",
+                             "--delta", "0.4", "--contrast", f"{label}=1,-1@0.4",
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: contrast label {label!r} must not hold a comma or a line "
+                       "break\n")
+
+    @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
+                                         ("sweep", "--rho-values", "0.05,0.1"),
+                                         ("power", "--sigma-alpha-sq", "1", "--sigma-e-sq", "1")])
+    def test_n_too_large_for_a_float_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs",
+                             "--n", "1" + "0" * 309, "--delta", "0.3")
+        assert (code, out) == (2, "")
+        assert err == "error: n_per_period is too large to represent as a float\n"
 
     @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
                                          ("sweep", "--rho-values", "0.1,0.2")])

@@ -178,6 +178,15 @@ class TestCorrelationSpec:
         with pytest.raises(ParameterError, match="integer"):
             CorrelationSpec(model=CS, n_per_period=n, rho_w=0.1)
 
+    def test_n_per_period_must_convert_to_a_float(self):
+        with pytest.raises(ParameterError, match="too large to represent as a float"):
+            CorrelationSpec(model=CS, n_per_period=10**309, rho_w=0.1)
+        with pytest.raises(ParameterError, match="too large to represent as a float"):
+            CorrelationSpec(model=CS, n_per_period=10**309,
+                            raw=RawComponents(sigma_alpha_sq=1.0, sigma_e_sq=1.0))
+        entries = CorrelationSpec(model=CS, n_per_period=10**308, rho_w=0.0).cov_entries()
+        assert (entries.diag, entries.offdiag) == (1e-308, 0.0)
+
     def test_numpy_integer_n_per_period_accepted(self):
         spec = CorrelationSpec(model=CS, n_per_period=np.int64(10), rho_w=0.1)
         assert spec.cov_entries() == CorrelationSpec(model=CS, n_per_period=10,

@@ -42,6 +42,23 @@ class TestGridStructure:
         with pytest.raises(DesignError, match="condition code"):
             DesignGrid([[0, 4]])
 
+    @pytest.mark.parametrize("rows, row, cell", [
+        ([[0, True], [0, 1]], 1, True),
+        ([[0, 1], [0, False]], 2, False),
+        ([[0, np.True_], [0, 1]], 1, np.True_),
+        (([0, 1], (0, np.bool_(False))), 2, np.False_),
+    ])
+    def test_bool_cells_are_not_codes(self, rows, row, cell):
+        with pytest.raises(DesignError) as info:
+            DesignGrid(rows)
+        assert str(info.value) == f"row {row}: unknown condition code {cell!r}"
+
+    def test_arrays_are_judged_by_their_dtype(self):
+        with pytest.raises(DesignError, match="row 1: unknown condition code False"):
+            DesignGrid(np.array([[False, True], [False, True]]))
+        # numpy has already read this array's True as 1
+        assert DesignGrid(np.array([[0, True], [0, 1]])).to_codes() == [[0, 1], [0, 1]]
+
     def test_counts_and_indicators(self):
         grid = DesignGrid([[C, T1, B], [C, T2, T2]])
         assert grid.condition_counts() == {C: 2, T1: 1, T2: 2, B: 1}
@@ -369,6 +386,15 @@ class TestSerialization:
     def test_header_label_with_spaces(self):
         grid = DesignGrid([[0, 1]], label="my trial, phase 2")
         assert parse_design(serialize_design(grid)).label == "my trial, phase 2"
+
+    @pytest.mark.parametrize("cells, message", [
+        ("[[0, 1], [0, true]]", "row 2: unknown condition code True"),
+        ("[[false, 1], [0, 1]]", "row 1: unknown condition code False"),
+    ])
+    def test_json_bool_cells_are_named(self, cells, message):
+        with pytest.raises(DesignError) as info:
+            parse_design(f'{{"cells": {cells}}}')
+        assert str(info.value) == message
 
     def test_json_alternative_form(self):
         grid = parse_design('{"label": "x", "cells": [[0, 1], [0, 3]]}')

@@ -187,14 +187,14 @@ class TestDesignPower:
         grid = catalog_design("fig2b")
         for rho_w in (0.01, 0.05, 0.1, 0.2, 0.3):
             res = design_power(grid, cs_spec(rho_w), EffectSpec(delta1=0.4, delta2=0.4))
-            assert res.power("trt1") == pytest.approx(res.power("trt2"), abs=1e-14)
+            assert res.row("trt1").power == pytest.approx(res.row("trt2").power, abs=1e-14)
 
     def test_concurrent_beats_single_trial(self):
         fig1, fig2b = catalog_design("fig1"), catalog_design("fig2b")
         for rho_w in (0.01, 0.05, 0.1, 0.2):
             single = design_power(fig1, cs_spec(rho_w), EffectSpec(delta1=0.4))
             both = design_power(fig2b, cs_spec(rho_w), EffectSpec(delta1=0.4, delta2=0.4))
-            gain = both.power("trt1") - single.power("trt1")
+            gain = both.row("trt1").power - single.row("trt1").power
             assert 0.14 <= gain <= 0.20
 
     def test_all_control_design_errors(self):
@@ -225,7 +225,7 @@ class TestDesignPower:
         )
         res = design_power(grid, cs_spec(), spec)
         assert res.row("diff").effect == 0.4
-        assert 0.0 < res.power("diff") <= 1.0
+        assert 0.0 < res.row("diff").power <= 1.0
 
     def test_contrast_without_effect_needs_deltas(self):
         grid = catalog_design("fig2b")
@@ -255,14 +255,14 @@ class TestDesignPower:
                 raw_spec = CorrelationSpec(model=model, n_per_period=n, raw=raw)
                 raw_power = design_power(
                     grid, raw_spec, EffectSpec(delta1=theta, delta2=theta)
-                ).power("trt1")
+                ).row("trt1").power
 
                 std_spec = CorrelationSpec(model=model, n_per_period=n,
                                            **standardize(raw, model))
                 std_power = design_power(
                     grid, std_spec,
                     EffectSpec(delta1=theta / sigma_y, delta2=theta / sigma_y),
-                ).power("trt1")
+                ).row("trt1").power
                 assert raw_power == pytest.approx(std_power, abs=1e-12)
 
 
@@ -482,8 +482,8 @@ class TestSweep:
             stacked = concurrent_design(grid, controls)
             spec = random_correlation(rng, CS)
             cs = spec.cov_entries()
-            var_before = oracle_covariance(grid, cs).variance("trt1")
-            var_after = oracle_covariance(stacked, cs).variance("trt1")
+            var_before = oracle_covariance(grid, cs).matrix[0, 0]
+            var_after = oracle_covariance(stacked, cs).matrix[0, 0]
             assert var_after <= var_before * (1 + 1e-12)
             p_before = wald_power(0.4, np.sqrt(var_before))
             p_after = wald_power(0.4, np.sqrt(var_after))
