@@ -242,6 +242,8 @@ def _parse_contrast(text: str) -> ContrastSpec:
     # the label becomes a CSV field or part of a column name
     if any(ch in label for ch in ",\n\r"):
         raise CliError(f"contrast label {label!r} must not hold a comma or a line break")
+    if label.startswith('"'):  # a CSV reader would read a quoted field
+        raise CliError(f"contrast label {label!r} must not start with a double quote")
     effect = None
     if "@" in rest:
         rest, _, eff_text = rest.partition("@")
@@ -296,11 +298,13 @@ def _sweep_template(args) -> CorrelationSpec:
 
 
 def _sweep_points(args) -> list:
-    if args.rho_values:
+    if args.rho_values is not None:
         try:
             values = [float(tok) for tok in args.rho_values.split(",") if tok.strip()]
         except ValueError:
             raise CliError(f"bad --rho-values list {args.rho_values!r}") from None
+        if not values:
+            raise CliError(f"--rho-values list {args.rho_values!r} holds no values")
         for value in values:
             if not math.isfinite(value):
                 raise CliError(f"--rho-values entries must be finite, got {value}")
@@ -398,10 +402,9 @@ def _sweep_table(args, specs: list[str]) -> int:
         effects = _effects_from_args(args, grid)
         table = sweep(grid, correlation, effects, points=points)
         if len(table.errors) == len(points):
-            first = table.errors[0][0] if points else "empty grid"
-            message = f"design {spec!r}: every sweep point failed; first error: {first}"
-            if points and all(issubclass(kind, RankDeficiencyError)
-                              for _, kind in table.errors.values()):
+            message = (f"design {spec!r}: every sweep point failed; "
+                       f"first error: {table.errors[0][0]}")
+            if all(issubclass(kind, RankDeficiencyError) for _, kind in table.errors.values()):
                 raise RankDeficiencyError(message)
             raise CliError(message)
         name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
@@ -487,8 +490,7 @@ def cmd_catalog(args) -> int:
         raise CliError(
             f"unknown catalog id {args.id!r} (known: {', '.join(catalog_ids())})"
         ) from None
-    fmt = "json" if args.format == "json" else "csv"
-    _emit(serialize_design(grid, fmt=fmt), args.output)
+    _emit(serialize_design(grid, fmt="json" if args.json else "csv"), args.output)
     return EXIT_OK
 
 
@@ -578,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catalog", help="list catalog designs or dump one")
     p_cat.add_argument("id", nargs="?", default=None, help="catalog design id")
-    p_cat.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_cat.add_argument("--json", dest="format", action="store_const", const="json")
+    p_cat.add_argument("--json", action="store_true", help="dump the design as JSON, not CSV")
     p_cat.add_argument("--output", default=None)
     p_cat.set_defaults(func=cmd_catalog)
 

@@ -33,19 +33,10 @@ class CovarianceModel(Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "CovarianceModel":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {
-            "cs": cls.CROSS_SECTIONAL,
-            "cross_sectional": cls.CROSS_SECTIONAL,
-            "crosssectional": cls.CROSS_SECTIONAL,
-            "cohort": cls.COHORT,
-            "nested": cls.NESTED_EXCHANGEABLE,
-            "nested_exchangeable": cls.NESTED_EXCHANGEABLE,
-            "ne": cls.NESTED_EXCHANGEABLE,
-        }
+        """The model whose value is ``name``: ``cs``, ``cohort`` or ``nested``."""
         try:
-            return aliases[key]
-        except KeyError:
+            return cls(name)
+        except ValueError:
             raise ParameterError(f"unknown covariance model {name!r}") from None
 
     @property
@@ -146,11 +137,11 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
         ok &= (0.0 <= pi) & (pi <= 1.0)
     if rho_a is not None:
         ok &= (0.0 <= rho_a) & (rho_a <= rho_w)
-    # Entries of in-domain points only, which are finite.
+    # Entries of in-domain points only, which are finite with offdiag >= 0.
     second = {name: value[ok] for name, value in (("rho_a", rho_a), ("pi", pi))
               if value is not None}
     diag, off = _entries(model, float(n_per_period), rho_w[ok], **second)
-    valid = (off >= 0.0) & (diag > off)
+    valid = diag > off
     ok[ok] = valid
     return ok, diag[valid], off[valid]
 

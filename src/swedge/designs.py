@@ -49,11 +49,18 @@ class TransitionViolation:
         )
 
 
+def _holds_bool(rows) -> bool:
+    """Whether any cell of ``rows`` is a Python or numpy bool, which numpy
+    reads among numbers as 1 or 0."""
+    return not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
+
+
 def _code_array(codes) -> np.ndarray:
     """Read-only int8 copy of an I x T grid of condition codes.
 
     Every cell must be an int 0-3; a bool is not a code.  An array is
-    judged by its dtype, any other input cell by cell.
+    judged by its dtype, any other input cell by cell.  A bad cell is
+    named by its Python value.
     """
     try:
         rows = list(codes)
@@ -72,14 +79,12 @@ def _code_array(codes) -> np.ndarray:
         grid = np.empty(0)
     bad = grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any()
     if not bad and not isinstance(codes, np.ndarray):
-        # numpy reads True and False among integers as 1 and 0
-        bad = not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
+        bad = _holds_bool(rows)
     if bad:
-        # the cells of an array are reported as Python numbers
-        for r, row in enumerate(grid.tolist() if isinstance(codes, np.ndarray) else rows):
+        for r, row in enumerate(rows):
             for cell in row:
-                if (isinstance(cell, bool) or not isinstance(cell, (int, np.integer))
-                        or not 0 <= cell <= 3):
+                cell = cell.tolist() if isinstance(cell, (np.generic, np.ndarray)) else cell
+                if isinstance(cell, bool) or not isinstance(cell, int) or not 0 <= cell <= 3:
                     raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
     grid = grid.astype(np.int8, copy=False)
     grid.flags.writeable = False
@@ -204,7 +209,7 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
     used_a = {c for c, n in grid_a.condition_counts().items() if n} - {0}
     used_b = {c for c, n in grid_b.condition_counts().items() if n} - {0}
     valid = (used_a <= {1} and used_b <= {2}) or (used_a <= {2} and used_b <= {1})
-    if not valid or (used_a & used_b):
+    if not valid:
         raise DesignError(
             "concurrent stacking needs disjoint single-treatment grids "
             f"(got {sorted(_CONDITION_NAMES[c] for c in used_a)} and "

@@ -7,7 +7,6 @@ type I error rate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -15,7 +14,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .covariance import CorrelationSpec, ParameterError, cluster_cov_stack
-from .designs import DesignGrid
+from .designs import DesignGrid, _holds_bool
 from .variance import (
     EFFECT_LABELS,
     RankDeficiencyError,
@@ -298,9 +297,7 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
         values = np.array(None)
     numeric = values.dtype.kind in "fiu"
     if numeric and values.ndim in (1, 2) and not isinstance(points, np.ndarray):
-        # numpy reads True and False among numbers as 1 and 0
-        cells = points if values.ndim == 1 else itertools.chain.from_iterable(points)
-        numeric = {bool, np.bool_}.isdisjoint(map(type, cells))
+        numeric = not _holds_bool([points] if values.ndim == 1 else points)
     if numeric and values.shape[1:] == (2,) and second is None:
         raise ParameterError("cross-sectional sweep points are single rho_w values")
     if not numeric or values.ndim == 0 or values.shape[1:] not in ((), (2,)):

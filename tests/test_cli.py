@@ -8,9 +8,10 @@ import warnings
 import pytest
 
 import swedge
-from swedge.cli import main
+from swedge.cli import _sweep_points, build_parser, main
 from swedge.covariance import CorrelationSpec, CovarianceModel, RawComponents
 from swedge.designs import catalog_design, parse_design, serialize_design
+from swedge.power import DEFAULT_RHO_GRID
 from swedge.variance import oracle_covariance
 
 
@@ -495,6 +496,11 @@ class TestSweepCommand:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 301
+
+    def test_default_range_is_the_library_default_grid(self):
+        args = build_parser().parse_args(["sweep", "--design", "fig1", "--model", "cs",
+                                          "--n", "15", "--delta", "0.4"])
+        assert _sweep_points(args) == list(DEFAULT_RHO_GRID)
 
     def test_cohort_needs_pi(self, capsys):
         code, _, err = run(

@@ -45,13 +45,25 @@ class TestGridStructure:
     @pytest.mark.parametrize("rows, row, cell", [
         ([[0, True], [0, 1]], 1, True),
         ([[0, 1], [0, False]], 2, False),
-        ([[0, np.True_], [0, 1]], 1, np.True_),
-        (([0, 1], (0, np.bool_(False))), 2, np.False_),
+        ([[0, np.True_], [0, 1]], 1, True),
+        (([0, 1], (0, np.bool_(False))), 2, False),
     ])
     def test_bool_cells_are_not_codes(self, rows, row, cell):
         with pytest.raises(DesignError) as info:
             DesignGrid(rows)
         assert str(info.value) == f"row {row}: unknown condition code {cell!r}"
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, np.int64(7)], [0, 1]], "row 1: unknown condition code 7"),
+        ([[0, 1], [np.int8(-1), 0]], "row 2: unknown condition code -1"),
+        ([[0, np.float64(1.0)], [0, 1]], "row 1: unknown condition code 1.0"),
+        ([np.array([0, 9]), [0, 1]], "row 1: unknown condition code 9"),
+    ], ids=["int64", "int8", "float64", "array-row"])
+    def test_numpy_scalar_cells_are_named_by_their_python_value(self, rows, message):
+        # the text does not depend on how the numpy version prints its scalars
+        with pytest.raises(DesignError) as info:
+            DesignGrid(rows)
+        assert str(info.value) == message
 
     def test_arrays_are_judged_by_their_dtype(self):
         with pytest.raises(DesignError, match="row 1: unknown condition code False"):
