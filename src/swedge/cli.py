@@ -151,7 +151,8 @@ def _read_design(spec: str) -> DesignGrid:
                     f"(known: {', '.join(catalog_ids())}) and no such file"
                 ) from None
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports often write
+        with open(spec, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read design file {spec!r}: {exc}") from None
@@ -314,8 +315,9 @@ def _sweep_points(args) -> list:
                 raise CliError(f"{flag} must be finite, got {value}")
         if args.rho_step <= 0:
             raise CliError("--rho-step must be positive")
-        steps = (args.rho_max - args.rho_min) / args.rho_step
-        count = round(steps) + 1 if math.isfinite(steps) else steps
+        # the points whose value, rounded to 12 decimals, is not past --rho-max
+        steps = (args.rho_max - args.rho_min + 5e-13) / args.rho_step
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
         if count > MAX_SWEEP_POINTS:
             raise CliError(f"the sweep grid would have more than {MAX_SWEEP_POINTS} points; "
                            "raise --rho-step or narrow --rho-min/--rho-max")
@@ -396,10 +398,12 @@ def _sweep_table(args, specs: list[str]) -> int:
     points = _sweep_points(args)
     compare = len(specs) > 1
 
-    names, effect_specs, tables = [], [], []
+    names, tables = [], []
     for spec in specs:
         grid = _load_design(spec, args.policy)
         effects = _effects_from_args(args, grid)
+        if not tables:  # the JSON meta gives the first design's effects
+            first_effects = effects
         table = sweep(grid, correlation, effects, points=points)
         if len(table.errors) == len(points):
             message = (f"design {spec!r}: every sweep point failed; "
@@ -409,7 +413,6 @@ def _sweep_table(args, specs: list[str]) -> int:
             raise CliError(message)
         name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
         names.append("".join(ch if (ch.isalnum() or ch in "-_") else "-" for ch in name))
-        effect_specs.append(effects)
         tables.append(table)
 
     shared = [l for l in tables[0].labels if all(l in t.labels for t in tables)]
@@ -451,7 +454,7 @@ def _sweep_table(args, specs: list[str]) -> int:
             json_rows.append(json_row(line))
 
     if args.format == "json":
-        meta = _meta(args, specs, correlation, effect_specs[0])
+        meta = _meta(args, specs, correlation, first_effects)
         if compare:
             meta["design_names"] = names
         text = _render_json(meta, json_rows)

@@ -26,30 +26,12 @@ from .variance import (
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))
 
-_STANDARD_NORMAL = NormalDist()
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF.
-
-    Near the centre and in the upper tail it is accurate to a few ulps.  In
-    the lower tail the rounding of ``-x / sqrt(2)`` is amplified by erfc's
-    conditioning, to about 4e-13 relative for x near -37.5.
-    """
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for ``0 < p < 1``."""
-    return _STANDARD_NORMAL.inv_cdf(p)
-
-
 def _critical_value(alpha: float) -> float:
     """Critical value of the two-sided test at level ``alpha`` in (0, 1)."""
     if 1.0 - alpha / 2.0 == 1.0:
         raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
                              "which has no normal quantile")
-    return normal_quantile(1.0 - alpha / 2.0)
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
@@ -82,8 +64,11 @@ def _two_sided_power(shifts: list[float], crit: float) -> list[float]:
     """Power of the two-sided test with critical value ``crit`` for each
     statistic centred at a shift = |effect| / se.
 
-    Each value is ``normal_cdf(shift - crit) + normal_cdf(-shift - crit)``
-    written out, with the same bits.
+    Each value is Phi(shift - crit) + Phi(-shift - crit), for the standard
+    normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2.  Near the centre and in the
+    upper tail Phi is accurate to a few ulps.  In the lower tail the
+    rounding of ``-x / sqrt(2)`` is amplified by erfc's conditioning, to
+    about 4e-13 relative for x near -37.5.
     """
     root2 = math.sqrt(2.0)
     return [0.5 * math.erfc((crit - shift) / root2) + 0.5 * math.erfc((shift + crit) / root2)

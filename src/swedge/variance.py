@@ -88,7 +88,7 @@ def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
 
     ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
     (between variance: the off-diagonal) are numpy arrays of one shape
-    ``(K...)``, or numpy scalars; the result has shape ``(K..., 3, 3)``.
+    ``(K...)``; the result has shape ``(K..., 3, 3)``.
     With the Gram matrices G (cells) and R (cluster totals), the period
     totals ``cols`` and grand totals ``totals`` of the summary, and with
     y = a*totals and l = b*totals,
@@ -126,10 +126,11 @@ def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
 def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     """Profiled 3x3 information matrix of the three effect estimates.
 
-    One point of :func:`information_stack`, on the summary of ``grid``.
+    Row 0 of :func:`information_stack` at one point, on the summary of
+    ``grid``.
     """
-    return information_stack(design_summary(grid), np.float64(cs.diag - cs.offdiag),
-                             np.float64(cs.offdiag))
+    return information_stack(design_summary(grid), np.array([cs.diag - cs.offdiag]),
+                             np.array([cs.offdiag]))[0]
 
 
 def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
@@ -154,16 +155,16 @@ class TreatmentCovariance:
 def _invert_symmetric(s: np.ndarray) -> np.ndarray:
     """Explicit adjugate inverse of symmetric matrices up to 3x3.
 
-    ``s`` is one matrix or a stack of shape (K..., n, n); the result has
-    the same shape and is C-contiguous.  Written so that relabeling
-    treatments (simultaneous swap of rows and columns 0 and 1) permutes
-    the result bit-for-bit: every cofactor is grouped to rely only on
-    commutativity of float multiply and add.
+    ``s`` is a stack of shape (K..., n, n); the result has the same shape
+    and is C-contiguous.  Written so that relabeling treatments
+    (simultaneous swap of rows and columns 0 and 1) permutes the result
+    bit-for-bit: every cofactor is grouped to rely only on commutativity
+    of float multiply and add.
     """
     n = s.shape[-1]
     if n == 1:
         return 1.0 / s
-    # e[j, i] is s[..., i, j]: a scalar for one matrix, an array for a stack.
+    # e[j, i] is the (K...) array s[..., i, j].
     e = s.T
     if n == 2:
         s11, s22, s12 = e[0, 0], e[1, 1], e[1, 0]
@@ -207,15 +208,6 @@ def closed_form_covariance(
     return TreatmentCovariance(labels=labels, matrix=matrices[0])
 
 
-def _pointwise(f, *stacks):
-    """``f`` of (K, ...) stacks whose rows it computes independently; one row
-    goes through numpy scalars, which numpy evaluates several times faster
-    than (1,) arrays, to the same bits."""
-    if len(stacks[0]) == 1:
-        return f(*(x[0] for x in stacks))[None]
-    return f(*stacks)
-
-
 def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
                       additive: bool = False):
     """The closed-form covariance of the effect estimates at the K points of
@@ -243,8 +235,8 @@ def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
     summary = design_summary(grid)
     # finite entries with diag > offdiag >= 0 give a scaled within variance of
     # at least 2**-54, and so a finite information matrix
-    s = _pointwise(lambda c, a: information_stack(summary, c, a),
-                   np.ldexp(diag, -exponent) - sig_a, sig_a)[:, active[:, None], active]
+    s = information_stack(summary, np.ldexp(diag, -exponent) - sig_a, sig_a)
+    s = s[:, active[:, None], active]
     # the indices of the points that passed every check so far
     at, errors = np.arange(count), {}
     eigvals = np.linalg.eigvalsh(s)
@@ -264,7 +256,7 @@ def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
         at, s = at[well], s[well]
 
     with np.errstate(all="ignore"):
-        matrices = np.ldexp(_pointwise(_invert_symmetric, s), exponent[at, None, None])
+        matrices = np.ldexp(_invert_symmetric(s), exponent[at, None, None])
     # a finite variance bounds the covariances of its effect
     variances = matrices.diagonal(0, 1, 2)
     solved = (np.isfinite(variances) & (variances > 0.0)).all(axis=1)
@@ -337,14 +329,6 @@ def oracle_covariance(
     return TreatmentCovariance(labels=labels, matrix=block)
 
 
-def quadratic_form(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``c' M c`` over the last two axes of ``m``, one matrix or a stack, written
-    elementwise so that a matrix in a stack gets the bits it gets on its own;
-    overflow gives inf, not a warning."""
-    with np.errstate(all="ignore"):
-        return ((m * c[:, None]).sum(-2) * c).sum(-1)
-
-
 def contrast_variances(weights, matrices: np.ndarray):
     """Variances of a weighted combination of the effect estimates under m
     covariance matrices, and a map from the row of each variance that is
@@ -355,7 +339,10 @@ def contrast_variances(weights, matrices: np.ndarray):
     dim = matrices.shape[-1]
     if c.ndim != 1 or c.size != dim:
         raise ParameterError(f"contrast length {c.size} does not match covariance dimension {dim}")
-    var = quadratic_form(c, matrices)
+    # c' M c written elementwise, so that each matrix of the stack gets the
+    # bits it gets in a stack of its own; overflow gives inf, not a warning
+    with np.errstate(all="ignore"):
+        var = ((matrices * c[:, None]).sum(-2) * c).sum(-1)
     errors = {}
     for k in np.flatnonzero(~np.isfinite(var) | ~(var > 0.0)).tolist():
         errors[k] = ParameterError(

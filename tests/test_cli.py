@@ -502,6 +502,27 @@ class TestSweepCommand:
                                           "--n", "15", "--delta", "0.4"])
         assert _sweep_points(args) == list(DEFAULT_RHO_GRID)
 
+    @pytest.mark.parametrize("grid, expected", [
+        (("0", "0.26", "0.1"), [0.0, 0.1, 0.2]),
+        (("0.1", "0.16", "0.1"), [0.1]),
+        (("0.1", "0.3", "0.1"), [0.1, 0.2, 0.3]),
+        # rho_max - rho_min is off by 1.1e-7 steps here, so a fixed 1e-9 slack drops 0.1000001
+        (("0.1", "0.1000001", "1e-10"), [round(0.1 + k * 1e-10, 12) for k in range(1001)]),
+    ])
+    def test_range_grid_ends_at_the_last_point_not_past_rho_max(self, grid, expected):
+        flags = [f for flag, value in zip(("--rho-min", "--rho-max", "--rho-step"), grid)
+                 for f in (flag, value)]
+        args = build_parser().parse_args(["sweep", "--design", "fig1", "--model", "cs",
+                                          "--n", "15", "--delta", "0.4", *flags])
+        assert _sweep_points(args) == expected
+
+    def test_rho_max_less_than_a_step_below_rho_min_is_an_empty_grid(self, capsys):
+        code, out, err = run(capsys, "sweep", "--design", "fig1", "--model", "cs", "--n", "15",
+                             "--delta", "0.4", "--rho-min", "0.1", "--rho-max", "0.06",
+                             "--rho-step", "0.1")
+        assert (code, out) == (2, "")
+        assert err == "error: empty sweep grid; check --rho-min/--rho-max/--rho-step\n"
+
     def test_cohort_needs_pi(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--design", "fig1", "--model", "cohort", "--n", "15",
@@ -685,6 +706,18 @@ class TestCatalogAndValidate:
         code, out, _ = run(capsys, "validate", "--design", "mine")
         assert code == 2
         assert "TRT1 -> TRT2" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_design_file_with_a_byte_order_mark_is_read(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"bom.{fmt}"
+        path.write_text("\ufeff" + serialize_design(catalog_design("fig1"), fmt),
+                        encoding="utf-8")
+        argv = ("--model", "cs", "--rho-w", "0.1", "--n", "15", "--delta", "0.4",
+                "--format", "csv")
+        assert run(capsys, "power", "--design", str(path), *argv) == \
+            run(capsys, "power", "--design", "fig1", *argv)
+        code, out, _ = run(capsys, "validate", "--design", str(path))
+        assert (code, out) == (0, f"{path}: ok (6 clusters x 4 periods)\n")
 
     @pytest.mark.parametrize("payload", [
         '{"cells": [0, 1]}',

@@ -1,11 +1,40 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and CLI examples run as written."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from swedge.cli import main
+from swedge.designs import catalog_design, serialize_design
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_lines() -> list[str]:
+    """The ``swedge`` command lines of the first shell block under the
+    README's "CLI" heading, continuations joined and comments dropped."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = (shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.join(argv) for argv in lines if argv]
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_cli_example_exits_0(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_trial.csv").write_text(serialize_design(catalog_design("fig1")),
+                                           encoding="utf-8")
+    argv = shlex.split(line)
+    assert argv[0] == "swedge"
+    assert main(argv[1:]) == 0
+    out = capsys.readouterr().out
+    if "--json" in argv or "json" in argv:  # catalog --json, --format json
+        json.loads(out)
 
 
 def _quick_start() -> str:
