@@ -173,10 +173,10 @@ class PowerResult:
 def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
     """The result columns of ``effects`` from m covariance matrices of the
     effects ``labels``: ``(names, sizes, se, power, errors)``, the result
-    labels and effect sizes, (m, n) SE and power arrays, nan in failed rows,
-    and a map from each failed row to the first error of its columns.  A
-    contrast variance that is not finite and positive fails its row; any
-    other check fails every row and leaves the effect sizes nan.
+    labels and effect sizes, (m, n) SE and power arrays, which mean nothing
+    in failed rows, and a map from each failed row to the first error of its
+    columns.  A contrast variance that is not finite and positive fails its
+    row; any other check fails every row and leaves the effect sizes nan.
     """
     deltas = effects.deltas()
     names = (*deltas, *(spec.label for spec in effects.contrasts))
@@ -218,8 +218,6 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.n
     power = np.array([[effects.alpha] * len(matrices) if size == 0
                       else _two_sided_power(column, crit)
                       for size, column in zip(sizes, shifts.T.tolist())]).T
-    if errors:
-        se[list(errors)] = power[list(errors)] = math.nan
     return names, tuple(sizes), se, power, errors
 
 
@@ -265,8 +263,8 @@ class SweepTable:
 
 
 def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
-    """The (K,) ICC columns a sweep grid gives: ``rho_w``, and for a
-    (K, 2) grid also the model's second ICC.
+    """The (K,) ICC columns of a sweep grid: ``rho_w``, and for a model
+    with a second ICC that ICC, from a (K, 2) grid or else the template's.
 
     The grid must be a numeric array-like of ints or floats, of shape
     (K,), or (K, 2) for a model with a second ICC; the spec must hold
@@ -289,7 +287,10 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
         pairs = f", or a (K, 2) array-like of (rho_w, {second}) pairs" if second else ""
         raise ParameterError(f"sweep points must be a numeric (K,) array-like of rho_w "
                              f"values{pairs}")
-    return dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float)))
+    columns = dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float)))
+    if second:
+        columns.setdefault(second, np.full(len(values), getattr(correlation, second)))
+    return columns
 
 
 def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
@@ -302,38 +303,33 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     other grid, or a raw-component template, raises
     :class:`ParameterError` before any point is solved.  Points outside
     the model's domain are reported in the table's ``errors`` without
-    aborting the rest.  All points are solved as one batch from one
-    summary of the design, and SE and power are computed a column at a
-    time; :func:`design_power` is the same computation at one point, and
-    each failed point reports the error it raises there.
+    aborting the rest.  All points are solved as one stack, each at its
+    own index, and SE and power are computed a column at a time;
+    :func:`design_power` is the same computation at one point, and each
+    failed point reports the error it raises there.
     """
-    model = correlation.model
-    given = _icc_columns(points, correlation)
-    count = len(given["rho_w"])
-    icc = {"rho_w": given["rho_w"]}
-    if model.second_icc:
-        icc[model.second_icc] = given.get(model.second_icc,
-                                          np.full(count, getattr(correlation, model.second_icc)))
-    valid, diag, offdiag = cluster_cov_stack(model, correlation.n_per_period, **icc)
-    estimable, solved, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
-                                                                  additive=effects.additive)
-    labels, sizes, se_solved, power_solved, result_errors = _result_columns(
+    icc = _icc_columns(points, correlation)
+    valid, diag, offdiag = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
+    estimable, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
+                                                          additive=effects.additive)
+    labels, sizes, se_valid, power_valid, result_errors = _result_columns(
         effects, estimable, matrices)
     index = np.flatnonzero(valid)
-    rows = index[solved]
-    se = np.full((count, len(labels)), math.nan)
+    se = np.full((len(valid), len(labels)), math.nan)
     power = se.copy()
-    se[rows], power[rows] = se_solved, power_solved
+    se[index], power[index] = se_valid, power_valid
 
     errors = {}
     # the domain errors come from the scalar checks, which solve nothing
     invalid = np.flatnonzero(~valid)
-    for k, *values in zip(invalid.tolist(), *(col[invalid].tolist() for col in given.values())):
+    for k, *values in zip(invalid.tolist(), *(col[invalid].tolist() for col in icc.values())):
         try:
-            correlation.with_icc(**dict(zip(given, values))).cov_entries()
+            correlation.with_icc(**dict(zip(icc, values))).cov_entries()
         except ParameterError as exc:
             errors[k] = (str(exc), type(exc))
-    for at, exceptions in ((index, solve_errors), (rows, result_errors)):
-        errors.update((int(at[j]), (str(exc), type(exc))) for j, exc in exceptions.items())
+    # a point's solver error wins over the errors of its result columns
+    errors.update((int(index[j]), (str(exc), type(exc)))
+                  for j, exc in {**result_errors, **solve_errors}.items())
+    se[list(errors)] = power[list(errors)] = math.nan
     return SweepTable(labels=labels, effects=tuple(map(float, sizes)), icc=icc, se=se,
                       power=power, errors=dict(sorted(errors.items())))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,48 +49,22 @@ class RankDeficiencyError(ValueError):
         super().__init__(message)
 
 
-class DesignSummary(NamedTuple):
-    """What the closed form reads from a design: integer-valued Gram
-    matrices and totals of its indicator stack (X, W, XW)."""
-
-    gram: np.ndarray          # 3 x 3 Gram matrix of the cells
-    cluster_gram: np.ndarray  # 3 x 3 Gram matrix of the per-cluster totals
-    cols: np.ndarray          # 3 x T per-period totals
-    totals: np.ndarray        # 3 grand totals
-    n_clusters: int
-    n_periods: int
-
-
-def design_summary(grid: DesignGrid) -> DesignSummary:
-    """The Gram summary of ``grid``, computed once for any number of points.
-
-    The product of any two different indicators of the stack is XW, so the
-    cell Gram matrix holds the grand totals of X and W on its diagonal and
-    that of XW everywhere else.
-    """
-    x, w = grid.indicators()
-    stack = np.array([x, w, x * w])
-    rows = stack.sum(axis=2)
-    cols = stack.sum(axis=1)
-    totals = cols.sum(axis=1)
-    gram = np.full((3, 3), totals[2])
-    gram[0, 0], gram[1, 1] = totals[0], totals[1]
-    return DesignSummary(gram, rows @ rows.T, cols, totals, grid.n_clusters, grid.n_periods)
-
-
 def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v[..., None, :]
 
 
-def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
+def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     """Profiled information matrices of the three effects at many points.
 
     ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
     (between variance: the off-diagonal) are numpy arrays of one shape
     ``(K...)``; the result has shape ``(K..., 3, 3)``.
-    With the Gram matrices G (cells) and R (cluster totals), the period
-    totals ``cols`` and grand totals ``totals`` of the summary, and with
-    y = a*totals and l = b*totals,
+    The design is read once per stack, as integer-valued sums of its
+    indicator stack (X, W, XW): the Gram matrices G of the cells and R of
+    the per-cluster totals, the per-period totals ``cols`` and the grand
+    totals ``totals``.  The product of any two different indicators of the
+    stack is XW, so G holds the grand totals of X and W on its diagonal and
+    that of XW everywhere else.  With y = a*totals and l = b*totals,
 
         S = b*G - c*sig_a*R - y y'/(f*T)
             - ((b*cols)@(b*cols)' - l l'/T) / (f + g*T).
@@ -103,20 +76,27 @@ def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
     effects absent from the design are zero.  Overflowing or underflowing
     covariance entries give non-finite entries, not warnings.
     """
-    t, n_clusters = summary.n_periods, summary.n_clusters
+    x, w = grid.indicators()
+    stack = np.array([x, w, x * w])
+    rows = stack.sum(axis=2)
+    cols = stack.sum(axis=1)
+    totals = cols.sum(axis=1)
+    gram = np.full((3, 3), totals[2])
+    gram[0, 0], gram[1, 1] = totals[0], totals[1]
+    t, n_clusters = grid.n_periods, grid.n_clusters
     with np.errstate(all="ignore"):
         a = 1.0 / (sig_c + t * sig_a)
         b = 1.0 / sig_c
         c = a * b
         f = n_clusters * a
         g = n_clusters * c * sig_a
-        y = a[..., None] * summary.totals
-        l = b[..., None] * summary.totals
+        y = a[..., None] * totals
+        l = b[..., None] * totals
         b_matrix = b[..., None, None]
-        b_cols = b_matrix * summary.cols
+        b_cols = b_matrix * cols
         return (
-            b_matrix * summary.gram
-            - (c * sig_a)[..., None, None] * summary.cluster_gram
+            b_matrix * gram
+            - (c * sig_a)[..., None, None] * (rows @ rows.T)
             - _outer(y) / (f * t)[..., None, None]
             - (b_cols @ b_cols.swapaxes(-1, -2) - _outer(l) / t)
             / (f + g * t)[..., None, None]
@@ -126,11 +106,9 @@ def information_stack(summary: DesignSummary, sig_c, sig_a) -> np.ndarray:
 def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     """Profiled 3x3 information matrix of the three effect estimates.
 
-    Row 0 of :func:`information_stack` at one point, on the summary of
-    ``grid``.
+    Row 0 of :func:`information_stack` at one point.
     """
-    return information_stack(design_summary(grid), np.array([cs.diag - cs.offdiag]),
-                             np.array([cs.offdiag]))[0]
+    return information_stack(grid, np.array([cs.diag - cs.offdiag]), np.array([cs.offdiag]))[0]
 
 
 def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
@@ -201,8 +179,8 @@ def closed_form_covariance(
     even when combined-condition cells exist, for designs analyzed under
     assumed-additive treatment effects.
     """
-    labels, _, matrices, errors = closed_form_stack(grid, np.array([cs.diag]),
-                                                    np.array([cs.offdiag]), additive)
+    labels, matrices, errors = closed_form_stack(grid, np.array([cs.diag]),
+                                                 np.array([cs.offdiag]), additive)
     if errors:
         raise errors[0]
     return TreatmentCovariance(labels=labels, matrix=matrices[0])
@@ -211,64 +189,62 @@ def closed_form_covariance(
 def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
                       additive: bool = False):
     """The closed-form covariance of the effect estimates at the K points of
-    the (K,) compound-symmetry entries ``diag`` and ``offdiag``, from one
-    summary of the design; a point gets the bits it gets on its own.
+    the (K,) compound-symmetry entries ``diag`` and ``offdiag``, solved as
+    one stack; a point gets the bits it gets on its own.
 
     A point is solved at its entries times 2**-e, for e the binary exponent
     of its diagonal, and its covariance multiplied back by 2**e: exact
     scalings, which change no bit where the unscaled arithmetic stays in
     range and leave only a covariance out of range unsolved.  Returns
-    ``(labels, solved, matrices, errors)``: the estimable effects, the
-    indices of the solved points, their (m, n, n) covariance matrices, and a
-    map from every other point's index to its error: no effect estimable, an
-    information matrix failing the rank check, or a covariance not finite or
-    with a variance underflowing to 0.
+    ``(labels, matrices, errors)``: the estimable effects, the (K, n, n)
+    covariance matrices in input order, nan at every unsolved point, and a
+    map from each unsolved point's index to its error: no effect estimable,
+    an information matrix failing the rank check, or a covariance not
+    finite or with a variance underflowing to 0.
     """
     count = len(diag)
     labels = active_effects(grid, additive)
     if not labels:
         errors = dict.fromkeys(range(count), RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
-        return labels, np.empty(0, dtype=int), np.empty((0, 0, 0)), errors
+        return labels, np.empty((count, 0, 0)), errors
     active = np.array([EFFECT_LABELS.index(label) for label in labels])
     exponent = np.frexp(diag)[1]
     sig_a = np.ldexp(offdiag, -exponent)
-    summary = design_summary(grid)
     # finite entries with diag > offdiag >= 0 give a scaled within variance of
     # at least 2**-54, and so a finite information matrix
-    s = information_stack(summary, np.ldexp(diag, -exponent) - sig_a, sig_a)
+    s = information_stack(grid, np.ldexp(diag, -exponent) - sig_a, sig_a)
     s = s[:, active[:, None], active]
-    # the indices of the points that passed every check so far
-    at, errors = np.arange(count), {}
+    errors = {}
     eigvals = np.linalg.eigvalsh(s)
     top = np.abs(eigvals).max(axis=-1)
     well = (top > 0.0) & (eigvals[:, 0] > top / CONDITION_LIMIT)
     if not well.all():
         # the offending effect is the largest entry of the null eigenvector
         nulls = np.linalg.eigh(s[~well])[1][:, :, 0]
-        for k, null, low, high in zip(at[~well].tolist(), nulls, eigvals[~well, 0].tolist(),
-                                      top[~well].tolist()):
+        for k, null, low, high in zip(np.flatnonzero(~well).tolist(), nulls,
+                                      eigvals[~well, 0].tolist(), top[~well].tolist()):
             errors[k] = RankDeficiencyError(
                 "information matrix is rank deficient; the effect is confounded "
                 "with the intercept, period effects, or another treatment column",
                 effect=labels[int(np.argmax(np.abs(null)))],
                 condition=np.inf if low <= 0 else high / low,
             )
-        at, s = at[well], s[well]
 
     with np.errstate(all="ignore"):
-        matrices = np.ldexp(_invert_symmetric(s), exponent[at, None, None])
+        matrices = np.ldexp(_invert_symmetric(s), exponent[:, None, None])
     # a finite variance bounds the covariances of its effect
     variances = matrices.diagonal(0, 1, 2)
-    solved = (np.isfinite(variances) & (variances > 0.0)).all(axis=1)
+    solved = well & (np.isfinite(variances) & (variances > 0.0)).all(axis=1)
     if not solved.all():
-        for k, row in zip(at[~solved].tolist(), variances[~solved]):
+        failed = np.flatnonzero(well & ~solved)
+        for k, row in zip(failed.tolist(), variances[failed]):
             what = "a variance of the effect estimates underflows to 0" if np.isfinite(row).all() \
                 else "covariance of the effect estimates is not finite"
             errors[k] = ParameterError(
                 f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
                 f"{offdiag[k]:g}) are too large or too small to represent")
-        at, matrices = at[solved], matrices[solved]
-    return labels, at, matrices, errors
+        matrices[~solved] = np.nan
+    return labels, matrices, errors
 
 
 def oracle_covariance(

@@ -317,7 +317,6 @@ class TestSweep:
             raise AssertionError("a malformed grid reached the solver")
 
         monkeypatch.setattr(swedge.power, "cluster_cov_stack", unreachable)
-        monkeypatch.setattr(swedge.power, "design_power", unreachable)
         with pytest.raises(ParameterError, match=message):
             sweep(catalog_design("fig1"), template, EffectSpec(delta1=0.4), points=points)
 
@@ -377,6 +376,10 @@ class TestSweep:
             1: (RANK.format("interaction", "inf"), RankDeficiencyError)}),
         ([[0, 1], [0, 1]], cs_spec(), EffectSpec(delta1=0.4), (0.1,), {
             0: (RANK.format("trt1", "inf"), RankDeficiencyError)}),
+        # a zero effect size has power alpha wherever its SE exists, but not
+        # at a point that failed
+        ([[0, 1], [0, 1]], cs_spec(), EffectSpec(delta1=0.0), (0.1,), {
+            0: (RANK.format("trt1", "inf"), RankDeficiencyError)}),
         ([[0, 0], [0, 0]], cs_spec(), EffectSpec(delta1=0.4), (0.1, 2.0), {
             0: ("design has no treated cluster-periods; no effects are estimable",
                 RankDeficiencyError),
@@ -403,8 +406,9 @@ class TestSweep:
             1: (UNDERFLOW, ParameterError),
             2: (UNDERFLOW, ParameterError),
             3: ("rho_w must lie in [0, 1), got 1.5", ParameterError)}),
-    ], ids=["domain", "rho-a-domain", "singular", "rank-fig5a", "rank-grid", "no-effects",
-            "not-estimable", "contrast-length", "contrast-not-finite", "contrast-order"])
+    ], ids=["domain", "rho-a-domain", "singular", "rank-fig5a", "rank-grid",
+            "rank-grid-zero-effect", "no-effects", "not-estimable", "contrast-length",
+            "contrast-not-finite", "contrast-order"])
     def test_failed_points_report_their_errors_without_design_power(
             self, monkeypatch, design, template, effects, points, errors):
         import swedge.power

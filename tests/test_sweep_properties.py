@@ -232,10 +232,10 @@ def test_label_swap_permutes_the_batched_covariance_bit_exactly(seed, template, 
         extra["rho_a"] = np.minimum(extra["rho_a"], rho_w)
     _, diag, offdiag = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
                                          **extra)
-    labels, solved, matrices, _ = closed_form_stack(grid, diag, offdiag, additive)
-    swapped_labels, swapped_solved, swapped, _ = closed_form_stack(
+    labels, matrices, errors = closed_form_stack(grid, diag, offdiag, additive)
+    swapped_labels, swapped, swapped_errors = closed_form_stack(
         grid.swap_treatments(), diag, offdiag, additive)
     assert sorted(SWAPPED[label] for label in labels) == sorted(swapped_labels)
-    assert np.array_equal(solved, swapped_solved)
+    assert errors.keys() == swapped_errors.keys()
     order = [swapped_labels.index(SWAPPED[label]) for label in labels]
     assert swapped[:, order][:, :, order].tobytes() == matrices.tobytes()

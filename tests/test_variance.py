@@ -245,9 +245,9 @@ class TestExtremeCovarianceEntries:
     def test_stack_solves_the_point_as_on_its_own(self):
         grid = catalog_design("fig2b")
         cs = std_cs()
-        labels, solved, matrices, errors = closed_form_stack(
+        labels, matrices, errors = closed_form_stack(
             grid, np.array([cs.diag, self.HUGE.diag]), np.array([cs.offdiag, self.HUGE.offdiag]))
-        assert solved.tolist() == [0, 1] and errors == {}
+        assert errors == {}
         for matrix, entries in zip(matrices, (cs, self.HUGE)):
             assert matrix.tobytes() == closed_form_covariance(grid, entries).matrix.tobytes()
 
@@ -270,6 +270,25 @@ class TestExtremeCovarianceEntries:
         with pytest.raises(ParameterError, match="^covariance of the effect estimates is not "
                                                  "finite"):
             closed_form_covariance(DesignGrid([[C, T1], [C, C]]), entries)
+
+    def test_stack_keeps_every_point_at_its_input_index(self):
+        # fig5b's interaction variance exceeds the diagonal entry, so its
+        # covariance overflows near the float maximum
+        grid = catalog_design("fig5b")
+        cs = std_cs()
+        labels, matrices, errors = closed_form_stack(
+            grid, np.array([cs.diag, 1.79e308, 5e-324]), np.array([cs.offdiag, 0.0, 0.0]))
+        assert matrices.shape == (3, 3, 3)
+        assert np.isnan(matrices[1:]).all()
+        assert {k: (type(exc), str(exc)) for k, exc in errors.items()} == {
+            1: (ParameterError, "covariance of the effect estimates is not finite: the "
+                "covariance entries (diagonal 1.79e+308, off-diagonal 0) are too large or "
+                "too small to represent"),
+            2: (ParameterError, "a variance of the effect estimates underflows to 0: the "
+                "covariance entries (diagonal 4.94066e-324, off-diagonal 0) are too large or "
+                "too small to represent"),
+        }
+        assert matrices[0].tobytes() == closed_form_covariance(grid, cs).matrix.tobytes()
 
     @pytest.mark.parametrize("diag, offdiag", [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan)])
     def test_non_finite_entries_are_rejected(self, diag, offdiag):
