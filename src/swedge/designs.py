@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,18 +50,13 @@ class TransitionViolation:
         )
 
 
-def _holds_bool(rows) -> bool:
-    """Whether any cell of ``rows`` is a Python or numpy bool, which numpy
-    reads among numbers as 1 or 0."""
-    return not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
-
-
 def _code_array(codes) -> np.ndarray:
     """Read-only int8 copy of an I x T grid of condition codes.
 
     Every cell must be an int 0-3; a bool is not a code.  An array is
-    judged by its dtype, any other input cell by cell.  A bad cell is
-    named by its Python value.
+    judged by its dtype, a grid of int cells read as one byte per cell,
+    and any other input cell by cell.  A bad cell is named by its Python
+    value.
     """
     try:
         rows = list(codes)
@@ -73,20 +69,27 @@ def _code_array(codes) -> np.ndarray:
         raise DesignError(f"ragged design: row lengths {sorted(widths)}")
     if widths.pop() < 2:
         raise DesignError("design needs at least 2 periods")
-    try:
-        grid = np.array(rows)
-    except ValueError:  # a cell is itself a sequence
-        grid = np.empty(0)
-    bad = grid.ndim != 2 or grid.dtype.kind not in "iu" or ((grid < 0) | (grid > 3)).any()
-    if not bad and not isinstance(codes, np.ndarray):
-        bad = _holds_bool(rows)
-    if bad:
+    if isinstance(codes, np.ndarray):
+        grid = np.array(codes)
+        bad = grid.ndim != 2 or grid.dtype.kind not in "iu"
+    else:
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        bad = not all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
+        if not bad:
+            try:  # one byte per cell
+                grid = np.frombuffer(bytes(itertools.chain.from_iterable(rows)), np.int8)
+            except ValueError:  # a cell outside 0-255
+                bad = True
+    if bad or ((grid < 0) | (grid > 3)).any():
+        cells = []
         for r, row in enumerate(rows):
             for cell in row:
                 cell = cell.tolist() if isinstance(cell, (np.generic, np.ndarray)) else cell
                 if isinstance(cell, bool) or not isinstance(cell, int) or not 0 <= cell <= 3:
                     raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
-    grid = grid.astype(np.int8, copy=False)
+                cells.append(cell)
+        grid = np.array(cells)
+    grid = grid.astype(np.int8, copy=False).reshape(len(rows), -1)
     grid.flags.writeable = False
     return grid
 
@@ -95,8 +98,10 @@ def _code_array(codes) -> np.ndarray:
 class DesignGrid:
     """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
-    ``codes`` is a read-only int8 array copied from the input.  Equality
-    compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
+    ``codes`` is a read-only int8 array copied from the input, and
+    ``sums``, computed from it on first use, is kept with the grid; a
+    derived, copied or unpickled grid is a new grid with sums of its own.
+    Equality compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
     grids whose exact layout was rebuilt from published summary counts
     rather than copied cell-for-cell; it is provenance metadata and
     excluded from equality.
@@ -135,6 +140,27 @@ class DesignGrid:
     def indicators(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, W) 0/1 arrays of shape (I, T) for treatments 1 and 2."""
         return (self.codes & 1).astype(float), (self.codes >> 1).astype(float)
+
+    @cached_property
+    def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(gram, cluster_gram, cols, totals)`` of the indicator
+        stack (X, W, XW), which the closed form reads: the 3x3 Gram matrices
+        of the cells and of the per-cluster totals, the (3, T) per-period
+        totals and the grand totals, all integers held exactly as floats.
+        The product of two different indicators is XW, so ``gram`` holds the
+        totals of X and W on its diagonal and that of XW everywhere else.
+        """
+        x, w = self.indicators()
+        stack = np.array([x, w, x * w])
+        rows = stack.sum(axis=2)
+        cols = stack.sum(axis=1)
+        totals = cols.sum(axis=1)
+        gram = np.full((3, 3), totals[2])
+        gram[0, 0], gram[1, 1] = totals[0], totals[1]
+        sums = gram, rows @ rows.T, cols, totals
+        for array in sums:
+            array.flags.writeable = False
+        return sums
 
     def swap_treatments(self) -> "DesignGrid":
         """Relabel treatment 1 <-> treatment 2 everywhere."""
@@ -434,11 +460,13 @@ def parse_design(text: str) -> DesignGrid:
     stripped = text.strip()
     if not stripped:
         raise DesignError("empty design file")
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise DesignError(f"invalid design JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DesignError("design JSON must be an object with a 'cells' array")
         if "cells" not in payload:
             raise DesignError("design JSON must contain a 'cells' array")
         label = payload.get("label", "")
@@ -457,12 +485,17 @@ def parse_design(text: str) -> DesignGrid:
                 label, reconstructed = _parse_header(line)
             continue
         lines.append((lineno, line))
-    try:
-        # numpy reads each token as int() does
-        codes = np.array([line.split(",") for _, line in lines], dtype=int)
-    except (ValueError, OverflowError):
-        # a bad token, a ragged grid or no rows: read cell by cell to say which
-        codes = [_parse_row(lineno, line) for lineno, line in lines]
+    # Lines each exactly [0-3](,[0-3])* of one width are read as one buffer,
+    # a row of it per line and its "\n"; any other text is read cell by cell.
+    width = len(lines[0][1]) + 1 if lines else 0
+    body = "".join(line + "\n" for _, line in lines).encode("ascii", "replace")
+    chars = np.frombuffer(body, np.uint8)
+    if width >= 4 and width % 2 == 0 and chars.size == len(lines) * width:
+        chars = chars.reshape(len(lines), width)
+        codes = chars[:, ::2] - ord("0")  # wraps below "0" to a large code
+        if (codes <= 3).all() and (chars[:, 1::2] == list(b"," * (width // 2 - 1) + b"\n")).all():
+            return DesignGrid(codes, label=label, reconstructed=reconstructed)
+    codes = [_parse_row(lineno, line) for lineno, line in lines]
     return DesignGrid(codes, label=label, reconstructed=reconstructed)
 
 

@@ -7,6 +7,7 @@ type I error rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -14,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .covariance import CorrelationSpec, ParameterError, cluster_cov_stack
-from .designs import DesignGrid, _holds_bool
+from .designs import DesignGrid
 from .variance import (
     EFFECT_LABELS,
     RankDeficiencyError,
@@ -22,6 +23,13 @@ from .variance import (
     closed_form_stack,
     contrast_variances,
 )
+
+
+def _holds_bool(rows) -> bool:
+    """Whether any cell of ``rows`` is a Python or numpy bool, which numpy
+    reads among numbers as 1 or 0."""
+    return not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
+
 
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))

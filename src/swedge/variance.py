@@ -59,12 +59,10 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
     (between variance: the off-diagonal) are numpy arrays of one shape
     ``(K...)``; the result has shape ``(K..., 3, 3)``.
-    The design is read once per stack, as integer-valued sums of its
-    indicator stack (X, W, XW): the Gram matrices G of the cells and R of
-    the per-cluster totals, the per-period totals ``cols`` and the grand
-    totals ``totals``.  The product of any two different indicators of the
-    stack is XW, so G holds the grand totals of X and W on its diagonal and
-    that of XW everywhere else.  With y = a*totals and l = b*totals,
+    The design enters only through its integer sums ``grid.sums``, which
+    the grid computes once and keeps: the Gram matrices G of the cells and
+    R of the per-cluster totals, the per-period totals ``cols`` and the
+    grand totals ``totals``.  With y = a*totals and l = b*totals,
 
         S = b*G - c*sig_a*R - y y'/(f*T)
             - ((b*cols)@(b*cols)' - l l'/T) / (f + g*T).
@@ -76,13 +74,7 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     effects absent from the design are zero.  Overflowing or underflowing
     covariance entries give non-finite entries, not warnings.
     """
-    x, w = grid.indicators()
-    stack = np.array([x, w, x * w])
-    rows = stack.sum(axis=2)
-    cols = stack.sum(axis=1)
-    totals = cols.sum(axis=1)
-    gram = np.full((3, 3), totals[2])
-    gram[0, 0], gram[1, 1] = totals[0], totals[1]
+    gram, cluster_gram, cols, totals = grid.sums
     t, n_clusters = grid.n_periods, grid.n_clusters
     with np.errstate(all="ignore"):
         a = 1.0 / (sig_c + t * sig_a)
@@ -96,7 +88,7 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
         b_cols = b_matrix * cols
         return (
             b_matrix * gram
-            - (c * sig_a)[..., None, None] * (rows @ rows.T)
+            - (c * sig_a)[..., None, None] * cluster_gram
             - _outer(y) / (f * t)[..., None, None]
             - (b_cols @ b_cols.swapaxes(-1, -2) - _outer(l) / t)
             / (f + g * t)[..., None, None]
@@ -115,8 +107,8 @@ def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
     """Labels of the effects whose indicator columns are nonzero: the
     effects an analysis of ``grid`` estimates.  ``additive`` drops the
     interaction, which an additive analysis leaves out of the model."""
-    _, trt1, trt2, both = grid.condition_counts().values()
-    present = (trt1 + both, trt2 + both, 0 if additive else both)
+    trt1, trt2, both = grid.sums[3]
+    present = (trt1, trt2, 0 if additive else both)
     return tuple(label for label, n in zip(EFFECT_LABELS, present) if n)
 
 
@@ -256,12 +248,15 @@ def oracle_covariance(
     cluster's design block Z_i (intercept, T-1 period indicators and the
     treatment columns) into L^-1 Z_i, all in one (I, T, p) array.  The
     full GLS precision sum_i Z_i' V^-1 Z_i is then one Gram product of
-    that array, which is Cholesky-factorized to extract the treatment
-    block.  Kept deliberately independent of the closed-form path.
+    that array.  With the treatment columns last, the treatment block of
+    its inverse is (L22 L22')^-1, for L22 the lower-right block of the
+    precision's Cholesky factor: the inverse of the Schur complement that
+    profiles out the intercept and periods.  Kept deliberately independent
+    of the closed-form path.
     """
     n_periods = grid.n_periods
     x, w = grid.indicators()
-    treat = np.stack([x, w, x * w], axis=-1)
+    treat = np.stack([x.T, w.T, (x * w).T], axis=-1)  # (T, I, 3)
     limit = 2 if additive else 3
     active = [k for k in range(limit) if treat[..., k].any()]
     if not active:
@@ -280,7 +275,9 @@ def oracle_covariance(
     size = n_periods + len(active)
     whitened = np.empty((grid.n_clusters, n_periods, size))
     whitened[..., :n_periods] = l_inv @ fixed
-    whitened[..., n_periods:] = l_inv @ treat[..., active]
+    # every cluster's treatment block at once, as one (T, I*p) product
+    blocks = l_inv @ treat[..., active].reshape(n_periods, -1)
+    whitened[..., n_periods:] = blocks.reshape(n_periods, grid.n_clusters, -1).transpose(1, 0, 2)
     flat = whitened.reshape(-1, size)
     precision = flat.T @ flat
 
@@ -300,8 +297,8 @@ def oracle_covariance(
         raise RankDeficiencyError(
             f"precision matrix is not positive definite: {exc}", condition=condition
         ) from None
-    full_cov = np.linalg.solve(lower.T, np.linalg.solve(lower, np.eye(size)))
-    block = np.ldexp(full_cov[n_periods:, n_periods:], exponent)
+    l22_inv = np.linalg.solve(lower[n_periods:, n_periods:], np.eye(len(active)))
+    block = np.ldexp(l22_inv.T @ l22_inv, exponent)
     return TreatmentCovariance(labels=labels, matrix=block)
 
 

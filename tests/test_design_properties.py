@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -123,8 +124,22 @@ csv_tokens = st.one_of(
 )
 
 
+@st.composite
+def large_token_rows(draw):
+    """Random code grids up to 300 x 21, which the one-buffer reader takes,
+    half of them with one cell swapped for another token."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clusters, periods = draw(st.integers(1, 300)), draw(st.integers(1, 21))
+    rows = rng.integers(0, 4, (clusters, periods)).astype(str).tolist()
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, clusters - 1))][draw(st.integers(0, periods - 1))] = \
+            draw(csv_tokens)
+    return rows
+
+
 @settings(deadline=None)
-@given(st.lists(st.lists(csv_tokens, min_size=1, max_size=4), min_size=1, max_size=5),
+@given(st.one_of(st.lists(st.lists(csv_tokens, min_size=1, max_size=4), min_size=1, max_size=5),
+                 large_token_rows()),
        st.lists(st.sampled_from(["", "# note", "   "]), max_size=2))
 @example([["0", "1"], ["0", "1.0"]], [])
 @example([["0", "1"], ["0", "1", "1"]], [])
@@ -132,3 +147,60 @@ csv_tokens = st.one_of(
 def test_csv_parse_matches_a_cell_by_cell_read(rows, extra_lines):
     text = "\n".join(extra_lines + [",".join(row) for row in rows])
     assert outcome(parse_design, text) == outcome(parse_cell_by_cell, text)
+
+
+def read_cells_one_by_one(rows):
+    """The codes of a list grid, or the DesignError text, one cell at a time."""
+    if not rows:
+        return "design has no clusters"
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        return f"ragged design: row lengths {widths}"
+    if widths[0] < 2:
+        return "design needs at least 2 periods"
+    for r, row in enumerate(rows, start=1):
+        for cell in row:
+            value = cell.tolist() if isinstance(cell, (np.generic, np.ndarray)) else cell
+            if type(value) is not int or not 0 <= value <= 3:
+                return f"row {r}: unknown condition code {value!r}"
+    return [[int(cell) for cell in row] for row in rows]
+
+
+# List cells: codes, and values the one-byte-per-cell reader takes or
+# refuses: bools, other numbers, strings, nested lists and numpy scalars.
+list_cells = st.one_of(
+    st.integers(0, 3),
+    st.booleans(),
+    st.sampled_from([1.0, "1", 4, 127, 128, 255, 256, -1, 2**70, None, [1], [[0]]]),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(0, 255).map(np.uint8),
+    st.integers(-5, 300).map(np.int64),
+    st.sampled_from([np.int8(-1), np.True_, np.bool_(False), np.float64(1.0), np.array(2)]),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.integers(1, 6).flatmap(lambda periods: st.lists(
+        st.lists(st.one_of(st.integers(0, 3), list_cells), min_size=periods, max_size=periods),
+        min_size=1, max_size=6)),
+    st.lists(st.lists(list_cells, max_size=4), max_size=4),
+))
+@example([[0, 1], [0, np.int64(7)]])
+@example([[0, 1], [0, True]])
+@example([[0, [1]], [0, 1]])
+@example([[0, 1], [0, 256]])
+def test_list_cells_are_read_as_one_by_one(rows):
+    expected = read_cells_one_by_one(rows)
+    try:
+        assert DesignGrid(rows).to_codes() == expected
+    except DesignError as exc:
+        assert str(exc) == expected
+    try:
+        text = json.dumps({"cells": rows})
+    except TypeError:  # numpy scalars have no JSON form
+        return
+    try:
+        assert parse_design(text).to_codes() == expected
+    except DesignError as exc:
+        assert str(exc) == expected

@@ -3,8 +3,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from designgen import dense_design_matrix, random_grid
+from designgen import (
+    dense_design_matrix,
+    random_correlation,
+    random_grid,
+    random_single_treatment_grid,
+)
+from swedge.covariance import CovarianceModel
 from swedge.designs import (
     DesignError,
     DesignGrid,
@@ -17,6 +25,7 @@ from swedge.designs import (
     serialize_design,
     validate_design,
 )
+from swedge.variance import active_effects, closed_form_covariance
 
 C, T1, T2, B = 0, 1, 2, 3
 
@@ -97,6 +106,47 @@ class TestGridStructure:
             assert copied == grid and copied.reconstructed == grid.reconstructed
             with pytest.raises(ValueError):
                 copied.codes[0, 0] = B
+
+    def test_sums_are_read_only(self):
+        grid = catalog_design("fig5a")
+        for array in grid.sums:
+            with pytest.raises(ValueError):
+                array[..., 0] = 7.0
+
+
+def _closed_form(grid, cs, additive):
+    try:
+        cov = closed_form_covariance(grid, cs, additive)
+    except ValueError as exc:
+        return str(exc)
+    return cov.labels, cov.matrix.tobytes()
+
+
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(tuple(CovarianceModel)))
+def test_derived_grids_get_sums_of_their_own(seed, model):
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng)
+    single = random_single_treatment_grid(rng)
+    cs = random_correlation(rng, model).cov_entries()
+    cached = grid.sums, single.sums  # computed before any grid is derived
+    derived = [
+        (grid.swap_treatments(), grid),
+        (grid.permute_clusters(rng.permutation(grid.n_clusters).tolist()), grid),
+        (grid.relabel("other"), grid),
+        (copy.copy(grid), grid),
+        (copy.deepcopy(grid), grid),
+        (pickle.loads(pickle.dumps(grid)), grid),
+        (concurrent_design(single, single.swap_treatments()), single),
+    ]
+    for child, parent in derived:
+        assert not any(mine is theirs for mine, theirs in zip(child.sums, parent.sums))
+        fresh = parse_design(serialize_design(child, fmt="json"))
+        assert [a.tobytes() for a in child.sums] == [a.tobytes() for a in fresh.sums]
+        for additive in (False, True):
+            assert active_effects(child, additive) == active_effects(fresh, additive)
+            assert _closed_form(child, cs, additive) == _closed_form(fresh, cs, additive)
+    assert grid.sums is cached[0] and single.sums is cached[1]
 
 
 class TestValidation:

@@ -35,6 +35,9 @@ SWEEP = ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15", "--delta", 
       "--delta", "0.4"),
      f"unknown design 'nope': not a catalog id (known: {', '.join(catalog_ids())}) "
      "and no such file"),
+    (("power", "--design", "array.json", "--model", "cs", "--rho-w", "0.1", "--n", "15",
+      "--delta", "0.4"),
+     "invalid design file 'array.json': design JSON must be an object with a 'cells' array"),
     (("power", "--design", "fig2b", "--model", "nested", "--cac", "1.5", "--rho-w", "0.1",
       "--n", "15", "--delta", "0.4"), "--cac must lie in [0, 1]"),
     ((*POWER, "--delta", "0.4"),
@@ -76,6 +79,7 @@ SWEEP = ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15", "--delta", 
 ])
 def test_cli_input_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # no file named like a design id lies here
+    (tmp_path / "array.json").write_text("[[0, 1], [0, 1]]\n")  # JSON, but not an object
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from designgen import (
@@ -20,7 +24,9 @@ from swedge.designs import (
     catalog_ids,
     generate_standard_swd,
 )
+from swedge.power import EffectSpec, design_power
 from swedge.variance import (
+    EFFECT_LABELS,
     RankDeficiencyError,
     active_effects,
     closed_form_covariance,
@@ -318,16 +324,21 @@ class TestMatrixProperties:
             scale = np.abs(cov.matrix).max()
             assert np.abs(cov.matrix - swapped.matrix[np.ix_(perm, perm)]).max() <= 1e-12 * scale
 
-    def test_cluster_permutation_invariance(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            grid = random_grid(rng)
-            cs = random_correlation(rng, MODELS[int(rng.integers(0, 3))]).cov_entries()
-            order = list(rng.permutation(grid.n_clusters))
-            cov = closed_form_covariance(grid, cs)
-            permuted = closed_form_covariance(grid.permute_clusters(order), cs)
-            assert permuted.labels == cov.labels
-            assert_allclose(permuted.matrix, cov.matrix, rtol=1e-12)
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
+    def test_cluster_permutation_invariance(self, seed, model):
+        # the design enters through integer sums, which no cluster order moves
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng)
+        correlation = random_correlation(rng, model)
+        effects = EffectSpec(**{f"delta{k + 1}": 0.3 for k, label in enumerate(EFFECT_LABELS)
+                                if label in active_effects(grid)})
+        permuted = grid.permute_clusters(rng.permutation(grid.n_clusters).tolist())
+
+        def rows(g):
+            return [(row.label, row.se.hex(), row.power.hex())
+                    for row in design_power(g, correlation, effects).rows]
+        assert rows(permuted) == rows(grid)
 
     def test_covariances_positive_definite(self):
         rng = np.random.default_rng(888)
@@ -421,3 +432,31 @@ class TestSingleTreatmentReduction:
             oracle = oracle_covariance(grid, cs)
             assert closed.labels == ("trt1",)
             assert closed.matrix[0, 0] == pytest.approx(oracle.matrix[0, 0], rel=1e-10)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
+def test_single_treatment_variance_is_hussey_and_hughes(seed, model):
+    """The 1x1 closed-form variance of a single-treatment grid is Hussey &
+    Hughes (2007, Contemp. Clin. Trials 28:182), evaluated exactly:
+
+        I*s_c*(s_c + T*s_a) / ((I*U - W)*s_c + (U^2 + I*T*U - T*W - I*V)*s_a)
+
+    with s_c = diag - offdiag and s_a = offdiag of the cluster-mean
+    covariance, U the treated cells, W the sum of squared period totals and
+    V the sum of squared cluster totals.
+    """
+    rng = np.random.default_rng(seed)
+    grid = random_single_treatment_grid(rng, max_clusters=40, max_periods=12)
+    cs = random_correlation(rng, model).cov_entries()
+    x = grid.to_codes()
+    i, t = grid.n_clusters, grid.n_periods
+    u = sum(map(sum, x))
+    w = sum(sum(period) ** 2 for period in zip(*x))
+    v = sum(sum(cluster) ** 2 for cluster in x)
+    s_c, s_a = Fraction(cs.diag) - Fraction(cs.offdiag), Fraction(cs.offdiag)
+    expected = float(i * s_c * (s_c + t * s_a)
+                     / ((i * u - w) * s_c + (u * u + i * t * u - t * w - i * v) * s_a))
+    cov = closed_form_covariance(grid, cs)
+    assert cov.labels == ("trt1",)
+    assert abs(cov.matrix[0, 0] - expected) <= 1e-12 * expected
