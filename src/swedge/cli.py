@@ -441,19 +441,22 @@ def _sweep_table(args, specs: list[str]) -> int:
     # are written from that text and table values read back from it.
     row_format = ",".join(["{:.12g}"] * len(header))
     json_row = _json_row_writer(header)
-    lines, json_rows = [], []
+    as_json = args.format == "json"
+    lines, json_rows, notes = [], [], []
     for k, values in enumerate(np.column_stack(columns).tolist()):
         if k in errors:
-            sys.stderr.write(f"point {k} (rho_w={values[0]:g}): {errors[k]}\n")
-            json_rows.append(_json({**dict(zip(tables[0].icc, map(_json_value, values))),
-                                    "error": errors[k]}))
+            notes.append(f"point {k} (rho_w={values[0]:g}): {errors[k]}\n")
+            if as_json:
+                json_rows.append(_json({**dict(zip(tables[0].icc, map(_json_value, values))),
+                                        "error": errors[k]}))
             continue
         line = row_format.format(*values)
         lines.append(line)
-        if args.format == "json":
+        if as_json:
             json_rows.append(json_row(line))
+    sys.stderr.write("".join(notes))
 
-    if args.format == "json":
+    if as_json:
         meta = _meta(args, specs, correlation, first_effects)
         if compare:
             meta["design_names"] = names

@@ -68,19 +68,24 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
     return _two_sided_power([abs(effect) / se], _critical_value(alpha))[0]
 
 
-def _two_sided_power(shifts: list[float], crit: float) -> list[float]:
+def _two_sided_power(shifts, crit: float) -> list[float]:
     """Power of the two-sided test with critical value ``crit`` for each
-    statistic centred at a shift = |effect| / se.
+    statistic centred at a shift = |effect| / se, given as a sequence or a
+    1-d array.
 
     Each value is Phi(shift - crit) + Phi(-shift - crit), for the standard
     normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2.  Near the centre and in the
     upper tail Phi is accurate to a few ulps.  In the lower tail the
     rounding of ``-x / sqrt(2)`` is amplified by erfc's conditioning, to
-    about 4e-13 relative for x near -37.5.
+    about 4e-13 relative for x near -37.5.  The erfc arguments are
+    computed as arrays and erfc is applied per value: the same IEEE
+    operations as the scalar formula, so the same bits.
     """
     root2 = math.sqrt(2.0)
-    return [0.5 * math.erfc((crit - shift) / root2) + 0.5 * math.erfc((shift + crit) / root2)
-            for shift in shifts]
+    shifts = np.asarray(shifts, dtype=float)
+    near = map(math.erfc, ((crit - shifts) / root2).tolist())
+    far = map(math.erfc, ((shifts + crit) / root2).tolist())
+    return [0.5 * a + 0.5 * b for a, b in zip(near, far)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.n
     crit = _critical_value(effects.alpha)
     power = np.array([[effects.alpha] * len(matrices) if size == 0
                       else _two_sided_power(column, crit)
-                      for size, column in zip(sizes, shifts.T.tolist())]).T
+                      for size, column in zip(sizes, shifts.T)]).T
     return names, tuple(sizes), se, power, errors
 
 

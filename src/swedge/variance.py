@@ -6,10 +6,13 @@ effects, after profiling out the intercept and period effects, as one
 fixed combination of four integer Gram matrices of the design's indicator
 stack (its cells, per-cluster totals, per-period totals and grand totals)
 weighted by five scalars of the covariance, then inverts it directly.  The
-dense oracle whitens every cluster's full design block by the Cholesky
-factor of the cluster covariance, forms the GLS precision matrix as one
-Gram product of the whitened blocks and factorizes it; it shares no
-intermediate results with the closed form and exists to verify it.
+dense oracle whitens the design by the Cholesky factor L of the cluster
+covariance V and assembles the GLS precision blockwise: the intercept and
+period block, the same for every cluster, is whitened once and counted I
+times, and every cluster's treatment columns are whitened in one product.
+That sharing is linearity of the sum over clusters and holds for any V;
+the oracle uses no compound-symmetry inverse, no profiling algebra and
+none of the closed form's design sums, and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
@@ -244,24 +247,30 @@ def oracle_covariance(
 ) -> TreatmentCovariance:
     """Covariance of the effect estimates via whitened dense GLS assembly.
 
-    Factors the T x T cluster covariance V = L L' once and whitens every
-    cluster's design block Z_i (intercept, T-1 period indicators and the
-    treatment columns) into L^-1 Z_i, all in one (I, T, p) array.  The
-    full GLS precision sum_i Z_i' V^-1 Z_i is then one Gram product of
-    that array.  With the treatment columns last, the treatment block of
-    its inverse is (L22 L22')^-1, for L22 the lower-right block of the
-    precision's Cholesky factor: the inverse of the Schur complement that
-    profiles out the intercept and periods.  Kept deliberately independent
-    of the closed-form path.
+    Every cluster's design block is Z_i = [F | X_i]: F the intercept and
+    T-1 period indicators, the same for all clusters, and X_i its treatment
+    columns.  With V = L L' factored once and A = L^-1 F, the GLS precision
+    sum_i Z_i' V^-1 Z_i is assembled blockwise: the fixed block I A'A, the
+    cross block A' L^-1 sum_i X_i and the treatment block B B', for B the
+    whitened treatment columns of all clusters, one (p*I, T) @ L^-T
+    product.  Sharing F across clusters is linearity of the sum, which
+    holds for any V; the oracle uses neither the compound-symmetry inverse
+    nor the closed form's profiling algebra or design sums, and caches
+    nothing on the grid.  With the treatment columns last, the treatment
+    block of the precision's inverse is (L22 L22')^-1, for L22 the
+    lower-right block of its Cholesky factor: the inverse of the Schur
+    complement that profiles out the intercept and periods.
     """
-    n_periods = grid.n_periods
+    n_periods, n_clusters = grid.n_periods, grid.n_clusters
     x, w = grid.indicators()
-    treat = np.stack([x.T, w.T, (x * w).T], axis=-1)  # (T, I, 3)
+    treat = np.array([x, w, x * w])  # (3, I, T)
+    present = treat.reshape(3, -1).any(axis=1)
     limit = 2 if additive else 3
-    active = [k for k in range(limit) if treat[..., k].any()]
+    active = [k for k in range(limit) if present[k]]
     if not active:
         raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
     labels = tuple(EFFECT_LABELS[k] for k in active)
+    treat = treat[active]
 
     # intercept, then indicators of periods 1..T-1 (the last is the reference)
     fixed = np.eye(n_periods, k=1)
@@ -272,14 +281,15 @@ def oracle_covariance(
     np.fill_diagonal(v_cluster, math.ldexp(cs.diag, -exponent))
     l_inv = np.linalg.solve(np.linalg.cholesky(v_cluster), np.eye(n_periods))
 
-    size = n_periods + len(active)
-    whitened = np.empty((grid.n_clusters, n_periods, size))
-    whitened[..., :n_periods] = l_inv @ fixed
-    # every cluster's treatment block at once, as one (T, I*p) product
-    blocks = l_inv @ treat[..., active].reshape(n_periods, -1)
-    whitened[..., n_periods:] = blocks.reshape(n_periods, grid.n_clusters, -1).transpose(1, 0, 2)
-    flat = whitened.reshape(-1, size)
-    precision = flat.T @ flat
+    whitened_fixed = l_inv @ fixed
+    # row k of B: whitened column k of every cluster in turn
+    whitened = (treat.reshape(-1, n_periods) @ l_inv.T).reshape(len(active), -1)
+    totals = np.ones(n_clusters) @ treat  # (p, T): sum_i X_i'
+    precision = np.empty((n_periods + len(active),) * 2)
+    precision[:n_periods, :n_periods] = n_clusters * (whitened_fixed.T @ whitened_fixed)
+    precision[:n_periods, n_periods:] = whitened_fixed.T @ (l_inv @ totals.T)
+    precision[n_periods:, :n_periods] = precision[:n_periods, n_periods:].T
+    precision[n_periods:, n_periods:] = whitened @ whitened.T
 
     condition = float(np.linalg.cond(precision))
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:

@@ -71,13 +71,17 @@ def random_grid(
     max_clusters: int = 12,
     max_periods: int = 6,
     paths: tuple[str, ...] = _PATHS,
+    min_clusters: int = 3,
+    min_periods: int = 3,
 ) -> DesignGrid:
-    """A random transition-valid, estimable design grid."""
+    """A random transition-valid, estimable design grid.  Two periods leave
+    no room for a path through a single treatment to the combination."""
     while True:
-        n_periods = int(rng.integers(3, max_periods + 1))
-        n_clusters = int(rng.integers(3, max_clusters + 1))
+        n_periods = int(rng.integers(min_periods, max_periods + 1))
+        n_clusters = int(rng.integers(min_clusters, max_clusters + 1))
+        usable = paths if n_periods > 2 else tuple(p for p in paths if not p.endswith("_both"))
         rows = [
-            _random_row(rng, n_periods, paths[int(rng.integers(0, len(paths)))])
+            _random_row(rng, n_periods, usable[int(rng.integers(0, len(usable)))])
             for _ in range(n_clusters)
         ]
         try:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -125,6 +127,19 @@ class TestNormalDistribution:
             ours = _two_sided_power(shifts.tolist(), crit)
             ref = norm.cdf(shifts - crit) + norm.cdf(-shifts - crit)
             assert ours == pytest.approx(ref, rel=1e-13, abs=1e-16)
+
+    def test_power_of_a_column_has_the_bits_of_the_scalar_formula(self):
+        rng = np.random.default_rng(41)
+        shifts = np.concatenate([rng.uniform(0, 40, 500), 10 ** rng.uniform(-320, 308, 500),
+                                 [0.0, 5e-324, 37.5, 38.5, 1e308, np.inf]])
+        root2 = math.sqrt(2.0)
+        for alpha in (0.05, 0.01, 0.95):
+            crit = _critical_value(alpha)
+            scalar = [0.5 * math.erfc((crit - s) / root2) + 0.5 * math.erfc((s + crit) / root2)
+                      for s in shifts.tolist()]
+            for column in (shifts, shifts.tolist()):
+                ours = _two_sided_power(column, crit)
+                assert np.array(ours).tobytes() == np.array(scalar).tobytes()
 
 
 class TestEffectSpec:

@@ -55,9 +55,9 @@ def dense_cluster_cov(cs, t):
     return v
 
 
-def dense_schur_complement(grid, cs):
-    """Treatment block of the dense GLS precision with the intercept and
-    period effects profiled out."""
+def dense_precision(grid, cs):
+    """The dense GLS precision sum_i Z_i' V^-1 Z_i, summed one cluster at
+    a time, with Z_i the cluster's rows of the dense design matrix."""
     t = grid.n_periods
     z = dense_design_matrix(grid)
     v_inv = np.linalg.inv(dense_cluster_cov(cs, t))
@@ -65,6 +65,14 @@ def dense_schur_complement(grid, cs):
     for i in range(grid.n_clusters):
         zi = z[i * t : (i + 1) * t, :]
         big += zi.T @ v_inv @ zi
+    return big
+
+
+def dense_schur_complement(grid, cs):
+    """Treatment block of the dense GLS precision with the intercept and
+    period effects profiled out."""
+    t = grid.n_periods
+    big = dense_precision(grid, cs)
     a12 = big[:t, t:]
     return big[t:, t:] - a12.T @ np.linalg.solve(big[:t, :t], a12)
 
@@ -173,6 +181,38 @@ class TestClosedFormAgainstOracle:
             assert closed.labels == oracle.labels
             scale = np.abs(oracle.matrix).max()
             assert np.abs(closed.matrix - oracle.matrix).max() <= 1e-10 * scale
+
+
+# the paths that give a grid one, two or three effects
+EFFECT_PATHS = {1: ("none", "trt1"), 2: ("none", "trt1", "trt2"),
+                3: ("none", "trt1", "trt2", "both_direct", "trt1_both", "trt2_both")}
+
+
+def textbook_gls_covariance(grid, cs, labels):
+    """Treatment block of the inverse of the dense GLS precision of the
+    model with the intercept, period and ``labels`` columns."""
+    t = grid.n_periods
+    keep = list(range(t)) + [t + EFFECT_LABELS.index(label) for label in labels]
+    return np.linalg.inv(dense_precision(grid, cs)[np.ix_(keep, keep)])[t:, t:]
+
+
+class TestOracleIsTextbookGls:
+    @pytest.mark.parametrize("additive", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_oracle_matches_per_cluster_gls(self, model, additive):
+        rng = np.random.default_rng([MODELS.index(model), int(additive)])
+        for draw in range(24):
+            n_effects = draw % 3 + 1
+            grid = random_grid(rng, max_clusters=40, max_periods=10, min_clusters=2,
+                               min_periods=2, paths=EFFECT_PATHS[n_effects])
+            if len(active_effects(grid)) != n_effects:
+                continue
+            cs = random_correlation(rng, model).cov_entries()
+            oracle = oracle_covariance(grid, cs, additive=additive)
+            assert oracle.labels == active_effects(grid, additive)
+            reference = textbook_gls_covariance(grid, cs, oracle.labels)
+            scale = np.abs(reference).max()
+            assert np.abs(oracle.matrix - reference).max() <= 1e-10 * scale
 
 
 class TestReductionsAndErrors:
