@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -34,7 +35,7 @@ from .designs import (
     serialize_design,
     validate_design,
 )
-from .power import ContrastSpec, EffectSpec, design_power, sweep
+from .power import DEFAULT_RHO_GRID, ContrastSpec, EffectSpec, design_power, sweep
 from .variance import NO_EFFECTS_ESTIMABLE, RankDeficiencyError, active_effects
 
 EXIT_OK = 0
@@ -43,6 +44,8 @@ EXIT_RANK = 3
 
 #: The most points a --rho-min/--rho-max/--rho-step grid may have.
 MAX_SWEEP_POINTS = 100_000
+# The --rho-min/--rho-max/--rho-step defaults, which give DEFAULT_RHO_GRID.
+_DEFAULT_RANGE = (0.001, 0.30, 0.001)
 
 
 class CliError(Exception):
@@ -88,15 +91,15 @@ def _json_row_writer(header: list[str]):
 
     The header's names must be distinct.
     """
-    template = "{{" + ",".join(
-        _json(header[i]).replace("{", "{{").replace("}", "}}") + f":{{{i}}}"
-        for i in sorted(range(len(header)), key=header.__getitem__)) + "}}"
+    order = sorted(range(len(header)), key=header.__getitem__)
+    template = "{" + ",".join(_json(header[i]).replace("%", "%%") + ":%s" for i in order) + "}"
+    pick = operator.itemgetter(*order)  # one column gives one str, which % takes too
 
     def json_row(line: str) -> str:
         fields = line.split(",")
         if "e" in line or line.count(".") != len(fields):
-            fields = map(_json_number, fields)
-        return template.format(*fields)
+            fields = list(map(_json_number, fields))
+        return template % pick(fields)
 
     return json_row
 
@@ -309,6 +312,8 @@ def _sweep_points(args) -> list:
         for value in values:
             if not math.isfinite(value):
                 raise CliError(f"--rho-values entries must be finite, got {value}")
+    elif (args.rho_min, args.rho_max, args.rho_step) == _DEFAULT_RANGE:
+        values = list(DEFAULT_RHO_GRID)  # the values the rule below gives, built once
     else:
         for flag, value in _flags_given(args, ("rho_min", "rho_max", "rho_step")).items():
             if not math.isfinite(value):
@@ -437,30 +442,26 @@ def _sweep_table(args, specs: list[str]) -> int:
 
     # The first design's error at a point is the one reported.
     errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
+    failed = sorted(errors)
+    values = np.column_stack(columns)
+    iccs = values[failed, :len(tables[0].icc)].tolist()
+    sys.stderr.write("".join(f"point {k} (rho_w={icc[0]:g}): {errors[k]}\n"
+                             for k, icc in zip(failed, iccs)))
     # Each kept row is formatted once, to 12 significant digits; json rows
     # are written from that text and table values read back from it.
-    row_format = ",".join(["{:.12g}"] * len(header))
-    json_row = _json_row_writer(header)
-    as_json = args.format == "json"
-    lines, json_rows, notes = [], [], []
-    for k, values in enumerate(np.column_stack(columns).tolist()):
-        if k in errors:
-            notes.append(f"point {k} (rho_w={values[0]:g}): {errors[k]}\n")
-            if as_json:
-                json_rows.append(_json({**dict(zip(tables[0].icc, map(_json_value, values))),
-                                        "error": errors[k]}))
-            continue
-        line = row_format.format(*values)
-        lines.append(line)
-        if as_json:
-            json_rows.append(json_row(line))
-    sys.stderr.write("".join(notes))
+    kept = np.delete(np.arange(len(values)), failed)
+    row_format = ",".join(["%.12g"] * len(header))
+    lines = list(map(row_format.__mod__, map(tuple, values[kept].tolist())))
 
-    if as_json:
+    if args.format == "json":
+        # every point's row, an error row included, in point order
+        rows = dict(zip(kept.tolist(), map(_json_row_writer(header), lines)))
+        rows.update((k, _json({**dict(zip(tables[0].icc, map(_json_value, icc))),
+                               "error": errors[k]})) for k, icc in zip(failed, iccs))
         meta = _meta(args, specs, correlation, first_effects)
         if compare:
             meta["design_names"] = names
-        text = _render_json(meta, json_rows)
+        text = _render_json(meta, [rows[k] for k in range(len(values))])
     elif args.format == "csv":
         text = _render_csv(header, lines)
     else:
@@ -551,9 +552,8 @@ def _add_param_options(p: argparse.ArgumentParser, sweep_mode: bool = False) -> 
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--output", default=None, help="write output to this path instead of stdout")
     if sweep_mode:
-        p.add_argument("--rho-min", type=float, default=0.001)
-        p.add_argument("--rho-max", type=float, default=0.30)
-        p.add_argument("--rho-step", type=float, default=0.001)
+        for flag, default in zip(("--rho-min", "--rho-max", "--rho-step"), _DEFAULT_RANGE):
+            p.add_argument(flag, type=float, default=default)
         p.add_argument("--rho-values", default=None,
                        help="comma-separated rho_w values (overrides min/max/step)")
 

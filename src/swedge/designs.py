@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -396,8 +396,15 @@ def catalog_ids() -> list[str]:
     return sorted(_CATALOG)
 
 
+@cache
 def catalog_design(design_id: str) -> DesignGrid:
-    """Fetch a published example design by id (see :func:`catalog_ids`)."""
+    """Fetch a published example design by id (see :func:`catalog_ids`).
+
+    Each design is built once per process and the same grid is returned on
+    every call.  A grid is read-only, and so is its ``sums``, which every
+    caller shares; a derived grid comes from :meth:`DesignGrid.relabel`,
+    :meth:`~DesignGrid.swap_treatments` or :meth:`~DesignGrid.permute_clusters`.
+    """
     try:
         builder = _CATALOG[design_id]
     except KeyError:

@@ -77,15 +77,13 @@ def _two_sided_power(shifts, crit: float) -> list[float]:
     normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2.  Near the centre and in the
     upper tail Phi is accurate to a few ulps.  In the lower tail the
     rounding of ``-x / sqrt(2)`` is amplified by erfc's conditioning, to
-    about 4e-13 relative for x near -37.5.  The erfc arguments are
-    computed as arrays and erfc is applied per value: the same IEEE
-    operations as the scalar formula, so the same bits.
+    about 4e-13 relative for x near -37.5.  Each value is the scalar
+    formula on a Python float, so a column and a single shift give the
+    same bits.
     """
     root2 = math.sqrt(2.0)
-    shifts = np.asarray(shifts, dtype=float)
-    near = map(math.erfc, ((crit - shifts) / root2).tolist())
-    far = map(math.erfc, ((shifts + crit) / root2).tolist())
-    return [0.5 * a + 0.5 * b for a, b in zip(near, far)]
+    return [0.5 * math.erfc((crit - s) / root2) + 0.5 * math.erfc((s + crit) / root2)
+            for s in np.asarray(shifts, dtype=float).tolist()]
 
 
 @dataclass(frozen=True)

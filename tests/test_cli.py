@@ -5,13 +5,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import swedge
-from swedge.cli import _sweep_points, build_parser, main
+import swedge.cli
+from swedge.cli import _render_table, _sweep_points, build_parser, main
 from swedge.covariance import CorrelationSpec, CovarianceModel, RawComponents
 from swedge.designs import catalog_design, parse_design, serialize_design
-from swedge.power import DEFAULT_RHO_GRID
+from swedge.power import DEFAULT_RHO_GRID, sweep
 from swedge.variance import oracle_covariance
 
 
@@ -501,6 +503,8 @@ class TestSweepCommand:
         args = build_parser().parse_args(["sweep", "--design", "fig1", "--model", "cs",
                                           "--n", "15", "--delta", "0.4"])
         assert _sweep_points(args) == list(DEFAULT_RHO_GRID)
+        # the grid the range rule gives for the defaults, which the CLI does not rebuild
+        assert [round(0.001 + k * 0.001, 12) for k in range(300)] == list(DEFAULT_RHO_GRID)
 
     @pytest.mark.parametrize("grid, expected", [
         (("0", "0.26", "0.1"), [0.0, 0.1, 0.2]),
@@ -515,6 +519,16 @@ class TestSweepCommand:
         args = build_parser().parse_args(["sweep", "--design", "fig1", "--model", "cs",
                                           "--n", "15", "--delta", "0.4", *flags])
         assert _sweep_points(args) == expected
+
+    @pytest.mark.parametrize("flag, value, start, step, count", [
+        ("--rho-max", "0.01", 0.001, 0.001, 10),
+        ("--rho-min", "0.05", 0.05, 0.001, 251),
+        ("--rho-step", "0.002", 0.001, 0.002, 150),
+    ])
+    def test_one_range_flag_keeps_the_other_defaults(self, flag, value, start, step, count):
+        args = build_parser().parse_args(["sweep", "--design", "fig1", "--model", "cs",
+                                          "--n", "15", "--delta", "0.4", flag, value])
+        assert _sweep_points(args) == [round(start + k * step, 12) for k in range(count)]
 
     def test_rho_max_less_than_a_step_below_rho_min_is_an_empty_grid(self, capsys):
         code, out, err = run(capsys, "sweep", "--design", "fig1", "--model", "cs", "--n", "15",
@@ -582,6 +596,80 @@ class TestSweepCommand:
         )
         assert code == 0
         assert out.splitlines()[0] == "rho_w,se_trt1,se_trt2,power_trt1,power_trt2"
+
+
+class TestSweepRendering:
+    """sweep and compare output against the rule it keeps, applied to the
+    tables the library computed: every value through ``format(v, ".12g")``,
+    JSON through ``json.dumps`` and table cells at 4 digits."""
+
+    BASE = ("--n", "15", "--delta", "0.4")
+    CASES = [
+        # rho_a = 0.1 is above the first 99 grid values, so those are error rows
+        ("sweep", "--design", "fig2b", "--model", "nested", "--rho-a", "0.1", *BASE),
+        ("compare", "--design", "fig2b", "--design", "fig2c", "--model", "nested",
+         "--rho-a", "0.1", *BASE),
+        # a label that means something to %-, str.format- and JSON templates
+        ("sweep", "--design", "fig2b", "--model", "cs", *BASE,
+         "--contrast", "a%b.e{0}=1,-1@0.3", "--rho-values", "0.05,0.2"),
+        ("compare", "--design", "fig2b", "--design", "fig2c", "--model", "cohort", "--pi",
+         "0.5", *BASE, "--contrast", "a%b.e{0}=1,-1@0.3", "--rho-values", "0.05,0.2"),
+        # exponent and integral tokens
+        ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15000000", "--delta", "40",
+         "--rho-values", "0,1e-9,0.5,0.999999"),
+        ("compare", "--design", "fig2b", "--design", "fig2c", "--model", "cs",
+         "--n", "15000000", "--delta", "40", "--rho-values", "0,1e-9,0.5,0.999999"),
+    ]
+
+    @staticmethod
+    def expected(tables, names, fmt, meta):
+        """(stdout, stderr) of a sweep of ``tables``, value by value."""
+        shared = [l for l in tables[0].labels if all(l in t.labels for t in tables)]
+        suffixes = [f"_{name}" for name in names] if len(names) > 1 else [""]
+        header, columns = list(tables[0].icc), list(tables[0].icc.values())
+        powers = []
+        for suffix, table in zip(suffixes, tables):
+            picked = [table.labels.index(l) for l in shared]
+            header += [f"se_{l}{suffix}" for l in shared] + [f"power_{l}{suffix}" for l in shared]
+            columns += [table.se[:, picked], table.power[:, picked]]
+            powers.append(table.power[:, picked])
+        for name, power in zip(names[1:], powers[1:]):
+            header += [f"gain_{l}_{name}" for l in shared]
+            columns.append(power - powers[0])
+        errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
+        rows = np.column_stack(columns).tolist()
+        notes = "".join(f"point {k} (rho_w={rows[k][0]:g}): {errors[k]}\n" for k in sorted(errors))
+        kept = [[format(v, ".12g") for v in row] for k, row in enumerate(rows) if k not in errors]
+        if fmt == "csv":
+            return "\n".join(map(",".join, [header, *kept])) + "\n", notes
+        if fmt == "table":
+            return _render_table(header, [[format(float(t), ".4g") for t in row]
+                                          for row in kept]), notes
+        objects = []
+        for k, row in enumerate(rows):
+            values = [float(format(v, ".12g")) for v in row]
+            objects.append({**dict(zip(tables[0].icc, values)), "error": errors[k]}
+                           if k in errors else dict(zip(header, values)))
+        return json.dumps({"meta": meta, "rows": objects}, sort_keys=True,
+                          separators=(",", ":")) + "\n", notes
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("argv", CASES)
+    def test_output_is_the_value_by_value_rendering(self, monkeypatch, capsys, argv, fmt):
+        tables = []
+
+        def recording_sweep(*args, **kwargs):
+            tables.append(sweep(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(swedge.cli, "sweep", recording_sweep)
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        names = [argv[k + 1] for k, flag in enumerate(argv) if flag == "--design"]
+        meta = json.loads(out)["meta"] if fmt == "json" else None
+        assert (out, err) == self.expected(tables, names, fmt, meta)
+        if "0.1" in argv:
+            assert err.count("\n") == 99
 
 
 class TestCompareCommand:

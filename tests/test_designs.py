@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -387,6 +388,30 @@ class TestCatalog:
     def test_unknown_id(self):
         with pytest.raises(UnknownDesignError):
             catalog_design("fig99")
+
+    @pytest.mark.parametrize("design_id", catalog_ids())
+    def test_every_call_gives_the_same_read_only_grid(self, design_id):
+        grid, again = catalog_design(design_id), catalog_design(design_id)
+        assert grid == again
+        assert grid.sums is again.sums
+        assert not grid.codes.flags.writeable
+        assert not any(array.flags.writeable for array in grid.sums)
+        with pytest.raises(ValueError):
+            grid.codes[0, 0] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.label = "other"
+
+    def test_derived_grids_leave_the_shared_grid_unchanged(self):
+        grid = catalog_design("fig5b")
+        codes, sums = grid.codes.copy(), [array.copy() for array in grid.sums]
+        derived = [grid.relabel("other"), grid.swap_treatments(),
+                   grid.permute_clusters(range(grid.n_clusters - 1, -1, -1))]
+        for other in derived:
+            assert other.sums is not grid.sums
+        shared = catalog_design("fig5b")
+        assert shared.label == "fig5b" and np.array_equal(shared.codes, codes)
+        for array, before in zip(shared.sums, sums):
+            assert np.array_equal(array, before)
 
 
 class TestSerialization:

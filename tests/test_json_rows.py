@@ -20,8 +20,8 @@ values = st.one_of(
     st.integers(1, 17).map(lambda k: 1.0 - 10.0 ** -k),
     st.sampled_from([0.0, -0.0, 1.0, 1e-05, 1.5e+13, 9.99999999999e+11, 1e-4, 1e12, 5e-324]),
 )
-# Labels with quotes, backslashes, braces and non-ASCII characters.
-labels = st.text(st.sampled_from('ab_"\\{}é∑\u2028 '), min_size=1, max_size=6)
+# Labels with quotes, backslashes, braces, percent signs and non-ASCII characters.
+labels = st.text(st.sampled_from('ab_"\\{}%é∑\u2028 '), min_size=1, max_size=6)
 
 
 def reference(meta, header, lines):
@@ -31,7 +31,7 @@ def reference(meta, header, lines):
 
 
 @given(data=st.data(), header=st.lists(labels, min_size=1, max_size=6, unique=True))
-@example(data=None, header=["rho_w", "se_é\"x\\", "power_{0}"])
+@example(data=None, header=["rho_w", "se_é\"x\\", "power_{0}%s"])
 def test_row_writer_matches_json_dumps(data, header):
     if data is None:
         rows = [[1e-05, 0.5, 1.0], [-0.0, 1.5e+13, 9.99999999999e+11]]

@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +161,7 @@ class TestClosedFormAgainstOracle:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_random_designs_agree(self, model):
-        rng = np.random.default_rng(hash(model.value) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(model.value.encode()))  # replayable
         for _ in range(40):
             grid = random_grid(rng)
             cs = random_correlation(rng, model).cov_entries()
