@@ -16,6 +16,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -86,6 +89,37 @@ class RawComponents:
             )
 
 
+#: The covariance domain, in the order it is checked: a :class:`CorrelationSpec`
+#: checks rho_w before it matches its ICCs to the model and its second ICC
+#: after, a :class:`CompoundSymmetry` its entries.  Each check is a comparison
+#: of the values ``v``, true where they fail it, that Python floats and numpy
+#: arrays answer alike (``x != x`` holds for nan only; ``x * 0.0`` is 0 unless
+#: x is nan or infinite; an absent ICC passes), and the error it raises there.
+DOMAIN = (
+    (lambda v: (v.rho_w != v.rho_w) | (v.rho_w < 0.0) | (v.rho_w >= 1.0),
+     ParameterError, "rho_w must lie in [0, 1), got {rho_w}"),
+    (lambda v: v.pi is not None and (v.pi != v.pi) | (v.pi < 0.0) | (v.pi > 1.0),
+     ParameterError, "pi must lie in [0, 1], got {pi}"),
+    (lambda v: v.rho_a is not None
+     and (v.rho_a != v.rho_a) | (v.rho_a < 0.0) | (v.rho_a > v.rho_w),
+     ParameterError, "need 0 <= rho_a <= rho_w, got rho_a={rho_a}, rho_w={rho_w}"),
+    (lambda v: v.offdiag < 0.0,
+     ParameterError, "off-diagonal entry must be nonnegative, got {offdiag}"),
+    (lambda v: v.diag <= v.offdiag, SingularCovarianceError,
+     "cluster covariance is singular: diagonal {diag} <= off-diagonal {offdiag}"),
+    (lambda v: v.diag * 0.0 + v.offdiag * 0.0 != 0.0, ParameterError,
+     "cluster covariance entries must be finite, got diagonal {diag}, off-diagonal {offdiag}"),
+)
+_RHO_W, _SECOND_ICC, _ENTRIES = DOMAIN[:1], DOMAIN[1:3], DOMAIN[3:]
+
+
+def _raise_first(v, checks) -> None:
+    """Raise the error of the first of ``checks`` that the values ``v`` fail."""
+    for fails, error, template in checks:
+        if fails(v):
+            raise error(template.format_map(vars(v)))
+
+
 @dataclass(frozen=True)
 class CompoundSymmetry:
     """Effective covariance of cluster-period means: constant diagonal and
@@ -95,15 +129,7 @@ class CompoundSymmetry:
     offdiag: float
 
     def __post_init__(self) -> None:
-        if self.offdiag < 0:
-            raise ParameterError(f"off-diagonal entry must be nonnegative, got {self.offdiag}")
-        if self.diag <= self.offdiag:
-            raise SingularCovarianceError(
-                f"cluster covariance is singular: diagonal {self.diag} <= off-diagonal {self.offdiag}"
-            )
-        if not (math.isfinite(self.diag) and math.isfinite(self.offdiag)):
-            raise ParameterError(f"cluster covariance entries must be finite, got diagonal "
-                                 f"{self.diag}, off-diagonal {self.offdiag}")
+        _raise_first(self, _ENTRIES)
 
 
 def _entries(model: CovarianceModel, n: float, rho_w, rho_a=None, pi=None):
@@ -126,24 +152,21 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     entry per point.
 
     ``rho_w`` and the model's second ICC are arrays of one shape.  Returns
-    ``(ok, diag, offdiag)``: a mask of the points that pass every domain
-    check of :class:`CorrelationSpec` and :class:`CompoundSymmetry`, and
-    the diagonal and off-diagonal entries of those points, in order, with
-    the bits the scalar objects hold.  Building those objects at a point
-    outside the mask raises the error that point has.
+    ``(ok, diag, offdiag, errors)``: a mask of the points that pass every
+    :data:`DOMAIN` check, the entries of those points, in order, with the
+    bits the scalar objects hold, and a map from each other point's index
+    to the text and class of the first check it fails, as they raise it.
     """
-    ok = (0.0 <= rho_w) & (rho_w < 1.0)
-    if pi is not None:
-        ok &= (0.0 <= pi) & (pi <= 1.0)
-    if rho_a is not None:
-        ok &= (0.0 <= rho_a) & (rho_a <= rho_w)
-    # Entries of in-domain points only, which are finite with offdiag >= 0.
-    second = {name: value[ok] for name, value in (("rho_a", rho_a), ("pi", pi))
-              if value is not None}
-    diag, off = _entries(model, float(n_per_period), rho_w[ok], **second)
-    valid = diag > off
-    ok[ok] = valid
-    return ok, diag[valid], off[valid]
+    ok, errors = np.ones(rho_w.shape, bool), {}
+    with np.errstate(invalid="ignore", over="ignore"):  # entries of points outside the domain
+        diag, offdiag = _entries(model, float(n_per_period), rho_w, rho_a=rho_a, pi=pi)
+        v = SimpleNamespace(rho_w=rho_w, rho_a=rho_a, pi=pi, diag=diag, offdiag=offdiag)
+        for fails, error, template in DOMAIN:
+            for k in np.flatnonzero(ok & fails(v)).tolist():
+                ok[k] = False
+                point = {n: float(a[k]) for n, a in vars(v).items() if a is not None}
+                errors[k] = (template.format_map(point), error)
+    return ok, diag[ok], offdiag[ok], errors
 
 
 def standardize(raw: RawComponents, model: CovarianceModel) -> dict[str, float]:
@@ -198,20 +221,14 @@ class CorrelationSpec:
         if has_raw:
             self.raw.check_model(self.model)
             return
-        if not 0.0 <= self.rho_w < 1.0:
-            raise ParameterError(f"rho_w must lie in [0, 1), got {self.rho_w}")
+        _raise_first(self, _RHO_W)
         second = self.model.second_icc
         for name in ("rho_a", "pi"):
             if name == second and getattr(self, name) is None:
                 raise ParameterError(f"the {self.model.value} model requires {name}")
             if name != second and getattr(self, name) is not None:
                 raise ParameterError(f"{name} does not apply to the {self.model.value} model")
-        if self.pi is not None and not 0.0 <= self.pi <= 1.0:
-            raise ParameterError(f"pi must lie in [0, 1], got {self.pi}")
-        if self.rho_a is not None and not 0.0 <= self.rho_a <= self.rho_w:
-            raise ParameterError(
-                f"need 0 <= rho_a <= rho_w, got rho_a={self.rho_a}, rho_w={self.rho_w}"
-            )
+        _raise_first(self, _SECOND_ICC)
 
     @property
     def is_raw(self) -> bool:
@@ -237,7 +254,7 @@ class CorrelationSpec:
     def with_icc(
         self, rho_w: float, rho_a: float | None = None, pi: float | None = None
     ) -> "CorrelationSpec":
-        """New spec at different correlation values (sweep support).
+        """New spec at different correlation values.
 
         ``rho_a`` and ``pi`` keep this spec's values unless given.
         """

@@ -320,24 +320,15 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     failed point reports the error it raises there.
     """
     icc = _icc_columns(points, correlation)
-    valid, diag, offdiag = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
+    ok, diag, offdiag, errors = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
     estimable, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
                                                           additive=effects.additive)
     labels, sizes, se_valid, power_valid, result_errors = _result_columns(
         effects, estimable, matrices)
-    index = np.flatnonzero(valid)
-    se = np.full((len(valid), len(labels)), math.nan)
+    index = np.flatnonzero(ok)
+    se = np.full((len(ok), len(labels)), math.nan)
     power = se.copy()
     se[index], power[index] = se_valid, power_valid
-
-    errors = {}
-    # the domain errors come from the scalar checks, which solve nothing
-    invalid = np.flatnonzero(~valid)
-    for k, *values in zip(invalid.tolist(), *(col[invalid].tolist() for col in icc.values())):
-        try:
-            correlation.with_icc(**dict(zip(icc, values))).cov_entries()
-        except ParameterError as exc:
-            errors[k] = (str(exc), type(exc))
     # a point's solver error wins over the errors of its result columns
     errors.update((int(index[j]), (str(exc), type(exc)))
                   for j, exc in {**result_errors, **solve_errors}.items())

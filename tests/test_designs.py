@@ -81,6 +81,17 @@ class TestGridStructure:
         # numpy has already read this array's True as 1
         assert DesignGrid(np.array([[0, True], [0, 1]])).to_codes() == [[0, 1], [0, 1]]
 
+    def test_an_object_array_is_read_cell_by_cell(self):
+        cells = [[0, 1, 3], [2, 3, 0]]
+        grid = DesignGrid(np.array(cells, dtype=object))
+        assert grid == DesignGrid(np.array(cells)) and grid.codes.dtype == np.int8
+
+    @pytest.mark.parametrize("cell", [True, 4])
+    def test_an_object_array_names_its_bad_cell(self, cell):
+        with pytest.raises(DesignError) as info:
+            DesignGrid(np.array([[0, 1], [1, cell]], dtype=object))
+        assert str(info.value) == f"row 2: unknown condition code {cell!r}"
+
     def test_counts_and_indicators(self):
         grid = DesignGrid([[C, T1, B], [C, T2, T2]])
         assert grid.condition_counts() == {C: 2, T1: 1, T2: 2, B: 1}

@@ -12,6 +12,9 @@ Scaling both covariance entries by 2**k scales the closed-form covariance
 by 2**k, bit for bit wherever the result is a normal float, from the
 largest to the subnormal entries, and it stays within the closed-versus-
 oracle bound of the oracle there.
+
+Swapping the two treatments in the grid, their effect sizes and the first
+two weights of each contrast gives each result label the bits it had.
 """
 
 import math
@@ -148,3 +151,38 @@ def test_closed_form_scales_with_the_covariance_entries(grid, entries, additive,
     assert cov.matrix[normal].tobytes() == expected[normal].tobytes()
     oracle = oracle_covariance(grid, scaled, additive)
     assert np.abs(cov.matrix - oracle.matrix).max() <= 1e-10 * np.abs(oracle.matrix).max()
+
+
+SWAPPED = {"trt1": "trt2", "trt2": "trt1", "interaction": "interaction", "c": "c"}
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(tuple(CovarianceModel)),
+       n=st.integers(1, 500), rho_w=st.floats(0.0, 0.9), share=st.floats(0.0, 0.99),
+       additive=st.booleans(), data=st.data())
+def test_label_swap_permutes_the_result_bit_exactly(seed, model, n, rho_w, share, additive,
+                                                    data):
+    grid = random_grid(np.random.default_rng(seed), max_clusters=8, max_periods=5)
+    labels = active_effects(grid, additive)
+    assume("trt1" in labels and "trt2" in labels)
+    second = {"pi": share, "rho_a": share * rho_w}.get(model.second_icc)
+    spec = CorrelationSpec(model=model, n_per_period=n, rho_w=rho_w,
+                           **({model.second_icc: second} if second is not None else {}))
+    d1, d2, d3 = (data.draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    if "interaction" not in labels:
+        d3 = None
+    # a contrast (1, -1[, 0.5]) with or without an effect size of its own
+    contrasts = [ContrastSpec("c", (1.0, -1.0, 0.5)[:len(labels)],
+                              effect=data.draw(st.one_of(st.none(), st.floats(-1.0, 1.0))))
+                 for _ in range(data.draw(st.integers(0, 1)))]
+    result = design_power(grid, spec, EffectSpec(d1, d2, d3, additive=additive,
+                                                 contrasts=tuple(contrasts)))
+    swapped = design_power(grid.swap_treatments(), spec, EffectSpec(
+        d2, d1, d3, additive=additive,
+        contrasts=tuple(ContrastSpec("c", (c.weights[1], c.weights[0], *c.weights[2:]),
+                                     effect=c.effect) for c in contrasts)))
+    assert sorted(map(SWAPPED.get, result.labels())) == sorted(swapped.labels())
+    for row in result.rows:
+        twin = swapped.row(SWAPPED[row.label])
+        assert [float(x).hex() for x in (row.effect, row.se, row.power)] == \
+            [float(x).hex() for x in (twin.effect, twin.se, twin.power)]

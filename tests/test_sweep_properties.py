@@ -193,27 +193,41 @@ def test_a_raw_component_template_raises_before_solving(template, effects, data)
               points=data.draw(numeric_grids(template.model)))
 
 
+def every_odd_pair(template):
+    """An example of the test below at every pair of odd values."""
+    pairs = [(r, v) for r in ODD_VALUES for v in ODD_VALUES]
+    return example(template=template, rho_w=[r for r, _ in pairs], second=[v for _, v in pairs])
+
+
 @settings(deadline=None, max_examples=200)
 @given(template=templates(), rho_w=st.lists(icc_values, min_size=1, max_size=6),
        second=st.lists(icc_values, min_size=6, max_size=6))
+@every_odd_pair(CorrelationSpec(model=CovarianceModel.CROSS_SECTIONAL, n_per_period=1,
+                                rho_w=0.1))
+@every_odd_pair(CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=15, rho_w=0.1,
+                                pi=0.5))
+@every_odd_pair(CorrelationSpec(model=CovarianceModel.NESTED_EXCHANGEABLE, n_per_period=500,
+                                rho_w=0.1, rho_a=0.05))
 def test_covariance_masks_match_the_scalar_checks(template, rho_w, second):
     model = template.model
     rho_w = [v if isinstance(v, float) else 0.5 for v in rho_w]
     second = [v if isinstance(v, float) else 0.5 for v in second][:len(rho_w)]
     extra = {model.second_icc: np.array(second)} if model.second_icc else {}
-    ok, diag, offdiag = cluster_cov_stack(model, template.n_per_period,
-                                          np.array(rho_w), **extra)
+    ok, diag, offdiag, errors = cluster_cov_stack(model, template.n_per_period,
+                                                  np.array(rho_w), **extra)
     entries = []
     for k, r in enumerate(rho_w):
         point = {model.second_icc: second[k]} if model.second_icc else {}
         try:
             cs = template.with_icc(rho_w=r, **point).cov_entries()
-        except ParameterError:
+        except ParameterError as exc:
             assert not ok[k]
+            assert errors[k] == (str(exc), type(exc))
             continue
-        assert ok[k]
+        assert ok[k] and k not in errors
         entries.append((bits(cs.diag), bits(cs.offdiag)))
     assert [(bits(d), bits(o)) for d, o in zip(diag, offdiag)] == entries
+    assert len(errors) == len(rho_w) - len(entries)
 
 
 SWAPPED = {"trt1": "trt2", "trt2": "trt1", "interaction": "interaction"}
@@ -230,8 +244,8 @@ def test_label_swap_permutes_the_batched_covariance_bit_exactly(seed, template, 
         if model.second_icc else {}
     if model.second_icc == "rho_a":
         extra["rho_a"] = np.minimum(extra["rho_a"], rho_w)
-    _, diag, offdiag = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
-                                         **extra)
+    _, diag, offdiag, _ = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
+                                            **extra)
     labels, matrices, errors = closed_form_stack(grid, diag, offdiag, additive)
     swapped_labels, swapped, swapped_errors = closed_form_stack(
         grid.swap_treatments(), diag, offdiag, additive)

@@ -475,11 +475,9 @@ class TestSingleTreatmentReduction:
             assert closed.matrix[0, 0] == pytest.approx(oracle.matrix[0, 0], rel=1e-10)
 
 
-@settings(deadline=None, max_examples=100)
-@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
-def test_single_treatment_variance_is_hussey_and_hughes(seed, model):
-    """The 1x1 closed-form variance of a single-treatment grid is Hussey &
-    Hughes (2007, Contemp. Clin. Trials 28:182), evaluated exactly:
+def hussey_hughes(grid, cs):
+    """The treatment variance of a single-treatment grid by Hussey & Hughes
+    (2007, Contemp. Clin. Trials 28:182), evaluated exactly:
 
         I*s_c*(s_c + T*s_a) / ((I*U - W)*s_c + (U^2 + I*T*U - T*W - I*V)*s_a)
 
@@ -487,17 +485,50 @@ def test_single_treatment_variance_is_hussey_and_hughes(seed, model):
     covariance, U the treated cells, W the sum of squared period totals and
     V the sum of squared cluster totals.
     """
-    rng = np.random.default_rng(seed)
-    grid = random_single_treatment_grid(rng, max_clusters=40, max_periods=12)
-    cs = random_correlation(rng, model).cov_entries()
     x = grid.to_codes()
     i, t = grid.n_clusters, grid.n_periods
     u = sum(map(sum, x))
     w = sum(sum(period) ** 2 for period in zip(*x))
     v = sum(sum(cluster) ** 2 for cluster in x)
     s_c, s_a = Fraction(cs.diag) - Fraction(cs.offdiag), Fraction(cs.offdiag)
-    expected = float(i * s_c * (s_c + t * s_a)
-                     / ((i * u - w) * s_c + (u * u + i * t * u - t * w - i * v) * s_a))
+    return (i * s_c * (s_c + t * s_a)
+            / ((i * u - w) * s_c + (u * u + i * t * u - t * w - i * v) * s_a))
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS))
+def test_single_treatment_variance_is_hussey_and_hughes(seed, model):
+    """The 1x1 closed-form variance of a single-treatment grid is Hussey &
+    Hughes, evaluated exactly."""
+    rng = np.random.default_rng(seed)
+    grid = random_single_treatment_grid(rng, max_clusters=40, max_periods=12)
+    cs = random_correlation(rng, model).cov_entries()
+    expected = float(hussey_hughes(grid, cs))
     cov = closed_form_covariance(grid, cs)
     assert cov.labels == ("trt1",)
     assert abs(cov.matrix[0, 0] - expected) <= 1e-12 * expected
+
+
+ENVELOPE_RHO_W = (1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.99, 0.9999, 0.999999)
+
+
+@pytest.mark.parametrize("sequences, clusters", [(3, 2), (11, 4), (29, 6), (59, 8)])
+def test_closed_form_accuracy_envelope(sequences, clusters):
+    """Standard wedges up to T = 60 and I = 472, n from 1 to 10^6 and rho_w
+    from 1e-6 to 0.999999 under every model stay within 1e-13 relative of
+    Hussey & Hughes evaluated exactly from the float entries (the README
+    states the measured envelope)."""
+    grid = generate_standard_swd(sequences, clusters)
+    worst = 0.0
+    for n in (1, 15, 10**3, 10**6):
+        for rho_w in ENVELOPE_RHO_W:
+            specs = [dict(model=CovarianceModel.CROSS_SECTIONAL)]
+            specs += [dict(model=CovarianceModel.COHORT, pi=pi) for pi in (0.5, 0.999)]
+            specs += [dict(model=CovarianceModel.NESTED_EXCHANGEABLE, rho_a=rho_a)
+                      for rho_a in (rho_w / 2, 0.999999 * rho_w)]
+            for spec in specs:
+                cs = CorrelationSpec(n_per_period=n, rho_w=rho_w, **spec).cov_entries()
+                exact = hussey_hughes(grid, cs)
+                got = closed_form_covariance(grid, cs).matrix[0, 0]
+                worst = max(worst, float(abs(Fraction(got) - exact) / exact))
+    assert worst <= 1e-13
