@@ -1,9 +1,10 @@
 """Command-line interface: power, sweep, compare, catalog, validate.
 
 Exit codes: 0 success, 2 input or validation problem, 3 estimability
-(rank-deficiency) problem.  Machine-readable output (CSV and JSON) is
-deterministic for identical inputs and carries 12 significant digits;
-human tables show 4.
+(rank-deficiency) problem.  Output is deterministic for identical inputs.
+Every command formats each value once, to 12 significant digits: CSV is
+that text, JSON holds the same numbers, and a table shows that text
+rounded to 4 digits.
 """
 
 from __future__ import annotations
@@ -52,18 +53,13 @@ class CliError(Exception):
     """Input-level problem; rendered to stderr with exit code 2."""
 
 
-def _machine(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _human(x: float) -> str:
+def _human(x) -> str:
     return format(float(x), ".4g")
 
 
 def _json_value(x: float) -> float:
-    # Round-trips through the CSV representation so both formats carry
-    # numerically identical values.
-    return float(_machine(x))
+    # the value of x's 12-digit text, so JSON and CSV carry identical values
+    return float("%.12g" % x)
 
 
 def _json(value) -> str:
@@ -71,7 +67,7 @@ def _json(value) -> str:
 
 
 def _json_number(token: str) -> str:
-    """The JSON text of ``float(token)`` for a token written by :func:`_machine`.
+    """The JSON text of ``float(token)`` for a token written by ``"%.12g"``.
 
     A ``.12g`` token without an exponent is already the float's shortest
     repr, save the ``.0`` of an integral value; the rare exponent token is
@@ -85,20 +81,22 @@ def _json_number(token: str) -> str:
     return _json(float(token))
 
 
-def _json_row_writer(header: list[str]):
-    """A function from a CSV line of ``header`` columns, written by
-    :func:`_machine`, to the line's JSON object with its keys sorted.
+def _json_row_writer(header: list[str], text=()):
+    """A function from a CSV line of ``header`` columns to the line's JSON
+    object with its keys sorted.  The columns at the indices ``text`` hold
+    strings; every other field is a number written by ``"%.12g"``.
 
     The header's names must be distinct.
     """
     order = sorted(range(len(header)), key=header.__getitem__)
     template = "{" + ",".join(_json(header[i]).replace("%", "%%") + ":%s" for i in order) + "}"
     pick = operator.itemgetter(*order)  # one column gives one str, which % takes too
+    encoders = [_json if i in text else _json_number for i in range(len(header))]
 
     def json_row(line: str) -> str:
         fields = line.split(",")
-        if "e" in line or line.count(".") != len(fields):
-            fields = list(map(_json_number, fields))
+        if text or "e" in line or line.count(".") != len(fields):
+            fields = [encode(field) for encode, field in zip(encoders, fields)]
         return template % pick(fields)
 
     return json_row
@@ -125,13 +123,32 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], lines: list[str]) -> str:
-    return "\n".join([",".join(header), *lines]) + "\n"
+def _write(args, header: list[str], lines: list[str], meta: dict, title: str = "",
+           error_rows: dict | None = None, text=()) -> None:
+    """Write ``lines``, CSV lines of ``header`` columns whose numbers were
+    each formatted once by ``"%.12g"``, to ``--output`` or stdout in
+    ``--format``.
 
-
-def _render_json(meta: dict, rows: list[str]) -> str:
-    """The JSON document of ``meta`` and the already encoded ``rows``."""
-    return '{"meta":' + _json(meta) + ',"rows":[' + ",".join(rows) + "]}\n"
+    CSV is those lines under the header.  JSON is ``meta`` and one object
+    per line, except that ``error_rows`` maps a point index to the object
+    that stands at that index instead.  A table, after ``title``, shows each
+    number read back to 4 digits.  The columns at the indices ``text`` hold
+    text, which every format writes as it is.
+    """
+    if args.format == "csv":
+        body = "\n".join([",".join(header), *lines]) + "\n"
+    elif args.format == "json":
+        rows = list(map(_json_row_writer(header, text), lines))
+        if error_rows:
+            kept = iter(rows)
+            rows = [_json(error_rows[k]) if k in error_rows else next(kept)
+                    for k in range(len(rows) + len(error_rows))]
+        body = '{"meta":' + _json(meta) + ',"rows":[' + ",".join(rows) + "]}\n"
+    else:
+        cells = [[field if k in text else _human(field) for k, field in enumerate(line.split(","))]
+                 for line in lines]
+        body = title + _render_table(header, cells)
+    _emit(body, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +386,13 @@ def cmd_power(args) -> int:
     correlation = _correlation_from_args(args)
     effects = _effects_from_args(args, grid)
     result = design_power(grid, correlation, effects)
-
-    header = ["label", "effect", "se", "power"]
-    if args.format == "json":
-        rows = [
-            _json({"label": r.label, "effect": _json_value(r.effect),
-                   "se": _json_value(r.se), "power": _json_value(r.power)})
-            for r in result.rows
-        ]
-        text = _render_json(_meta(args, [args.design], correlation, effects), rows)
-    else:
-        fmt = _machine if args.format == "csv" else _human
-        cells = [[r.label, fmt(r.effect), fmt(r.se), fmt(r.power)] for r in result.rows]
-        text = _render_csv(header, [",".join(row) for row in cells]) if args.format == "csv" \
-            else _render_table(header, cells)
-        if args.format == "table":
-            params = " ".join(
-                f"{k}={_human(v) if isinstance(v, float) else v}"
-                for k, v in correlation.describe().items()
-            )
-            text = f"# {result.design_label or args.design}: {params} alpha={effects.alpha:g}\n{text}"
-    _emit(text, args.output)
+    params = " ".join(f"{k}={_human(v) if isinstance(v, float) else v}"
+                      for k, v in correlation.describe().items())
+    _write(args, ["label", "effect", "se", "power"],
+           ["%s,%.12g,%.12g,%.12g" % (r.label, r.effect, r.se, r.power) for r in result.rows],
+           _meta(args, [args.design], correlation, effects),
+           title=f"# {result.design_label or args.design}: {params} alpha={effects.alpha:g}\n",
+           text=(0,))
     return EXIT_OK
 
 
@@ -447,27 +450,15 @@ def _sweep_table(args, specs: list[str]) -> int:
     iccs = values[failed, :len(tables[0].icc)].tolist()
     sys.stderr.write("".join(f"point {k} (rho_w={icc[0]:g}): {errors[k]}\n"
                              for k, icc in zip(failed, iccs)))
-    # Each kept row is formatted once, to 12 significant digits; json rows
-    # are written from that text and table values read back from it.
-    kept = np.delete(np.arange(len(values)), failed)
     row_format = ",".join(["%.12g"] * len(header))
-    lines = list(map(row_format.__mod__, map(tuple, values[kept].tolist())))
-
-    if args.format == "json":
-        # every point's row, an error row included, in point order
-        rows = dict(zip(kept.tolist(), map(_json_row_writer(header), lines)))
-        rows.update((k, _json({**dict(zip(tables[0].icc, map(_json_value, icc))),
-                               "error": errors[k]})) for k, icc in zip(failed, iccs))
-        meta = _meta(args, specs, correlation, first_effects)
-        if compare:
-            meta["design_names"] = names
-        text = _render_json(meta, [rows[k] for k in range(len(values))])
-    elif args.format == "csv":
-        text = _render_csv(header, lines)
-    else:
-        human = [[_human(float(v)) for v in line.split(",")] for line in lines]
-        text = _render_table(header, human)
-    _emit(text, args.output)
+    lines = list(map(row_format.__mod__, map(tuple, np.delete(values, failed, 0).tolist())))
+    # JSON keeps a row for every point, a failed one's in its place
+    error_rows = {k: {**dict(zip(tables[0].icc, map(_json_value, icc))), "error": errors[k]}
+                  for k, icc in zip(failed, iccs)} if args.format == "json" else None
+    meta = _meta(args, specs, correlation, first_effects)
+    if compare:
+        meta["design_names"] = names
+    _write(args, header, lines, meta, error_rows=error_rows)
     return EXIT_OK
 
 

@@ -136,6 +136,44 @@ class TestPowerCommand:
         p_std = json.loads(out2)["rows"][0]["power"]
         assert p_raw == pytest.approx(p_std, abs=1e-9)
 
+    # contrast labels that read as numbers, an exponent, nan, a signed zero
+    # and a %-template
+    LABELS = ("2", "1e5", "nan", "-0", "a%b")
+    WEIGHTS = ("1,-1,0", "0.5,0.5,1", "1,1,0.25", "1,-1,0", "2,-1,1")
+
+    @pytest.mark.parametrize("model", [("--model", "cs"), ("--model", "cohort", "--pi", "0.5"),
+                                       ("--model", "nested", "--rho-a", "0.05")])
+    @pytest.mark.parametrize("design", [("fig2b",), ("fig8-design2",), ("fig5b", "--additive")])
+    def test_formats_carry_one_text(self, capsys, design, model):
+        """JSON holds the numbers of the CSV text, its meta too, and each label
+        as the string it is; a table shows that text at 4 digits, labels
+        verbatim."""
+        width = 3 if design[0] == "fig8-design2" else 2
+        contrasts = [f"--contrast={label}={','.join(weights.split(',')[:width])}{effect}"
+                     for label, weights, effect in zip(self.LABELS, self.WEIGHTS,
+                                                       ("", "@0.3", "", "@1e-3", "@-2"))]
+        out = {}
+        for fmt in ("csv", "json", "table"):
+            code, out[fmt], _ = run(capsys, "power", "--design", *design, *model, "--rho-w",
+                                    "0.1", "--n", "15", "--delta", "0.40000000000001", *contrasts,
+                                    "--format", fmt)
+            assert code == 0
+        csv_rows = [line.split(",") for line in out["csv"].splitlines()[1:]]
+        assert [row[0] for row in csv_rows[-len(self.LABELS):]] == list(self.LABELS)
+        payload = json.loads(out["json"])
+        assert set(payload["meta"]["deltas"].values()) == {0.4}
+        json_rows = payload["rows"]
+        assert [r["label"] for r in json_rows] == [row[0] for row in csv_rows]
+        for r, row in zip(json_rows, csv_rows):
+            numbers = [r["effect"], r["se"], r["power"]]
+            assert all(type(v) is float for v in numbers)
+            assert numbers == [float(token) for token in row[1:]]
+        table = out["table"].splitlines()
+        assert table[0].startswith(f"# {design[0]}: model=")
+        assert table[1].split() == ["label", "effect", "se", "power"]
+        assert [line.split() for line in table[3:]] == \
+            [[row[0], *(format(float(token), ".4g") for token in row[1:])] for row in csv_rows]
+
 
 class TestRejectedInputs:
     BASE = ("power", "--design", "fig2b", "--model", "cs", "--n", "10")

@@ -338,6 +338,19 @@ class TestGenerators:
         assert str(info.value) == ("concurrent stacking needs disjoint single-treatment "
                                    "grids (got ['TRT1'] and ['BOTH', 'TRT1'])")
 
+    def test_concurrent_takes_the_treatment_2_grid_first(self):
+        a = generate_standard_swd(3, 2, T2, label="second")
+        b = generate_standard_swd(3, 1, T1, label="first")
+        stacked = concurrent_design(a, b)
+        assert stacked.to_codes() == a.to_codes() + b.to_codes()
+        assert stacked.label == "second+first"
+        with pytest.raises(DesignError, match="disjoint"):
+            concurrent_design(a, generate_standard_swd(3, 1, T2))
+        with pytest.raises(DesignError) as info:
+            concurrent_design(a, DesignGrid([[C, B, B, B], [C, T2, B, B]]))
+        assert str(info.value) == ("concurrent stacking needs disjoint single-treatment "
+                                   "grids (got ['TRT2'] and ['BOTH', 'TRT2'])")
+
 
 class TestCatalog:
     def test_fig1(self):

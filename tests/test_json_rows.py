@@ -1,16 +1,20 @@
-"""The JSON rows of a sweep are written straight from the CSV text.
+"""The JSON rows of a sweep or power table are written straight from the
+CSV text.
 
 Each kept row is formatted once, to 12 significant digits; its JSON object
 must be, byte for byte, what ``json.dumps`` writes for the floats read back
-from that text.
+from that text, and for the strings of its text columns.
 """
 
+import argparse
+import contextlib
+import io
 import json
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from swedge.cli import _json_row_writer, _render_json
+from swedge.cli import _write
 
 # Values across every magnitude, integral ones and both zeros.
 values = st.one_of(
@@ -22,10 +26,17 @@ values = st.one_of(
 )
 # Labels with quotes, backslashes, braces, percent signs and non-ASCII characters.
 labels = st.text(st.sampled_from('ab_"\\{}%é∑\u2028 '), min_size=1, max_size=6)
+# Text cells as a contrast label may hold them: no comma or line break and
+# no leading double quote, but numbers, exponents and percent signs.
+texts = st.one_of(
+    st.sampled_from(["2", "1e5", "nan", "-0", "a%b", "1.5", "trt1"]),
+    st.text(st.characters(blacklist_characters=",\n\r")).filter(lambda s: not s.startswith('"')),
+)
 
 
-def reference(meta, header, lines):
-    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines]
+def reference(meta, header, lines, text):
+    rows = [{name: field if k in text else float(field)
+             for k, (name, field) in enumerate(zip(header, line.split(",")))} for line in lines]
     return json.dumps({"meta": meta, "rows": rows}, sort_keys=True,
                       separators=(",", ":")) + "\n"
 
@@ -35,11 +46,19 @@ def reference(meta, header, lines):
 def test_row_writer_matches_json_dumps(data, header):
     if data is None:
         rows = [[1e-05, 0.5, 1.0], [-0.0, 1.5e+13, 9.99999999999e+11]]
+        text = ()
     else:
         rows = data.draw(st.lists(st.lists(values, min_size=len(header),
                                            max_size=len(header)), max_size=4))
-    lines = [",".join(format(v, ".12g") for v in row) for row in rows]
+        # at most one drawn column holds text, as power's label column does
+        text = data.draw(st.sets(st.integers(0, len(header) - 1), max_size=1))
+        for row in rows:
+            for k in text:
+                row[k] = data.draw(texts)
+    lines = [",".join(v if k in text else format(v, ".12g") for k, v in enumerate(row))
+             for row in rows]
     meta = {"command": "sweep", "alpha": 0.05}
-    writer = _json_row_writer(header)
-    assert _render_json(meta, [writer(line) for line in lines]) == \
-        reference(meta, header, lines)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write(argparse.Namespace(format="json", output=None), header, lines, meta, text=text)
+    assert out.getvalue() == reference(meta, header, lines, text)
