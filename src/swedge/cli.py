@@ -415,8 +415,8 @@ def _sweep_table(args, specs: list[str]) -> int:
         table = sweep(grid, correlation, effects, points=points)
         if len(table.errors) == len(points):
             message = (f"design {spec!r}: every sweep point failed; "
-                       f"first error: {table.errors[0][0]}")
-            if all(issubclass(kind, RankDeficiencyError) for _, kind in table.errors.values()):
+                       f"first error: {table.errors[0]}")
+            if all(isinstance(exc, RankDeficiencyError) for exc in table.errors.values()):
                 raise RankDeficiencyError(message)
             raise CliError(message)
         name = os.path.splitext(os.path.basename(spec))[0] if _looks_like_path(spec) else spec
@@ -444,7 +444,7 @@ def _sweep_table(args, specs: list[str]) -> int:
                        "give every design and contrast its own name")
 
     # The first design's error at a point is the one reported.
-    errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
+    errors = {k: str(exc) for table in reversed(tables) for k, exc in table.errors.items()}
     failed = sorted(errors)
     values = np.column_stack(columns)
     iccs = values[failed, :len(tables[0].icc)].tolist()

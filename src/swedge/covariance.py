@@ -29,6 +29,20 @@ class SingularCovarianceError(ParameterError):
     """Cluster-period covariance would be singular (diagonal == off-diagonal)."""
 
 
+def _read_floats(obj, names) -> None:
+    """Store each real number among the fields ``names`` of the frozen ``obj``
+    as a Python float before it is checked, so that numpy float32 and float16
+    values are checked and solved in double precision, as a sweep reads them;
+    anything else, a string say, stays as it is and fails as it did."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float and isinstance(value, numbers.Real):
+            try:
+                object.__setattr__(obj, name, float(value))
+            except OverflowError:  # an int beyond the float range, which the checks reject
+                pass
+
+
 class CovarianceModel(Enum):
     CROSS_SECTIONAL = "cs"
     COHORT = "cohort"
@@ -66,7 +80,9 @@ class RawComponents:
     sigma_nu_sq: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma_alpha_sq", "sigma_e_sq", "sigma_psi_sq", "sigma_nu_sq"):
+        names = ("sigma_alpha_sq", "sigma_e_sq", "sigma_psi_sq", "sigma_nu_sq")
+        _read_floats(self, names)
+        for name in names:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
@@ -129,6 +145,7 @@ class CompoundSymmetry:
     offdiag: float
 
     def __post_init__(self) -> None:
+        _read_floats(self, ("diag", "offdiag"))
         _raise_first(self, _ENTRIES)
 
 
@@ -155,7 +172,7 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     ``(ok, diag, offdiag, errors)``: a mask of the points that pass every
     :data:`DOMAIN` check, the entries of those points, in order, with the
     bits the scalar objects hold, and a map from each other point's index
-    to the text and class of the first check it fails, as they raise it.
+    to the error of the first check it fails, the one they raise there.
     """
     ok, errors = np.ones(rho_w.shape, bool), {}
     with np.errstate(invalid="ignore", over="ignore"):  # entries of points outside the domain
@@ -165,7 +182,7 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
             for k in np.flatnonzero(ok & fails(v)).tolist():
                 ok[k] = False
                 point = {n: float(a[k]) for n, a in vars(v).items() if a is not None}
-                errors[k] = (template.format_map(point), error)
+                errors[k] = error(template.format_map(point))
     return ok, diag[ok], offdiag[ok], errors
 
 
@@ -221,6 +238,7 @@ class CorrelationSpec:
         if has_raw:
             self.raw.check_model(self.model)
             return
+        _read_floats(self, ("rho_w", "rho_a", "pi"))
         _raise_first(self, _RHO_W)
         second = self.model.second_icc
         for name in ("rho_a", "pi"):

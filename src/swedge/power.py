@@ -63,9 +63,10 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
         raise ValueError(f"standard error must be positive, got {se}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    crit = _critical_value(alpha)  # raises for an alpha too small to have one
     if effect == 0:
         return alpha
-    return _two_sided_power([abs(effect) / se], _critical_value(alpha))[0]
+    return _two_sided_power([abs(effect) / se], crit)[0]
 
 
 def _two_sided_power(shifts, crit: float) -> list[float]:
@@ -261,8 +262,8 @@ class SweepTable:
     result).  ``icc`` maps ``"rho_w"`` and the model's second ICC, if any,
     to (K,) arrays: the point's own value, else the template's.  ``se``
     and ``power`` are (K, n) arrays, nan in failed rows; ``errors`` maps
-    the index of each failed point to the text and class of its
-    :func:`design_power` error.
+    each failed point's index to the exception :func:`design_power`
+    raises there, a rank deficiency's ``effect`` and ``condition`` included.
     """
 
     labels: tuple[str, ...]
@@ -270,7 +271,7 @@ class SweepTable:
     icc: dict[str, np.ndarray]
     se: np.ndarray
     power: np.ndarray
-    errors: dict[int, tuple[str, type[Exception]]]
+    errors: dict[int, Exception]
 
 
 def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
@@ -317,7 +318,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     aborting the rest.  All points are solved as one stack, each at its
     own index, and SE and power are computed a column at a time;
     :func:`design_power` is the same computation at one point, and each
-    failed point reports the error it raises there.
+    failed point keeps the exception it raises there.
     """
     icc = _icc_columns(points, correlation)
     ok, diag, offdiag, errors = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
@@ -330,8 +331,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     power = se.copy()
     se[index], power[index] = se_valid, power_valid
     # a point's solver error wins over the errors of its result columns
-    errors.update((int(index[j]), (str(exc), type(exc)))
-                  for j, exc in {**result_errors, **solve_errors}.items())
+    errors.update((int(index[j]), exc) for j, exc in {**result_errors, **solve_errors}.items())
     se[list(errors)] = power[list(errors)] = math.nan
     return SweepTable(labels=labels, effects=tuple(map(float, sizes)), icc=icc, se=se,
                       power=power, errors=dict(sorted(errors.items())))

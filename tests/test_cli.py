@@ -674,7 +674,7 @@ class TestSweepRendering:
         for name, power in zip(names[1:], powers[1:]):
             header += [f"gain_{l}_{name}" for l in shared]
             columns.append(power - powers[0])
-        errors = {k: text for table in reversed(tables) for k, (text, _) in table.errors.items()}
+        errors = {k: str(e) for table in reversed(tables) for k, e in table.errors.items()}
         rows = np.column_stack(columns).tolist()
         notes = "".join(f"point {k} (rho_w={rows[k][0]:g}): {errors[k]}\n" for k in sorted(errors))
         kept = [[format(v, ".12g") for v in row] for k, row in enumerate(rows) if k not in errors]

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from designgen import random_correlation, random_grid, random_raw_components
 from swedge.covariance import (
+    CompoundSymmetry,
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
@@ -24,7 +25,7 @@ from swedge.power import (
     sweep,
     wald_power,
 )
-from swedge.variance import RankDeficiencyError
+from swedge.variance import RankDeficiencyError, closed_form_covariance, information_matrix
 
 CS = CovarianceModel.CROSS_SECTIONAL
 
@@ -72,13 +73,16 @@ class TestWaldPower:
         with pytest.raises(ValueError):
             wald_power(0.4, 1.0, 1.0)
 
-    def test_alpha_whose_quantile_rounds_away_is_rejected_for_a_nonzero_effect(self):
-        # statistics.StatisticsError is a ValueError too, so the text is checked
-        with pytest.raises(ValueError) as info:
-            wald_power(1.0, 1.0, 1e-300)
-        assert str(info.value) == ("alpha 1e-300 is too small: 1 - alpha/2 rounds to 1, "
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-17])
+    @pytest.mark.parametrize("effect", [1.0, 0.0])
+    def test_alpha_whose_quantile_rounds_away_is_rejected_for_any_effect(self, effect, alpha):
+        # EffectSpec rejects the same alpha, so a zero effect does not return it
+        with pytest.raises(ParameterError) as info:
+            wald_power(effect, 1.0, alpha)
+        assert str(info.value) == (f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
                                    "which has no normal quantile")
-        assert wald_power(0.0, 1.0, 1e-300) == 1e-300
+        with pytest.raises(ParameterError, match=f"^alpha {alpha:g} is too small"):
+            EffectSpec(delta1=effect, alpha=alpha)
 
     @pytest.mark.parametrize("effect, se", [
         (float("nan"), 1.0), (float("inf"), 1.0), (-float("inf"), 1.0),
@@ -188,7 +192,8 @@ class TestEffectSpec:
             design_power(catalog_design("fig2b"), cs_spec(), effects)
         assert str(info.value) == message
         table = sweep(catalog_design("fig2b"), cs_spec(), effects, points=(0.1, 0.2))
-        assert table.errors == {0: (message, ParameterError), 1: (message, ParameterError)}
+        assert {k: (str(e), type(e)) for k, e in table.errors.items()} == \
+            {0: (message, ParameterError), 1: (message, ParameterError)}
 
 
 class TestDesignPower:
@@ -275,6 +280,71 @@ class TestDesignPower:
                 assert raw_power == pytest.approx(std_power, abs=1e-12)
 
 
+class TestNumpyScalarInputs:
+    """A numpy float16, float32 or float64 input is read as the Python float
+    of its value, so it gives the bits that float gives, and a sweep gives
+    at that point."""
+
+    SECOND = {CS: {}, CovarianceModel.COHORT: {"pi": 0.4},
+              CovarianceModel.NESTED_EXCHANGEABLE: {"rho_a": 0.05}}
+    RAW = {CS: {}, CovarianceModel.COHORT: {"sigma_psi_sq": 0.3},
+           CovarianceModel.NESTED_EXCHANGEABLE: {"sigma_nu_sq": 0.2}}
+    EFFECTS = EffectSpec(delta1=0.4, delta2=0.4)
+
+    @staticmethod
+    def columns(result):
+        return [(r.se.hex(), r.power.hex()) for r in result.rows]
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("model", list(CovarianceModel))
+    def test_iccs(self, model, dtype):
+        grid = catalog_design("fig2b")
+        iccs = {name: dtype(v) for name, v in {"rho_w": 0.1, **self.SECOND[model]}.items()}
+        floats = {name: float(v) for name, v in iccs.items()}
+        spec = CorrelationSpec(model=model, n_per_period=15, **iccs)
+        assert all(type(getattr(spec, name)) is float for name in iccs)
+        result = design_power(grid, spec, self.EFFECTS)
+        expected = design_power(grid, CorrelationSpec(model=model, n_per_period=15, **floats),
+                                self.EFFECTS)
+        assert self.columns(result) == self.columns(expected)
+        point = tuple(iccs.values()) if len(iccs) == 2 else iccs["rho_w"]
+        table = sweep(grid, spec, self.EFFECTS, points=[point])
+        assert [(se.hex(), p.hex()) for se, p in zip(table.se[0].tolist(),
+                                                     table.power[0].tolist())] == \
+            self.columns(expected)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("model", list(CovarianceModel))
+    def test_raw_components(self, model, dtype):
+        grid = catalog_design("fig2b")
+        parts = {"sigma_alpha_sq": 0.1, "sigma_e_sq": 0.9, **self.RAW[model]}
+        results = [design_power(grid, CorrelationSpec(
+            model=model, n_per_period=15,
+            raw=RawComponents(**{name: read(dtype(v)) for name, v in parts.items()})),
+            self.EFFECTS) for read in (lambda v: v, float)]
+        assert self.columns(results[0]) == self.columns(results[1])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_covariance_entries(self, dtype):
+        grid = catalog_design("fig2b")
+        given = CompoundSymmetry(dtype(0.16), dtype(0.1))
+        floats = CompoundSymmetry(float(dtype(0.16)), float(dtype(0.1)))
+        assert given == floats and type(given.diag) is type(given.offdiag) is float
+        assert closed_form_covariance(grid, given).matrix.tobytes() == \
+            closed_form_covariance(grid, floats).matrix.tobytes()
+        assert information_matrix(grid, given).tobytes() == \
+            information_matrix(grid, floats).tobytes()
+
+    def test_a_value_without_a_float_fails_as_it_did(self):
+        for value in ("0.1", 10**400):  # not a number; an int beyond the float range
+            with pytest.raises(TypeError if isinstance(value, str) else ParameterError):
+                CorrelationSpec(model=CS, n_per_period=15, rho_w=value)
+        with pytest.raises(TypeError):
+            RawComponents(sigma_alpha_sq="0.1", sigma_e_sq=0.9)
+        with pytest.raises(TypeError):
+            CompoundSymmetry("0.16", 0.1)
+
+
 class TestSweep:
     def test_empty_grid_gives_empty_table(self):
         table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4), points=())
@@ -345,10 +415,17 @@ class TestSweep:
         assert table.icc["rho_w"].tolist() == [0.25] and table.icc["pi"].tolist() == [0.5]
         assert table.errors == {}
 
-    def test_errors_are_kept_as_text_and_class(self):
-        table = sweep(catalog_design("fig1"), cs_spec(), EffectSpec(delta1=0.4),
-                      points=(1.5,))
-        assert table.errors == {0: ("rho_w must lie in [0, 1), got 1.5", ParameterError)}
+    def test_errors_are_kept_as_the_exceptions_design_power_raises(self):
+        # a (text, class) record would drop the effect a rank deficient point
+        # cannot estimate and the condition estimate that judged it so
+        grid, effects = catalog_design("fig5a"), EffectSpec(delta1=0.4, delta2=0.4, delta3=0.4)
+        table = sweep(grid, cs_spec(n=40), effects, points=(0.2, 1.5))
+        with pytest.raises(RankDeficiencyError) as info:
+            design_power(grid, cs_spec(0.2, n=40), effects)
+        rank, domain = table.errors[0], table.errors[1]
+        assert type(rank) is RankDeficiencyError and str(rank) == str(info.value)
+        assert (rank.effect, rank.condition) == ("interaction", info.value.condition)
+        assert type(domain) is ParameterError and str(domain) == "rho_w must lie in [0, 1), got 1.5"
 
     def test_programming_errors_propagate(self, monkeypatch):
         import swedge.power
@@ -434,7 +511,7 @@ class TestSweep:
         monkeypatch.setattr(swedge.power, "design_power", unreachable)
         grid = catalog_design(design) if isinstance(design, str) else DesignGrid(design)
         table = sweep(grid, template, effects, points=points)
-        assert table.errors == errors
+        assert {k: (str(e), type(e)) for k, e in table.errors.items()} == errors
         failed = sorted(errors)
         assert np.isnan(table.se[failed]).all() and np.isnan(table.power[failed]).all()
         assert np.isfinite(np.delete(table.se, failed, axis=0)).all()

@@ -2,8 +2,8 @@
 
 ``sweep`` solves every point of a grid as one batch from one design
 summary.  On a numeric grid it must give, bit for bit, what a loop of
-``design_power`` over ``with_icc`` specs gives, including the text and
-type of every error; any other grid must raise before any point is solved.
+``design_power`` over ``with_icc`` specs gives, including the exception
+of every failed point; any other grid must raise before any point is solved.
 """
 
 import math
@@ -129,13 +129,20 @@ def malformed_grids(draw, model):
 
 
 def reference_row(grid, template, effects, point):
-    """A point's (iccs, result, error text, error type), one design_power at a time."""
+    """A point's (iccs, result, exception), one design_power at a time."""
     values = point if isinstance(point, (tuple, list, np.ndarray)) else (point,)
     iccs = {name: float(v) for name, v in zip(("rho_w", template.model.second_icc), values)}
     try:
-        return iccs, design_power(grid, template.with_icc(**iccs), effects), None, None
+        return iccs, design_power(grid, template.with_icc(**iccs), effects), None
     except (ParameterError, RankDeficiencyError) as exc:
-        return iccs, None, str(exc), type(exc)
+        return iccs, None, exc
+
+
+def kept(exc):
+    """What a failed point's exception tells a user: its class, its text
+    and, for a rank deficiency, the effect and the condition estimate."""
+    return (type(exc), str(exc), getattr(exc, "effect", None),
+            bits(getattr(exc, "condition", None)))
 
 
 def bits(x):
@@ -155,13 +162,15 @@ def test_batched_sweep_matches_a_design_power_loop(grid, template, effects, data
     second = template.model.second_icc
     assert list(table.icc) == (["rho_w", second] if second else ["rho_w"])
     assert table.se.shape == table.power.shape == (len(grid_points), len(table.labels))
+    if data is None:  # fig5a confounds the interaction with the final period
+        assert table.errors[0].effect == "interaction"
     for k, point in enumerate(grid_points):
-        iccs, result, error, error_type = reference_row(grid, template, effects, point)
+        iccs, result, error = reference_row(grid, template, effects, point)
         values = {"rho_a": template.rho_a, "pi": template.pi, **iccs}
         for name, column in table.icc.items():
             assert bits(column[k]) == bits(values[name])
         if result is None:
-            assert table.errors[k] == (error, error_type)
+            assert kept(table.errors[k]) == kept(error)
             assert np.isnan(table.se[k]).all() and np.isnan(table.power[k]).all()
             continue
         assert k not in table.errors
@@ -222,7 +231,7 @@ def test_covariance_masks_match_the_scalar_checks(template, rho_w, second):
             cs = template.with_icc(rho_w=r, **point).cov_entries()
         except ParameterError as exc:
             assert not ok[k]
-            assert errors[k] == (str(exc), type(exc))
+            assert (str(errors[k]), type(errors[k])) == (str(exc), type(exc))
             continue
         assert ok[k] and k not in errors
         entries.append((bits(cs.diag), bits(cs.offdiag)))
