@@ -29,18 +29,23 @@ class SingularCovarianceError(ParameterError):
     """Cluster-period covariance would be singular (diagonal == off-diagonal)."""
 
 
+def _read_float(value):
+    """A real number ``value`` as a Python float, so that numpy float32 and
+    float16 values are checked and solved in double precision, as a sweep
+    reads them; anything else, a string say, as it is, to fail as it did."""
+    if type(value) is not float and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range, which the checks reject
+            pass
+    return value
+
+
 def _read_floats(obj, names) -> None:
-    """Store each real number among the fields ``names`` of the frozen ``obj``
-    as a Python float before it is checked, so that numpy float32 and float16
-    values are checked and solved in double precision, as a sweep reads them;
-    anything else, a string say, stays as it is and fails as it did."""
+    """Store each of the fields ``names`` of the frozen ``obj`` as
+    :func:`_read_float` reads it, before it is checked."""
     for name in names:
-        value = getattr(obj, name)
-        if type(value) is not float and isinstance(value, numbers.Real):
-            try:
-                object.__setattr__(obj, name, float(value))
-            except OverflowError:  # an int beyond the float range, which the checks reject
-                pass
+        object.__setattr__(obj, name, _read_float(getattr(obj, name)))
 
 
 class CovarianceModel(Enum):

@@ -99,8 +99,8 @@ class DesignGrid:
     """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
     ``codes`` is a read-only int8 array copied from the input, and
-    ``sums``, computed from it on first use, is kept with the grid; a
-    derived, copied or unpickled grid is a new grid with sums of its own.
+    ``sums`` and ``forms``, computed from it on first use, are kept with the
+    grid; a derived, copied or unpickled grid is a new grid with its own.
     Equality compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
     grids whose exact layout was rebuilt from published summary counts
     rather than copied cell-for-cell; it is provenance metadata and
@@ -161,6 +161,13 @@ class DesignGrid:
         for array in sums:
             array.flags.writeable = False
         return sums
+
+    @cached_property
+    def forms(self) -> dict:
+        """The closed form's exact coefficients for this grid, one entry per
+        analysis, which :mod:`swedge.variance` computes from ``sums`` on
+        first use; kept with the grid as ``sums`` is."""
+        return {}
 
     def swap_treatments(self) -> "DesignGrid":
         """Relabel treatment 1 <-> treatment 2 everywhere."""

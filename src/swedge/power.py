@@ -14,7 +14,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .covariance import CorrelationSpec, ParameterError, cluster_cov_stack
+from .covariance import (
+    CorrelationSpec,
+    ParameterError,
+    _read_float,
+    _read_floats,
+    cluster_cov_stack,
+)
 from .designs import DesignGrid
 from .variance import (
     EFFECT_LABELS,
@@ -93,7 +99,8 @@ class ContrastSpec:
 
     ``weights`` must match the dimension of the design's estimable effect
     set.  ``effect`` is the detectable difference; when omitted it is the
-    weighted combination of the main effect sizes.
+    weighted combination of the main effect sizes.  Each weight and the
+    effect are read as Python floats, numpy scalars included.
     """
 
     label: str
@@ -101,6 +108,8 @@ class ContrastSpec:
     effect: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(map(_read_float, self.weights)))
+        _read_floats(self, ("effect",))
         if not self.label:
             raise ParameterError("contrast needs a label")
         if not all(math.isfinite(w) for w in self.weights):
@@ -122,7 +131,8 @@ class EffectSpec:
     must be requested, and each contrast needs a label of its own, none of
     the effect labels.  ``additive`` analyzes the design under assumed
     additive treatment effects, dropping the interaction column from the
-    model entirely.
+    model entirely.  The effect sizes and ``alpha`` are read as Python
+    floats, numpy scalars included.
     """
 
     delta1: float | None = None
@@ -133,6 +143,7 @@ class EffectSpec:
     additive: bool = False
 
     def __post_init__(self) -> None:
+        _read_floats(self, ("delta1", "delta2", "delta3", "alpha"))
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         _critical_value(self.alpha)  # raises for an alpha too small to have one

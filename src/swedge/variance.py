@@ -1,18 +1,21 @@
 """Variance-covariance of treatment-effect estimates in stepped wedge designs.
 
 Two independent computation paths are provided.  The closed form writes
-the 3x3 information matrix of the treatment, second-treatment and product
-effects, after profiling out the intercept and period effects, as one
-fixed combination of four integer Gram matrices of the design's indicator
-stack (its cells, per-cluster totals, per-period totals and grand totals)
-weighted by five scalars of the covariance, then inverts it directly.  The
-dense oracle whitens the design by the Cholesky factor L of the cluster
-covariance V and assembles the GLS precision blockwise: the intercept and
-period block, the same for every cluster, is whitened once and counted I
-times, and every cluster's treatment columns are whitened in one product.
-That sharing is linearity of the sum over clusters and holds for any V;
-the oracle uses no compound-symmetry inverse, no profiling algebra and
-none of the closed form's design sums, and exists to verify it.
+the covariance of the treatment, second-treatment and product effects,
+after profiling out the intercept and period effects, as an exact rational
+function of the within and between variances sig_c and sig_a: for two
+integer matrices A and B built from the design's sums it is
+I*sig_c*(sig_c + T*sig_a) * adj(sig_c*A + sig_a*B) / det(sig_c*A + sig_a*B),
+Hussey & Hughes (2007) for one treatment.  The coefficients of det and adj
+are computed once per design, exactly, so a point costs a few products
+and estimability is the exact rule det(A) != 0.  The dense oracle whitens
+the design by the Cholesky factor L of the cluster covariance V and
+assembles the GLS precision blockwise: the intercept and period block, the
+same for every cluster, is whitened once and counted I times, and every
+cluster's treatment columns are whitened in one product.  That sharing is
+linearity of the sum over clusters and holds for any V; the oracle uses no
+compound-symmetry inverse, no profiling algebra and none of the closed
+form's design sums, and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -31,8 +36,12 @@ from .designs import DesignGrid
 
 EFFECT_LABELS = ("trt1", "trt2", "interaction")
 
-# Information matrices with a worse condition number than this are treated
-# as rank deficient rather than invertible-but-noisy.
+# The oracle treats a precision matrix with a worse condition number than
+# this as rank deficient rather than invertible-but-noisy; the closed form's
+# rank diagnosis reports a condition estimate only beyond it.  The closed
+# form decides by det(A) alone, so the oracle also rejects points the closed
+# form solves exactly, such as a rho_w within about 1e-12 of 1 where an
+# effect is constant within every cluster.
 CONDITION_LIMIT = 1e12
 
 NO_EFFECTS_ESTIMABLE = "design has no treated cluster-periods; no effects are estimable"
@@ -57,7 +66,10 @@ def _outer(v: np.ndarray) -> np.ndarray:
 
 
 def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
-    """Profiled information matrices of the three effects at many points.
+    """Profiled information matrices of the three effects at many points:
+    the floating-point diagnosis of an analysis whose effects are not
+    estimable (det(A) = 0), which names the confounded effect and estimates
+    the condition of each point.
 
     ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
     (between variance: the off-diagonal) are numpy arrays of one shape
@@ -101,7 +113,10 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
 def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     """Profiled 3x3 information matrix of the three effect estimates.
 
-    Row 0 of :func:`information_stack` at one point.
+    Row 0 of :func:`information_stack` at one point.  The closed form does
+    not need it; it is kept as the public view of the matrix the rank
+    diagnosis reads, which the tests check against the dense Schur
+    complement and the benchmark's tracing binds.
     """
     return information_stack(grid, np.array([cs.diag - cs.offdiag]), np.array([cs.offdiag]))[0]
 
@@ -125,121 +140,188 @@ class TreatmentCovariance:
     matrix: np.ndarray
 
 
-def _invert_symmetric(s: np.ndarray) -> np.ndarray:
-    """Explicit adjugate inverse of symmetric matrices up to 3x3.
-
-    ``s`` is a stack of shape (K..., n, n); the result has the same shape
-    and is C-contiguous.  Written so that relabeling treatments
-    (simultaneous swap of rows and columns 0 and 1) permutes the result
-    bit-for-bit: every cofactor is grouped to rely only on commutativity
-    of float multiply and add.
-    """
-    n = s.shape[-1]
-    if n == 1:
-        return 1.0 / s
-    # e[j, i] is the (K...) array s[..., i, j].
-    e = s.T
-    if n == 2:
-        s11, s22, s12 = e[0, 0], e[1, 1], e[1, 0]
-        det = s11 * s22 - s12 * s12
-        adj = np.array([[s22, -s12], [-s12, s11]])
+def _cofactor(m: list, i: int, j: int) -> list[int]:
+    """The (i, j) cofactor of an n x n matrix ``m`` of degree-1 polynomials
+    (coefficient pairs), n <= 3: a polynomial of degree n - 1."""
+    rows = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+    if len(rows) < 2:
+        minor = list(rows[0][0]) if rows else [1]
     else:
-        s11, s22, s33 = e[0, 0], e[1, 1], e[2, 2]
-        s12, s13, s23 = e[1, 0], e[2, 0], e[2, 1]
-        d1 = s33 * (s11 * s22 - s12 * s12)
-        d2 = s11 * (s23 * s23)
-        d3 = s22 * (s13 * s13)
-        d4 = 2.0 * s12 * (s13 * s23)
-        det = (d1 - (d2 + d3)) + d4
-        a11 = s22 * s33 - s23 * s23
-        a22 = s11 * s33 - s13 * s13
-        a33 = s11 * s22 - s12 * s12
-        a12 = s13 * s23 - s12 * s33
-        a13 = s12 * s23 - s22 * s13
-        a23 = s12 * s13 - s11 * s23
-        adj = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-    # adj has the stack axes last; it is symmetric, so .T puts them first.
-    return np.ascontiguousarray((adj / det).T)
+        ((p0, p1), (q0, q1)), ((r0, r1), (s0, s1)) = rows
+        minor = [p0 * s0 - q0 * r0, p0 * s1 + p1 * s0 - q0 * r1 - q1 * r0, p1 * s1 - q1 * r1]
+    return [-c for c in minor] if (i + j) % 2 else minor
+
+
+def _exact_form(grid: DesignGrid, additive: bool):
+    """``(labels, form)`` for the analysis of ``grid``: the estimable effects
+    and the coefficients of their covariance, None when there is no effect
+    or det(A) = 0; computed once per grid and analysis, in ``grid.forms``.
+
+    Over the active effects, the design's integer sums give A = I*G - cols
+    cols' and B = T*A - (I*R - t t'), and the covariance is
+    I*sig_c*(sig_c + T*sig_a) * adj(M) / det(M) for M = sig_c*A + sig_a*B.
+    The coefficients of det(M) and of each entry of adj(M), homogeneous
+    polynomials in (sig_c, sig_a), are computed exactly in Python ints and
+    rounded to floats once.  A and B are positive semidefinite, so det(M)
+    and every variance have nonnegative coefficients.  A null vector of A
+    is a combination of the effects that is a period effect, and B
+    annihilates it too: the effects are estimable at every point when
+    det(A) != 0 and at none when det(A) = 0.
+    """
+    if additive in grid.forms:
+        return grid.forms[additive]
+    labels = active_effects(grid, additive)
+    form = None
+    if labels:
+        gram, cluster_gram, cols, totals = (array.astype(np.int64) for array in grid.sums)
+        n_clusters, n_periods = grid.n_clusters, grid.n_periods
+        a = n_clusters * gram - cols @ cols.T
+        b = n_periods * a - n_clusters * cluster_gram + totals[:, None] * totals
+        a, b = a.tolist(), b.tolist()
+        active = [EFFECT_LABELS.index(label) for label in labels]
+        m = [[(a[r][c], b[r][c]) for c in active] for r in active]
+        n = len(m)
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        # adj(M)[i][j] is the (j, i) cofactor, and M and adj(M) are symmetric
+        adj = [_cofactor(m, j, i) for i, j in upper]
+        det = [0] * (n + 1)
+        for (x0, x1), cofactor in zip(m[0], adj):  # along the first row
+            for k, c in enumerate(cofactor):
+                det[k] += x0 * c
+                det[k + 1] += x1 * c
+        if det[0]:
+            form = (float(n_clusters), float(n_periods), [float(c) for c in det],
+                    [[float(c) for c in poly] for poly in adj],
+                    [upper.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)])
+    grid.forms[additive] = labels, form
+    return labels, form
+
+
+def _scaled(diag, offdiag):
+    """``(sig_c, sig_a, e)``: the within and between variances of the
+    compound-symmetry entries times 2**-e, for e the binary exponent of the
+    diagonal, from (K,) arrays or from floats.  The scaling is exact, and
+    finite entries with diag > offdiag >= 0 give a sig_c of at least 2**-54
+    and sig_c + sig_a in [0.5, 1)."""
+    frexp, ldexp = (np.frexp, np.ldexp) if isinstance(diag, np.ndarray) \
+        else (math.frexp, math.ldexp)
+    exponent = frexp(diag)[1]
+    sig_a = ldexp(offdiag, -exponent)
+    return ldexp(diag, -exponent) - sig_a, sig_a, exponent
+
+
+def _evaluate(form, diag, offdiag) -> np.ndarray:
+    """The (K, n, n) covariance matrices at the K points of the
+    compound-symmetry entries ``diag`` and ``offdiag``, given as (K,) arrays
+    or as floats (K = 1), with the bits of the same point either way.
+
+    A point is evaluated at its :func:`_scaled` variances and its covariance
+    multiplied back by 2**e, which keeps every power of (sig_c, sig_a) in
+    range and leaves only a covariance out of range unsolved.  The
+    polynomials are evaluated by explicit products and left-to-right sums,
+    plain arithmetic that floats and numpy arrays answer alike.
+    """
+    n_clusters, n_periods, det, adj, index = form
+    sig_c, sig_a, exponent = _scaled(diag, offdiag)
+    low = [1.0]  # the monomials of degree n - 1, sig_c**(n-1) first
+    for _ in range(len(det) - 2):
+        low = [x * sig_c for x in low] + [low[-1] * sig_a]
+    high = [x * sig_c for x in low] + [low[-1] * sig_a]
+    # reduce, not sum: from Python 3.12 sum compensates the rounding of
+    # float additions but not of array additions
+    scale = n_clusters * sig_c * (sig_c + n_periods * sig_a) / reduce(add, map(mul, det, high), 0)
+    entries = [reduce(add, map(mul, coefs, low), 0) * scale for coefs in adj]
+    n = len(det) - 1
+    with np.errstate(all="ignore"):
+        return np.ldexp(np.array(entries)[index], exponent).T.reshape(-1, n, n)
+
+
+def _variance_errors(matrices: np.ndarray, diag, offdiag) -> dict:
+    """A map from each of the (K, n, n) ``matrices`` with a variance not
+    finite or not positive to its error; ``diag`` and ``offdiag`` are the
+    entries of the K points, as (K,) arrays or as floats (K = 1)."""
+    variances = matrices.diagonal(0, 1, 2)
+    # a finite variance bounds the covariances of its effect
+    failed = np.flatnonzero(~(np.isfinite(variances) & (variances > 0.0)).all(axis=1))
+    errors = {}
+    if failed.size:
+        diag, offdiag = np.atleast_1d(diag, offdiag)
+        for k in failed.tolist():
+            what = "a variance of the effect estimates underflows to 0" \
+                if np.isfinite(variances[k]).all() \
+                else "covariance of the effect estimates is not finite"
+            errors[k] = ParameterError(
+                f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
+                f"{offdiag[k]:g}) are too large or too small to represent")
+    return errors
 
 
 def closed_form_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
-    """Covariance of the effect estimates via the closed-form information
-    matrix: one point of :func:`closed_form_stack`, raising its error.
+    """Covariance of the effect estimates in closed form: one point of
+    :func:`closed_form_stack`, evaluated on floats, raising its error.
 
-    The information matrix automatically drops effects whose columns are
-    absent (no combined-condition cells -> 2x2; single treatment -> 1x1).
-    ``additive`` excludes the interaction column from the analysis model
-    even when combined-condition cells exist, for designs analyzed under
-    assumed-additive treatment effects.
+    Effects whose columns are absent are dropped (no combined-condition
+    cells -> 2x2; single treatment -> 1x1).  ``additive`` excludes the
+    interaction column from the analysis model even when combined-condition
+    cells exist, for designs analyzed under assumed-additive treatment
+    effects.
     """
-    labels, matrices, errors = closed_form_stack(grid, np.array([cs.diag]),
-                                                 np.array([cs.offdiag]), additive)
+    labels, matrices, errors = closed_form_stack(grid, cs.diag, cs.offdiag, additive)
     if errors:
         raise errors[0]
     return TreatmentCovariance(labels=labels, matrix=matrices[0])
 
 
-def closed_form_stack(grid: DesignGrid, diag: np.ndarray, offdiag: np.ndarray,
-                      additive: bool = False):
+def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
+                      offdiag: np.ndarray | float, additive: bool = False):
     """The closed-form covariance of the effect estimates at the K points of
-    the (K,) compound-symmetry entries ``diag`` and ``offdiag``, solved as
-    one stack; a point gets the bits it gets on its own.
+    the (K,) compound-symmetry entries ``diag`` and ``offdiag``, or at one
+    point given as two floats; each point is elementwise arithmetic and gets
+    the bits it gets on its own.
 
-    A point is solved at its entries times 2**-e, for e the binary exponent
-    of its diagonal, and its covariance multiplied back by 2**e: exact
-    scalings, which change no bit where the unscaled arithmetic stays in
-    range and leave only a covariance out of range unsolved.  Returns
-    ``(labels, matrices, errors)``: the estimable effects, the (K, n, n)
-    covariance matrices in input order, nan at every unsolved point, and a
-    map from each unsolved point's index to its error: no effect estimable,
-    an information matrix failing the rank check, or a covariance not
-    finite or with a variance underflowing to 0.
+    Returns ``(labels, matrices, errors)``: the estimable effects, the (K,
+    n, n) covariance matrices in input order, nan at every unsolved point,
+    and a map from each unsolved point's index to its error: no effect
+    estimable, an effect confounded with the intercept, the periods or
+    another treatment (det(A) = 0, which fails every point), or a
+    covariance not finite or with a variance underflowing to 0.
     """
-    count = len(diag)
-    labels = active_effects(grid, additive)
+    count = np.size(diag)
+    labels, form = _exact_form(grid, additive)
     if not labels:
         errors = dict.fromkeys(range(count), RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
         return labels, np.empty((count, 0, 0)), errors
+    if form is None:
+        return labels, np.full((count, len(labels), len(labels)), np.nan), \
+            _rank_errors(grid, labels, diag, offdiag)
+    matrices = _evaluate(form, diag, offdiag)
+    errors = _variance_errors(matrices, diag, offdiag)
+    if errors:
+        matrices[list(errors)] = np.nan
+    return labels, matrices, errors
+
+
+def _rank_errors(grid: DesignGrid, labels: tuple[str, ...], diag, offdiag) -> dict:
+    """The error of every point of an analysis with det(A) = 0, diagnosed in
+    floating point: the offending effect is the largest entry of the null
+    eigenvector of the point's information matrix, and the condition
+    estimate the ratio of its extreme eigenvalues, or inf where that ratio
+    does not pass :data:`CONDITION_LIMIT`, as rounding can make an exactly
+    singular matrix look well conditioned."""
     active = np.array([EFFECT_LABELS.index(label) for label in labels])
-    exponent = np.frexp(diag)[1]
-    sig_a = np.ldexp(offdiag, -exponent)
-    # finite entries with diag > offdiag >= 0 give a scaled within variance of
-    # at least 2**-54, and so a finite information matrix
-    s = information_stack(grid, np.ldexp(diag, -exponent) - sig_a, sig_a)
-    s = s[:, active[:, None], active]
-    errors = {}
+    sig_c, sig_a, _ = _scaled(*np.atleast_1d(diag, offdiag))
+    s = information_stack(grid, sig_c, sig_a)[:, active[:, None], active]
     eigvals = np.linalg.eigvalsh(s)
-    top = np.abs(eigvals).max(axis=-1)
-    well = (top > 0.0) & (eigvals[:, 0] > top / CONDITION_LIMIT)
-    if not well.all():
-        # the offending effect is the largest entry of the null eigenvector
-        nulls = np.linalg.eigh(s[~well])[1][:, :, 0]
-        for k, null, low, high in zip(np.flatnonzero(~well).tolist(), nulls,
-                                      eigvals[~well, 0].tolist(), top[~well].tolist()):
-            errors[k] = RankDeficiencyError(
+    nulls = np.linalg.eigh(s)[1][:, :, 0]
+    return {k: RankDeficiencyError(
                 "information matrix is rank deficient; the effect is confounded "
                 "with the intercept, period effects, or another treatment column",
                 effect=labels[int(np.argmax(np.abs(null)))],
-                condition=np.inf if low <= 0 else high / low,
-            )
-
-    with np.errstate(all="ignore"):
-        matrices = np.ldexp(_invert_symmetric(s), exponent[:, None, None])
-    # a finite variance bounds the covariances of its effect
-    variances = matrices.diagonal(0, 1, 2)
-    solved = well & (np.isfinite(variances) & (variances > 0.0)).all(axis=1)
-    if not solved.all():
-        failed = np.flatnonzero(well & ~solved)
-        for k, row in zip(failed.tolist(), variances[failed]):
-            what = "a variance of the effect estimates underflows to 0" if np.isfinite(row).all() \
-                else "covariance of the effect estimates is not finite"
-            errors[k] = ParameterError(
-                f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
-                f"{offdiag[k]:g}) are too large or too small to represent")
-        matrices[~solved] = np.nan
-    return labels, matrices, errors
+                condition=high / low if 0.0 < low <= high / CONDITION_LIMIT else np.inf)
+            for k, (null, low, high) in enumerate(zip(
+                nulls, eigvals[:, 0].tolist(), np.abs(eigvals).max(axis=-1).tolist()))}
 
 
 def oracle_covariance(

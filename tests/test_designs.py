@@ -142,6 +142,7 @@ def test_derived_grids_get_sums_of_their_own(seed, model):
     single = random_single_treatment_grid(rng)
     cs = random_correlation(rng, model).cov_entries()
     cached = grid.sums, single.sums  # computed before any grid is derived
+    expected = _closed_form(grid, cs, False), _closed_form(single, cs, False)  # fills forms
     derived = [
         (grid.swap_treatments(), grid),
         (grid.permute_clusters(rng.permutation(grid.n_clusters).tolist()), grid),
@@ -153,12 +154,14 @@ def test_derived_grids_get_sums_of_their_own(seed, model):
     ]
     for child, parent in derived:
         assert not any(mine is theirs for mine, theirs in zip(child.sums, parent.sums))
+        assert child.forms is not parent.forms
         fresh = parse_design(serialize_design(child, fmt="json"))
         assert [a.tobytes() for a in child.sums] == [a.tobytes() for a in fresh.sums]
         for additive in (False, True):
             assert active_effects(child, additive) == active_effects(fresh, additive)
             assert _closed_form(child, cs, additive) == _closed_form(fresh, cs, additive)
     assert grid.sums is cached[0] and single.sums is cached[1]
+    assert (_closed_form(grid, cs, False), _closed_form(single, cs, False)) == expected
 
 
 class TestValidation:

@@ -344,6 +344,34 @@ class TestNumpyScalarInputs:
         with pytest.raises(TypeError):
             CompoundSymmetry("0.16", 0.1)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_effect_sizes_alpha_and_contrasts(self, dtype):
+        # a contrast's default effect is the weighted sum of the effect sizes,
+        # which float32 weights once computed in float32
+        grid = catalog_design("fig2b")
+
+        def effects(read):
+            contrasts = (ContrastSpec("c", (read(dtype(0.3)), read(dtype(-1.1)))),
+                         ContrastSpec("d", (1.0, read(dtype(1.0))), effect=read(dtype(0.2))))
+            return EffectSpec(delta1=read(dtype(0.4)), delta2=read(dtype(0.3)),
+                              alpha=read(dtype(0.05)), contrasts=contrasts)
+
+        given, floats = effects(lambda v: v), effects(float)
+        assert given == floats
+        values = [given.delta1, given.delta2, given.alpha, given.contrasts[1].effect,
+                  *given.contrasts[0].weights, *given.contrasts[1].weights]
+        assert all(type(v) is float for v in values)
+
+        def rows(result):
+            return [(r.label, type(r.effect), r.effect.hex(), r.se.hex(), r.power.hex())
+                    for r in result.rows]
+        expected = rows(design_power(grid, cs_spec(), floats))
+        assert rows(design_power(grid, cs_spec(), given)) == expected
+        table = sweep(grid, cs_spec(), given, points=[0.1])
+        assert [(label, type(size), size.hex(), se.hex(), p.hex()) for label, size, se, p in
+                zip(table.labels, table.effects, table.se[0].tolist(),
+                    table.power[0].tolist())] == expected
+
 
 class TestSweep:
     def test_empty_grid_gives_empty_table(self):

@@ -1,9 +1,12 @@
+import builtins
+import math
 import zlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -18,6 +21,7 @@ from swedge.covariance import (
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
+    cluster_cov_stack,
 )
 from swedge.designs import (
     DesignGrid,
@@ -25,8 +29,10 @@ from swedge.designs import (
     catalog_ids,
     generate_standard_swd,
 )
+from swedge import variance
 from swedge.power import EffectSpec, design_power
 from swedge.variance import (
+    CONDITION_LIMIT,
     EFFECT_LABELS,
     RankDeficiencyError,
     active_effects,
@@ -34,6 +40,7 @@ from swedge.variance import (
     closed_form_stack,
     contrast_variances,
     information_matrix,
+    information_stack,
     oracle_covariance,
 )
 
@@ -298,6 +305,25 @@ class TestExtremeCovarianceEntries:
         for matrix, entries in zip(matrices, (cs, self.HUGE)):
             assert matrix.tobytes() == closed_form_covariance(grid, entries).matrix.tobytes()
 
+    def test_stack_bits_do_not_depend_on_how_sum_adds_floats(self, monkeypatch):
+        # from Python 3.12 the built-in sum compensates the rounding of float
+        # additions, never of array additions; under a stand-in that always
+        # does, every point still gets the bits of the stack
+        def compensated(items, start=0):
+            items = list(items)
+            if all(type(x) is float for x in items):
+                return math.fsum([start, *items])
+            return builtins.sum(items, start)
+
+        monkeypatch.setattr(variance, "sum", compensated, raising=False)
+        rho_w = np.linspace(0.01, 0.99, 50)
+        for name in ("fig2b", "fig8-design2"):
+            grid = catalog_design(name)
+            _, matrices, _ = closed_form_stack(grid, np.ones(len(rho_w)), rho_w)
+            for matrix, rho in zip(matrices, rho_w.tolist()):
+                cs = CompoundSymmetry(1.0, rho)
+                assert matrix.tobytes() == closed_form_covariance(grid, cs).matrix.tobytes()
+
     def test_oracle_solves_subnormal_entries(self, capfd):
         grid = catalog_design("fig2b")
         tiny = CompoundSymmetry(diag=2e-310, offdiag=1e-310)
@@ -532,3 +558,206 @@ def test_closed_form_accuracy_envelope(sequences, clusters):
                 got = closed_form_covariance(grid, cs).matrix[0, 0]
                 worst = max(worst, float(abs(Fraction(got) - exact) / exact))
     assert worst <= 1e-13
+
+
+def _solve(m, rhs):
+    """m^-1 rhs for a square matrix ``m`` and a matrix ``rhs`` (lists of
+    rows), exactly, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(a) + list(b) for a, b in zip(m, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def exact_covariance(grid, cs, labels):
+    """Covariance of the ``labels`` effects by dense GLS, exactly in
+    fractions from the float entries of ``cs`` and the raw codes.
+
+    Every cluster's block is Z = [F | X]: F the intercept and indicators of
+    periods 1..T-1, the same for all clusters, and X its treatment columns.
+    The precision sum of Z' V^-1 Z is assembled blockwise over the distinct
+    rows of the design weighted by their counts, and the intercept and
+    period effects are profiled out of it by its Schur complement.
+    """
+    t = grid.n_periods
+    effects = [EFFECT_LABELS.index(label) for label in labels]
+    identity = [[int(j == m) for m in range(t)] for j in range(t)]
+    v = [[Fraction(cs.diag if j == m else cs.offdiag) for m in range(t)] for j in range(t)]
+    v_inv = _solve(v, identity)
+    fixed = [[1] + identity[j][:-1] for j in range(t)]
+    ft_v_inv = _product(_transpose(fixed), v_inv)
+    fixed_block = [[grid.n_clusters * x for x in row] for row in _product(ft_v_inv, fixed)]
+    cross = [[0] * len(effects) for _ in range(t)]
+    treat = [[0] * len(effects) for _ in effects]
+    for row, count in Counter(map(tuple, grid.to_codes())).items():
+        x = [[(code & 1, code >> 1, code & 1 & (code >> 1))[e] for e in effects] for code in row]
+        for total, block in ((cross, _product(ft_v_inv, x)),
+                             (treat, _product(_transpose(x), _product(v_inv, x)))):
+            for total_row, block_row in zip(total, block):
+                total_row[:] = [a + count * b for a, b in zip(total_row, block_row)]
+    profiled = _product(_transpose(cross), _solve(fixed_block, cross))
+    schur = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(treat, profiled)]
+    return _solve(schur, [[int(i == j) for j in effects] for i in effects])
+
+
+def relative_errors(matrix, exact):
+    """Each entry's error relative to the geometric mean of its two exact
+    variances: relative error on the diagonal, in correlation units off it."""
+    n = len(exact)
+    return [float(abs(Fraction(matrix[i, j]) - exact[i][j])) /
+            math.sqrt(exact[i][i] * exact[j][j]) for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("design_id, additive, labels", [
+    ("fig2b", False, ("trt1", "trt2")),
+    ("fig5b", True, ("trt1", "trt2")),
+    ("fig8-design2", False, ("trt1", "trt2", "interaction")),
+])
+def test_two_treatment_accuracy_envelope(design_id, additive, labels):
+    """2x2 and 3x3 covariances for n from 1 to 10^6 and rho_w from 1e-6 to
+    0.999999 under every model stay within 1e-13 of the dense GLS
+    covariance evaluated exactly from the float entries (the README states
+    the measured envelope)."""
+    grid = catalog_design(design_id)
+    worst = 0.0
+    for n in (1, 15, 10**6):
+        for rho_w in (1e-6, 0.01, 0.3, 0.99, 0.999999):
+            specs = [dict(model=CovarianceModel.CROSS_SECTIONAL)]
+            specs += [dict(model=CovarianceModel.COHORT, pi=pi) for pi in (0.5, 0.999)]
+            specs += [dict(model=CovarianceModel.NESTED_EXCHANGEABLE, rho_a=rho_a)
+                      for rho_a in (rho_w / 2, 0.999999 * rho_w)]
+            for spec in specs:
+                cs = CorrelationSpec(n_per_period=n, rho_w=rho_w, **spec).cov_entries()
+                cov = closed_form_covariance(grid, cs, additive)
+                assert cov.labels == labels
+                worst = max(worst, *relative_errors(cov.matrix,
+                                                    exact_covariance(grid, cs, labels)))
+    assert worst <= 1e-13
+
+
+def _int_det(m):
+    return m[0][0] if len(m) == 1 else sum(
+        (-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0]))
+
+
+def centred_gram_det(codes, labels):
+    """det(A) of the effects ``labels``, A = I * sum over cells of x x' minus
+    the sum over periods of (period total)(period total)', in integers from
+    the raw codes."""
+    effects = [EFFECT_LABELS.index(label) for label in labels]
+    cells = [[[(code & 1, code >> 1, code & 1 & (code >> 1))[e] for e in effects]
+              for code in row] for row in codes]
+    n = len(effects)
+    gram = [[sum(x[k] * x[l] for row in cells for x in row) for l in range(n)]
+            for k in range(n)]
+    totals = [[sum(row[t][k] for row in cells) for k in range(n)] for t in range(len(codes[0]))]
+    return _int_det([[len(codes) * gram[k][l] - sum(p[k] * p[l] for p in totals)
+                      for l in range(n)] for k in range(n)])
+
+
+def float_rank_rule(grid, labels, diag, offdiag):
+    """The floating-point rank check the closed form once ran at every
+    point: its accept mask, and for each rejected point the effect and
+    condition estimate of its error."""
+    active = [EFFECT_LABELS.index(label) for label in labels]
+    exponent = np.frexp(diag)[1]
+    sig_a = np.ldexp(offdiag, -exponent)
+    s = information_stack(grid, np.ldexp(diag, -exponent) - sig_a, sig_a)
+    s = s[:, active][:, :, active]
+    eigvals = np.linalg.eigvalsh(s)
+    top = np.abs(eigvals).max(axis=-1)
+    well = (top > 0.0) & (eigvals[:, 0] > top / 1e12)
+    nulls = np.linalg.eigh(s[~well])[1][:, :, 0]
+    rejected = {k: (labels[int(np.argmax(np.abs(null)))], np.inf if low <= 0 else high / low)
+                for k, null, low, high in zip(np.flatnonzero(~well).tolist(), nulls,
+                                              eigvals[~well, 0].tolist(), top[~well].tolist())}
+    return well, rejected
+
+
+@st.composite
+def monotone_grids(draw):
+    """Codes of 1-8 clusters over 2-6 periods, each treatment starting in
+    any period or never: always- and never-treated clusters included."""
+    periods = draw(st.integers(2, 6))
+    starts = draw(st.lists(st.tuples(st.integers(0, periods), st.integers(0, periods)),
+                           min_size=1, max_size=8))
+    return [[(t >= one) + 2 * (t >= two) for t in range(periods)] for one, two in starts]
+
+
+@settings(deadline=None, max_examples=300)
+@given(codes=monotone_grids(), additive=st.booleans(), model=st.sampled_from(MODELS),
+       n=st.sampled_from([1, 15, 10**6]), second=st.floats(0.0, 1.0),
+       rho_w=st.lists(st.one_of(st.floats(0.0, 0.999999),
+                                st.sampled_from([0.0, 1e-6, 0.999999, 1.0 - 1e-15])),
+                      min_size=1, max_size=6))
+@example(codes=catalog_design("fig5a").to_codes(), additive=False,
+         model=CovarianceModel.CROSS_SECTIONAL, n=40, second=0.0, rho_w=[0.2, 0.05])
+def test_exact_estimability_rule(codes, additive, model, n, second, rho_w):
+    """det(A) = 0 fails every point, with the error the float rank check
+    gives at each point it rejects; det(A) != 0 fails no in-domain point,
+    and each that the float rank check rejects is solved exactly."""
+    grid = DesignGrid(codes)
+    labels = active_effects(grid, additive)
+    rho_w = np.array(rho_w)
+    iccs = {"pi": np.full(len(rho_w), second)} if model is CovarianceModel.COHORT else \
+        {"rho_a": second * rho_w} if model is CovarianceModel.NESTED_EXCHANGEABLE else {}
+    _, diag, offdiag, _ = cluster_cov_stack(model, n, rho_w, **iccs)
+    if not labels or not len(diag):
+        return
+    _, _, errors = closed_form_stack(grid, diag, offdiag, additive)
+    well, rejected = float_rank_rule(grid, labels, diag, offdiag)
+    if centred_gram_det(codes, labels) == 0:
+        # rounding can leave an exactly singular matrix inside the float
+        # rule's limit, where the float rule solved it: the condition is inf
+        got = {k: (exc.effect, exc.condition) for k, exc in errors.items()
+               if isinstance(exc, RankDeficiencyError)}
+        assert got.keys() == set(range(len(diag)))
+        assert {k: got[k] for k in rejected} == rejected
+        assert all(got[k][1] == np.inf for k in np.flatnonzero(well).tolist())
+        with pytest.raises(RankDeficiencyError) as one:
+            closed_form_covariance(grid, CompoundSymmetry(diag[0], offdiag[0]), additive)
+        assert (one.value.effect, one.value.condition) == got[0]
+    else:
+        assert not any(isinstance(exc, RankDeficiencyError) for exc in errors.values())
+        # where an effect is constant within every cluster, B is singular and
+        # a rho_w within about 1e-12 of 1 took the float rule past its limit:
+        # the covariance is large but exact, and the closed form solves it
+        for k in np.flatnonzero(~well).tolist():
+            labels, matrices, _ = closed_form_stack(grid, diag[k:k + 1], offdiag[k:k + 1],
+                                                    additive)
+            cs = CompoundSymmetry(diag[k], offdiag[k])
+            assert max(relative_errors(matrices[0], exact_covariance(grid, cs, labels))) <= 1e-13
+
+
+def test_the_oracle_keeps_the_condition_limit():
+    """The oracle judges estimability by CONDITION_LIMIT, not by det(A): with
+    an effect constant within every cluster, a rho_w within 1e-15 of 1 takes
+    its precision past the limit at a point the closed form solves exactly,
+    while a design with det(A) = 0 fails both."""
+    grid = DesignGrid([[T1, T1], [C, T2]])
+    cs = CompoundSymmetry(1.0, 0.999999999999999)
+    closed = closed_form_covariance(grid, cs)
+    assert max(relative_errors(closed.matrix, exact_covariance(grid, cs, closed.labels))) <= 1e-13
+    with pytest.raises(RankDeficiencyError) as oracle:
+        oracle_covariance(grid, cs)
+    assert oracle.value.condition > CONDITION_LIMIT
+    for solve in (closed_form_covariance, oracle_covariance):
+        with pytest.raises(RankDeficiencyError) as singular:
+            solve(DesignGrid([[T1, T1]]), CompoundSymmetry(1.0, 0.5))
+        assert singular.value.effect == "trt1"
