@@ -2,8 +2,8 @@
 
 A design is an I x T array of cell codes.  Bit 0 of a code is the
 treatment-1 indicator X and bit 1 the treatment-2 indicator W, so 0 is
-control, 1 treatment 1, 2 treatment 2 and 3 both treatments at once (the
-interaction XW).  The transition policy is one rule on those bits: a
+control, 1 treatment 1, 2 treatment 2 and 3 both treatments at once
+(their interaction).  The transition policy is one rule on those bits: a
 treatment, once started, never stops.  This module covers grid
 construction and validation, generators for standard and concurrent
 layouts, a catalog of published example designs, and CSV/JSON
@@ -99,8 +99,8 @@ class DesignGrid:
     """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
     ``codes`` is a read-only int8 array copied from the input, and
-    ``sums`` and ``forms``, computed from it on first use, are kept with the
-    grid; a derived, copied or unpickled grid is a new grid with its own.
+    ``forms``, computed from it on first use, is kept with the grid; a
+    derived, copied or unpickled grid is a new grid with its own.
     Equality compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
     grids whose exact layout was rebuilt from published summary counts
     rather than copied cell-for-cell; it is provenance metadata and
@@ -142,31 +142,10 @@ class DesignGrid:
         return (self.codes & 1).astype(float), (self.codes >> 1).astype(float)
 
     @cached_property
-    def sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(gram, cluster_gram, cols, totals)`` of the indicator
-        stack (X, W, XW), which the closed form reads: the 3x3 Gram matrices
-        of the cells and of the per-cluster totals, the (3, T) per-period
-        totals and the grand totals, all integers held exactly as floats.
-        The product of two different indicators is XW, so ``gram`` holds the
-        totals of X and W on its diagonal and that of XW everywhere else.
-        """
-        x, w = self.indicators()
-        stack = np.array([x, w, x * w])
-        rows = stack.sum(axis=2)
-        cols = stack.sum(axis=1)
-        totals = cols.sum(axis=1)
-        gram = np.full((3, 3), totals[2])
-        gram[0, 0], gram[1, 1] = totals[0], totals[1]
-        sums = gram, rows @ rows.T, cols, totals
-        for array in sums:
-            array.flags.writeable = False
-        return sums
-
-    @cached_property
     def forms(self) -> dict:
         """The closed form's exact coefficients for this grid, one entry per
-        analysis, which :mod:`swedge.variance` computes from ``sums`` on
-        first use; kept with the grid as ``sums`` is."""
+        analysis, which :mod:`swedge.variance` computes from ``codes`` on
+        first use: the grid's one cache."""
         return {}
 
     def swap_treatments(self) -> "DesignGrid":
@@ -408,9 +387,10 @@ def catalog_design(design_id: str) -> DesignGrid:
     """Fetch a published example design by id (see :func:`catalog_ids`).
 
     Each design is built once per process and the same grid is returned on
-    every call.  A grid is read-only, and so is its ``sums``, which every
-    caller shares; a derived grid comes from :meth:`DesignGrid.relabel`,
-    :meth:`~DesignGrid.swap_treatments` or :meth:`~DesignGrid.permute_clusters`.
+    every call.  A grid is read-only, and every caller shares its
+    ``forms``, the closed form's coefficients, computed once; a derived grid
+    comes from :meth:`DesignGrid.relabel`, :meth:`~DesignGrid.swap_treatments`
+    or :meth:`~DesignGrid.permute_clusters`.
     """
     try:
         builder = _CATALOG[design_id]

@@ -41,11 +41,12 @@ def _holds_bool(rows) -> bool:
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))
 
 def _critical_value(alpha: float) -> float:
-    """Critical value of the two-sided test at level ``alpha`` in (0, 1)."""
+    """Critical value of the two-sided test at level ``alpha`` in (0, 1), from
+    the lower tail: alpha/2 is exact, and 1 - alpha/2 loses low digits."""
     if 1.0 - alpha / 2.0 == 1.0:
         raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
                              "which has no normal quantile")
-    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return -NormalDist().inv_cdf(alpha / 2.0)
 
 
 def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:

@@ -4,18 +4,18 @@ Two independent computation paths are provided.  The closed form writes
 the covariance of the treatment, second-treatment and product effects,
 after profiling out the intercept and period effects, as an exact rational
 function of the within and between variances sig_c and sig_a: for two
-integer matrices A and B built from the design's sums it is
+integer matrices A and B built from the design's cell codes it is
 I*sig_c*(sig_c + T*sig_a) * adj(sig_c*A + sig_a*B) / det(sig_c*A + sig_a*B),
 Hussey & Hughes (2007) for one treatment.  The coefficients of det and adj
-are computed once per design, exactly, so a point costs a few products
-and estimability is the exact rule det(A) != 0.  The dense oracle whitens
-the design by the Cholesky factor L of the cluster covariance V and
-assembles the GLS precision blockwise: the intercept and period block, the
-same for every cluster, is whitened once and counted I times, and every
-cluster's treatment columns are whitened in one product.  That sharing is
-linearity of the sum over clusters and holds for any V; the oracle uses no
-compound-symmetry inverse, no profiling algebra and none of the closed
-form's design sums, and exists to verify it.
+are computed once per design, exactly, and kept in ``grid.forms``, so a
+point costs a few products and estimability is det(A) != 0.  The dense
+oracle whitens the design by the Cholesky factor L of the cluster
+covariance V and assembles the GLS precision blockwise: the intercept and
+period block, the same for every cluster, is whitened once and counted I
+times, and every cluster's treatment columns are whitened in one product.
+That sharing is linearity of the sum over clusters and holds for any V;
+the oracle uses no compound-symmetry inverse, no profiling algebra and
+none of the closed form's design sums, and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
@@ -65,6 +65,21 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v[..., None, :]
 
 
+def _design_sums(grid: DesignGrid):
+    """``(gram, cluster_gram, cols, totals)`` of the indicator stack (X, W,
+    XW) of ``grid``, the one summary of a design the closed form reads, in
+    int64: the 3x3 Gram matrices of the cells and of the per-cluster totals,
+    the (3, T) per-period totals and the grand totals.  The product of two
+    different indicators is XW, so ``gram`` holds the totals of X and W on
+    its diagonal and that of XW everywhere else."""
+    x, w = grid.codes & 1, grid.codes >> 1
+    stack = np.array([x, w, x & w], dtype=np.int64)
+    rows = stack.sum(axis=2)
+    cols = stack.sum(axis=1)
+    totals = cols.sum(axis=1)
+    return totals[2] + np.diag(totals - totals[2]), rows @ rows.T, cols, totals
+
+
 def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     """Profiled information matrices of the three effects at many points:
     the floating-point diagnosis of an analysis whose effects are not
@@ -74,10 +89,10 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     ``sig_c`` (within variance: diagonal minus off-diagonal) and ``sig_a``
     (between variance: the off-diagonal) are numpy arrays of one shape
     ``(K...)``; the result has shape ``(K..., 3, 3)``.
-    The design enters only through its integer sums ``grid.sums``, which
-    the grid computes once and keeps: the Gram matrices G of the cells and
-    R of the per-cluster totals, the per-period totals ``cols`` and the
-    grand totals ``totals``.  With y = a*totals and l = b*totals,
+    The design enters only through its integer sums (:func:`_design_sums`):
+    the Gram matrices G of the cells and R of the per-cluster totals, the
+    per-period totals ``cols`` and the grand totals ``totals``, which numpy
+    promotes exactly to floats.  With y = a*totals and l = b*totals,
 
         S = b*G - c*sig_a*R - y y'/(f*T)
             - ((b*cols)@(b*cols)' - l l'/T) / (f + g*T).
@@ -89,7 +104,7 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     effects absent from the design are zero.  Overflowing or underflowing
     covariance entries give non-finite entries, not warnings.
     """
-    gram, cluster_gram, cols, totals = grid.sums
+    gram, cluster_gram, cols, totals = _design_sums(grid)
     t, n_clusters = grid.n_periods, grid.n_clusters
     with np.errstate(all="ignore"):
         a = 1.0 / (sig_c + t * sig_a)
@@ -122,12 +137,10 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
 
 
 def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
-    """Labels of the effects whose indicator columns are nonzero: the
-    effects an analysis of ``grid`` estimates.  ``additive`` drops the
-    interaction, which an additive analysis leaves out of the model."""
-    trt1, trt2, both = grid.sums[3]
-    present = (trt1, trt2, 0 if additive else both)
-    return tuple(label for label, n in zip(EFFECT_LABELS, present) if n)
+    """Labels of the effects an analysis of ``grid`` estimates, as the closed
+    form decides them: those whose indicator columns are nonzero, but for
+    the interaction when ``additive``, which leaves it out of the model."""
+    return _exact_form(grid, additive)[0]
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,12 @@ def _cofactor(m: list, i: int, j: int) -> list[int]:
 
 
 def _exact_form(grid: DesignGrid, additive: bool):
-    """``(labels, form)`` for the analysis of ``grid``: the estimable effects
-    and the coefficients of their covariance, None when there is no effect
-    or det(A) = 0; computed once per grid and analysis, in ``grid.forms``.
+    """``(labels, form)`` for the analysis of ``grid``: the effects with a
+    nonzero indicator column and the coefficients of their covariance, None
+    with no effect or det(A) = 0; computed once, in ``grid.forms``.
 
-    Over the active effects, the design's integer sums give A = I*G - cols
-    cols' and B = T*A - (I*R - t t'), and the covariance is
+    Over those effects, the integer sums of :func:`_design_sums` give
+    A = I*G - cols cols' and B = T*A - (I*R - t t'), and the covariance is
     I*sig_c*(sig_c + T*sig_a) * adj(M) / det(M) for M = sig_c*A + sig_a*B.
     The coefficients of det(M) and of each entry of adj(M), homogeneous
     polynomials in (sig_c, sig_a), are computed exactly in Python ints and
@@ -170,20 +183,19 @@ def _exact_form(grid: DesignGrid, additive: bool):
     """
     if additive in grid.forms:
         return grid.forms[additive]
-    labels = active_effects(grid, additive)
+    gram, cluster_gram, cols, totals = _design_sums(grid)
+    active = [k for k, n in enumerate(totals[:2 if additive else 3].tolist()) if n]
+    labels = tuple(EFFECT_LABELS[k] for k in active)
     form = None
     if labels:
-        gram, cluster_gram, cols, totals = (array.astype(np.int64) for array in grid.sums)
         n_clusters, n_periods = grid.n_clusters, grid.n_periods
         a = n_clusters * gram - cols @ cols.T
         b = n_periods * a - n_clusters * cluster_gram + totals[:, None] * totals
         a, b = a.tolist(), b.tolist()
-        active = [EFFECT_LABELS.index(label) for label in labels]
         m = [[(a[r][c], b[r][c]) for c in active] for r in active]
         n = len(m)
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        # adj(M)[i][j] is the (j, i) cofactor, and M and adj(M) are symmetric
-        adj = [_cofactor(m, j, i) for i, j in upper]
+        # adj(M)[i][j], row by row: the (j, i) cofactor, the (i, j) one as M is symmetric
+        adj = [_cofactor(m, j, i) for i in range(n) for j in range(n)]
         det = [0] * (n + 1)
         for (x0, x1), cofactor in zip(m[0], adj):  # along the first row
             for k, c in enumerate(cofactor):
@@ -191,8 +203,7 @@ def _exact_form(grid: DesignGrid, additive: bool):
                 det[k + 1] += x1 * c
         if det[0]:
             form = (float(n_clusters), float(n_periods), [float(c) for c in det],
-                    [[float(c) for c in poly] for poly in adj],
-                    [upper.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)])
+                    [[float(c) for c in poly] for poly in adj])
     grid.forms[additive] = labels, form
     return labels, form
 
@@ -221,7 +232,7 @@ def _evaluate(form, diag, offdiag) -> np.ndarray:
     polynomials are evaluated by explicit products and left-to-right sums,
     plain arithmetic that floats and numpy arrays answer alike.
     """
-    n_clusters, n_periods, det, adj, index = form
+    n_clusters, n_periods, det, adj = form
     sig_c, sig_a, exponent = _scaled(diag, offdiag)
     low = [1.0]  # the monomials of degree n - 1, sig_c**(n-1) first
     for _ in range(len(det) - 2):
@@ -233,7 +244,7 @@ def _evaluate(form, diag, offdiag) -> np.ndarray:
     entries = [reduce(add, map(mul, coefs, low), 0) * scale for coefs in adj]
     n = len(det) - 1
     with np.errstate(all="ignore"):
-        return np.ldexp(np.array(entries)[index], exponent).T.reshape(-1, n, n)
+        return np.ldexp(np.array(entries), exponent).T.reshape(-1, n, n)
 
 
 def _variance_errors(matrices: np.ndarray, diag, offdiag) -> dict:
@@ -361,7 +372,11 @@ def oracle_covariance(
     exponent = math.frexp(cs.diag)[1]
     v_cluster = np.full((n_periods, n_periods), math.ldexp(cs.offdiag, -exponent))
     np.fill_diagonal(v_cluster, math.ldexp(cs.diag, -exponent))
-    l_inv = np.linalg.solve(np.linalg.cholesky(v_cluster), np.eye(n_periods))
+    try:
+        l_inv = np.linalg.solve(np.linalg.cholesky(v_cluster), np.eye(n_periods))
+    except np.linalg.LinAlgError:  # positive definite, but too near singular for a float factor
+        raise RankDeficiencyError("cluster covariance is numerically singular",
+                                  condition=float(np.linalg.cond(v_cluster))) from None
 
     whitened_fixed = l_inv @ fixed
     # row k of B: whitened column k of every cluster in turn

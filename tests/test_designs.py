@@ -119,12 +119,6 @@ class TestGridStructure:
             with pytest.raises(ValueError):
                 copied.codes[0, 0] = B
 
-    def test_sums_are_read_only(self):
-        grid = catalog_design("fig5a")
-        for array in grid.sums:
-            with pytest.raises(ValueError):
-                array[..., 0] = 7.0
-
 
 def _closed_form(grid, cs, additive):
     try:
@@ -136,12 +130,12 @@ def _closed_form(grid, cs, additive):
 
 @settings(deadline=None, max_examples=50)
 @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(tuple(CovarianceModel)))
-def test_derived_grids_get_sums_of_their_own(seed, model):
+def test_derived_grids_get_forms_of_their_own(seed, model):
     rng = np.random.default_rng(seed)
     grid = random_grid(rng)
     single = random_single_treatment_grid(rng)
     cs = random_correlation(rng, model).cov_entries()
-    cached = grid.sums, single.sums  # computed before any grid is derived
+    cached = grid.forms, single.forms  # made before any grid is derived
     expected = _closed_form(grid, cs, False), _closed_form(single, cs, False)  # fills forms
     derived = [
         (grid.swap_treatments(), grid),
@@ -153,14 +147,13 @@ def test_derived_grids_get_sums_of_their_own(seed, model):
         (concurrent_design(single, single.swap_treatments()), single),
     ]
     for child, parent in derived:
-        assert not any(mine is theirs for mine, theirs in zip(child.sums, parent.sums))
         assert child.forms is not parent.forms
         fresh = parse_design(serialize_design(child, fmt="json"))
-        assert [a.tobytes() for a in child.sums] == [a.tobytes() for a in fresh.sums]
         for additive in (False, True):
             assert active_effects(child, additive) == active_effects(fresh, additive)
             assert _closed_form(child, cs, additive) == _closed_form(fresh, cs, additive)
-    assert grid.sums is cached[0] and single.sums is cached[1]
+        assert child.forms == fresh.forms
+    assert grid.forms is cached[0] and single.forms is cached[1]
     assert (_closed_form(grid, cs, False), _closed_form(single, cs, False)) == expected
 
 
@@ -420,9 +413,8 @@ class TestCatalog:
     def test_every_call_gives_the_same_read_only_grid(self, design_id):
         grid, again = catalog_design(design_id), catalog_design(design_id)
         assert grid == again
-        assert grid.sums is again.sums
+        assert grid.forms is again.forms
         assert not grid.codes.flags.writeable
-        assert not any(array.flags.writeable for array in grid.sums)
         with pytest.raises(ValueError):
             grid.codes[0, 0] = 3
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -430,15 +422,17 @@ class TestCatalog:
 
     def test_derived_grids_leave_the_shared_grid_unchanged(self):
         grid = catalog_design("fig5b")
-        codes, sums = grid.codes.copy(), [array.copy() for array in grid.sums]
+        for additive in (False, True):
+            active_effects(grid, additive)  # fills forms
+        codes, forms = grid.codes.copy(), copy.deepcopy(grid.forms)
         derived = [grid.relabel("other"), grid.swap_treatments(),
                    grid.permute_clusters(range(grid.n_clusters - 1, -1, -1))]
         for other in derived:
-            assert other.sums is not grid.sums
+            active_effects(other)
+            assert other.forms is not grid.forms
         shared = catalog_design("fig5b")
         assert shared.label == "fig5b" and np.array_equal(shared.codes, codes)
-        for array, before in zip(shared.sums, sums):
-            assert np.array_equal(array, before)
+        assert shared.forms == forms
 
 
 class TestSerialization:

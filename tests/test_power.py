@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from designgen import random_correlation, random_grid, random_raw_components
 from swedge.covariance import (
@@ -34,6 +34,12 @@ def cs_spec(rho_w=0.1, n=15):
     return CorrelationSpec(model=CS, n_per_period=n, rho_w=rho_w)
 
 
+def _reference_critical_value(alpha: float) -> mpmath.mpf:
+    """The upper alpha/2 normal quantile at the working precision, from the
+    exact alpha/2: Phi^-1(alpha/2) = sqrt(2) * erfinv(alpha - 1)."""
+    return -mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(alpha) - 1)
+
+
 class TestWaldPower:
     def test_null_effect_gives_exactly_alpha(self):
         for alpha in (0.01, 0.05, 0.1, 0.317):
@@ -43,9 +49,11 @@ class TestWaldPower:
         # shifted statistic sits on the boundary: power is one half plus
         # the sliver in the far tail
         alpha = 0.05
-        z = norm.ppf(1 - alpha / 2)
+        with mpmath.workdps(40):
+            z = float(_reference_critical_value(alpha))
+            tail = float(mpmath.ncdf(-2 * z))
         power = wald_power(z, 1.0, alpha)
-        assert power == pytest.approx(0.5 + norm.cdf(-2 * z), abs=1e-12)
+        assert power == pytest.approx(0.5 + tail, abs=1e-12)
         assert power == pytest.approx(0.5, abs=1e-3)
 
     def test_eighty_percent_point(self):
@@ -103,24 +111,27 @@ class TestWaldPower:
 
 
 class TestNormalDistribution:
-    """The scipy-free critical value and power against scipy.stats.norm."""
+    """The scipy-free critical value and power against mpmath at 40 digits."""
 
-    def test_quantile_matches_scipy(self):
+    def test_quantile_matches_mpmath(self):
         alphas = np.concatenate([np.logspace(-12, -1, 2001), np.linspace(0.1, 1.0, 2001)[:-1]])
         ours = np.array([_critical_value(alpha) for alpha in alphas])
-        ref = norm.ppf(1.0 - alphas / 2.0)
+        with mpmath.workdps(40):
+            ref = np.array([float(_reference_critical_value(alpha)) for alpha in alphas.tolist()])
         assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-15
 
-    def test_power_matches_scipy_formula(self):
+    def test_power_matches_mpmath_formula(self):
         rng = np.random.default_rng(31)
-        for _ in range(500):
-            effect, se = rng.uniform(-3, 3), rng.uniform(0.01, 2)
-            alpha = float(10 ** rng.uniform(-6, -0.3))
-            crit = norm.ppf(1 - alpha / 2)
-            ref = norm.cdf(abs(effect) / se - crit) + norm.cdf(-abs(effect) / se - crit)
-            assert wald_power(effect, se, alpha) == pytest.approx(ref, rel=1e-13, abs=1e-16)
+        with mpmath.workdps(40):
+            for _ in range(500):
+                effect, se = rng.uniform(-3, 3), rng.uniform(0.01, 2)
+                alpha = float(10 ** rng.uniform(-6, -0.3))
+                crit = _reference_critical_value(alpha)
+                shift = abs(mpmath.mpf(effect)) / se
+                ref = float(mpmath.ncdf(shift - crit) + mpmath.ncdf(-shift - crit))
+                assert wald_power(effect, se, alpha) == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
-    def test_power_of_a_column_is_the_sum_of_two_scipy_cdfs(self):
+    def test_power_of_a_column_is_the_sum_of_two_mpmath_cdfs(self):
         rng = np.random.default_rng(37)
         shifts = np.concatenate([rng.uniform(0, 40, 2000), 10 ** rng.uniform(-300, 3, 2000),
                                  [0.0, 1.959963984540054]])
@@ -129,7 +140,9 @@ class TestNormalDistribution:
         for crit in (1.959963984540054, 2.5758293035489004, 1.2815515655446004,
                      _critical_value(1e-15)):
             ours = _two_sided_power(shifts.tolist(), crit)
-            ref = norm.cdf(shifts - crit) + norm.cdf(-shifts - crit)
+            with mpmath.workdps(40):
+                ref = [float(mpmath.ncdf(mpmath.mpf(s) - crit) + mpmath.ncdf(-mpmath.mpf(s) - crit))
+                       for s in shifts.tolist()]
             assert ours == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
     def test_power_of_a_column_has_the_bits_of_the_scalar_formula(self):

@@ -761,3 +761,18 @@ def test_the_oracle_keeps_the_condition_limit():
         with pytest.raises(RankDeficiencyError) as singular:
             solve(DesignGrid([[T1, T1]]), CompoundSymmetry(1.0, 0.5))
         assert singular.value.effect == "trt1"
+
+
+def test_the_oracle_reports_a_cluster_covariance_too_near_singular_to_factor():
+    """A cluster covariance positive definite in exact arithmetic, but whose
+    float Cholesky factorization fails, is a RankDeficiencyError naming the
+    cluster covariance, not numpy's LinAlgError; the closed form solves it."""
+    grid = DesignGrid([[C, T2, T2, T2, T2, B], [C, C, C, T1, T1, T1],
+                       [T2, T2, B, B, B, B], [C, C, T2, T2, T2, B]])
+    cs = CompoundSymmetry(0.9999999999999991, 0.999999999999999)
+    closed = closed_form_covariance(grid, cs)
+    assert max(relative_errors(closed.matrix, exact_covariance(grid, cs, closed.labels))) <= 1e-13
+    with pytest.raises(RankDeficiencyError, match="^cluster covariance is numerically singular") \
+            as oracle:
+        oracle_covariance(grid, cs)
+    assert oracle.value.effect is None and oracle.value.condition > CONDITION_LIMIT
