@@ -17,8 +17,6 @@ import operator
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .covariance import (
     CorrelationSpec,
@@ -402,6 +400,8 @@ def _sweep_table(args, specs: list[str]) -> int:
     With two or more designs, columns carry a ``_<design>`` suffix and the
     ``gain_`` columns give each design's power minus the first design's.
     """
+    import numpy as np
+
     correlation = _sweep_template(args)
     points = _sweep_points(args)
     compare = len(specs) > 1

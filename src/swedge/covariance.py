@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
-import numpy as np
-
 
 class ParameterError(ValueError):
     """Covariance parameters outside their valid domain."""
@@ -179,6 +177,8 @@ def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
     bits the scalar objects hold, and a map from each other point's index
     to the error of the first check it fails, the one they raise there.
     """
+    import numpy as np
+
     ok, errors = np.ones(rho_w.shape, bool), {}
     with np.errstate(invalid="ignore", over="ignore"):  # entries of points outside the domain
         diag, offdiag = _entries(model, float(n_per_period), rho_w, rho_a=rho_a, pi=pi)

@@ -1,6 +1,6 @@
 """Stepped wedge design grids with up to two treatments.
 
-A design is an I x T array of cell codes.  Bit 0 of a code is the
+A design is an I x T grid of cell codes.  Bit 0 of a code is the
 treatment-1 indicator X and bit 1 the treatment-2 indicator W, so 0 is
 control, 1 treatment 1, 2 treatment 2 and 3 both treatments at once
 (their interaction).  The transition policy is one rule on those bits: a
@@ -8,17 +8,22 @@ treatment, once started, never stops.  This module covers grid
 construction and validation, generators for standard and concurrent
 layouts, a catalog of published example designs, and CSV/JSON
 serialization.
+
+A grid holds its codes as one ``bytes`` object, row by row, one byte per
+cell, and everything here works on those bytes in plain Python, so
+building, checking and reading a design does not load numpy.  Only
+:attr:`DesignGrid.codes` and :meth:`DesignGrid.indicators`, the array
+views the dense oracle and the tests read, import it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Sequence
-
-import numpy as np
 
 
 class DesignError(ValueError):
@@ -31,6 +36,11 @@ class UnknownDesignError(KeyError):
 
 # The names of the cell codes 0-3, as messages print them.
 _CONDITION_NAMES = ("CONTROL", "TRT1", "TRT2", "BOTH")
+_CODES = bytes(range(4))
+# the translation of cells that exchanges treatments 1 and 2
+_SWAP = bytes.maketrans(b"\1\2", b"\2\1")
+# the translation of the digits of a design file to cell codes
+_DIGITS = bytes.maketrans(b"0123", _CODES)
 
 
 @dataclass(frozen=True)
@@ -50,13 +60,13 @@ class TransitionViolation:
         )
 
 
-def _code_array(codes) -> np.ndarray:
-    """Read-only int8 copy of an I x T grid of condition codes.
+def _code_array(codes) -> tuple[bytes, int]:
+    """The cells of an I x T grid of condition codes, row by row and one
+    byte per cell, and T.
 
-    Every cell must be an int 0-3; a bool is not a code.  An array is
-    judged by its dtype, a grid of int cells read as one byte per cell,
-    and any other input cell by cell.  A bad cell is named by its Python
-    value.
+    Every cell must be an int 0-3; a bool is not a code.  A numpy array is
+    judged by its dtype, a grid of int cells read as one byte per cell, and
+    any other input cell by cell.  A bad cell is named by its Python value.
     """
     try:
         rows = list(codes)
@@ -67,100 +77,130 @@ def _code_array(codes) -> np.ndarray:
         raise DesignError("design has no clusters")
     if len(widths) != 1:
         raise DesignError(f"ragged design: row lengths {sorted(widths)}")
-    if widths.pop() < 2:
+    width = widths.pop()
+    if width < 2:
         raise DesignError("design needs at least 2 periods")
-    if isinstance(codes, np.ndarray):
-        grid = np.array(codes)
-        bad = grid.ndim != 2 or grid.dtype.kind not in "iu"
-    else:
-        types = set(map(type, itertools.chain.from_iterable(rows)))
-        bad = not all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
-        if not bad:
-            try:  # one byte per cell
-                grid = np.frombuffer(bytes(itertools.chain.from_iterable(rows)), np.int8)
-            except ValueError:  # a cell outside 0-255
-                bad = True
-    if bad or ((grid < 0) | (grid > 3)).any():
+    # an input holds numpy objects only once a caller has imported numpy
+    np = sys.modules.get("numpy")
+    cells = None
+    if np is not None and isinstance(codes, np.ndarray):
+        if codes.ndim == 2 and codes.dtype.kind in "iu" and ((codes >= 0) & (codes <= 3)).all():
+            cells = codes.astype(np.int8).tobytes()
+    elif all(issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
+             for t in set(map(type, itertools.chain.from_iterable(rows)))):
+        try:  # one byte per cell
+            cells = bytes(itertools.chain.from_iterable(rows))
+        except ValueError:  # a cell outside 0-255
+            pass
+        if cells is not None and cells.translate(None, _CODES):
+            cells = None
+    if cells is None:
         cells = []
         for r, row in enumerate(rows):
             for cell in row:
-                cell = cell.tolist() if isinstance(cell, (np.generic, np.ndarray)) else cell
+                if np is not None and isinstance(cell, (np.generic, np.ndarray)):
+                    cell = cell.tolist()
                 if isinstance(cell, bool) or not isinstance(cell, int) or not 0 <= cell <= 3:
                     raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
                 cells.append(cell)
-        grid = np.array(cells)
-    grid = grid.astype(np.int8, copy=False).reshape(len(rows), -1)
-    grid.flags.writeable = False
-    return grid
+        cells = bytes(cells)
+    return cells, width
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DesignGrid:
     """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
-    ``codes`` is a read-only int8 array copied from the input, and
-    ``forms``, computed from it on first use, is kept with the grid; a
-    derived, copied or unpickled grid is a new grid with its own.
-    Equality compares ``label`` and ``codes``.  ``reconstructed`` marks catalog
-    grids whose exact layout was rebuilt from published summary counts
-    rather than copied cell-for-cell; it is provenance metadata and
-    excluded from equality.
+    ``DesignGrid(codes, label="", reconstructed=False)`` copies ``codes``,
+    rows of ints 0-3 or a 2-d integer array, into ``cells``: one byte per
+    cell, row by row.  ``codes``, a read-only int8 array viewing those
+    bytes, and ``forms``, computed from them on first use, are kept with
+    the grid; a derived, copied or unpickled grid is a new grid with its
+    own.  Equality compares ``label`` and the cells.  ``reconstructed``
+    marks catalog grids whose exact layout was rebuilt from published
+    summary counts rather than copied cell-for-cell; it is provenance
+    metadata and excluded from equality.
     """
 
-    codes: np.ndarray
+    cells: bytes
+    n_periods: int
     label: str = ""
     reconstructed: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", _code_array(self.codes))
+    def __init__(self, codes, label: str = "", reconstructed: bool = False) -> None:
+        _fill(self, *_code_array(codes), label, reconstructed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DesignGrid):
             return NotImplemented
-        return self.label == other.label and np.array_equal(self.codes, other.codes)
+        return (self.label, self.n_periods, self.cells) == \
+            (other.label, other.n_periods, other.cells)
 
-    def __reduce__(self):  # copies and unpickled grids get a read-only array too
-        return DesignGrid, (self.codes, self.label, self.reconstructed)
+    def __reduce__(self):  # copies and unpickled grids share the bytes, not the caches
+        return _grid, (self.cells, self.n_periods, self.label, self.reconstructed)
 
     @property
     def n_clusters(self) -> int:
-        return self.codes.shape[0]
+        return len(self.cells) // self.n_periods
 
-    @property
-    def n_periods(self) -> int:
-        return self.codes.shape[1]
+    @cached_property
+    def codes(self):
+        """The cells as a read-only (I, T) int8 array that views ``cells``;
+        the first access imports numpy."""
+        import numpy as np
+
+        return np.frombuffer(self.cells, np.int8).reshape(self.n_clusters, self.n_periods)
 
     def to_codes(self) -> list[list[int]]:
-        return self.codes.tolist()
+        t = self.n_periods
+        return [list(self.cells[k:k + t]) for k in range(0, len(self.cells), t)]
 
     def condition_counts(self) -> dict[int, int]:
         """Number of cells holding each code 0-3."""
-        return dict(enumerate(np.bincount(self.codes.ravel(), minlength=4).tolist()))
+        return {code: self.cells.count(code) for code in _CODES}
 
-    def indicators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, W) 0/1 arrays of shape (I, T) for treatments 1 and 2."""
+    def indicators(self):
+        """(X, W) 0/1 float arrays of shape (I, T) for treatments 1 and 2."""
         return (self.codes & 1).astype(float), (self.codes >> 1).astype(float)
 
     @cached_property
     def forms(self) -> dict:
         """The closed form's exact coefficients for this grid, one entry per
-        analysis, which :mod:`swedge.variance` computes from ``codes`` on
+        analysis, which :mod:`swedge.variance` computes from ``cells`` on
         first use: the grid's one cache."""
         return {}
 
     def swap_treatments(self) -> "DesignGrid":
         """Relabel treatment 1 <-> treatment 2 everywhere."""
-        swapped = ((self.codes & 1) << 1) | (self.codes >> 1)
-        return DesignGrid(swapped, label=self.label, reconstructed=self.reconstructed)
+        return _grid(self.cells.translate(_SWAP), self.n_periods, self.label,
+                     self.reconstructed)
 
     def permute_clusters(self, order: Sequence[int]) -> "DesignGrid":
+        order = list(order)
         if sorted(order) != list(range(self.n_clusters)):
             raise DesignError("cluster permutation must reorder all rows exactly once")
-        return DesignGrid(self.codes[list(order)], label=self.label,
-                          reconstructed=self.reconstructed)
+        t = self.n_periods
+        return _grid(b"".join([self.cells[k * t:k * t + t] for k in order]), t, self.label,
+                     self.reconstructed)
 
     def relabel(self, label: str) -> "DesignGrid":
-        return DesignGrid(self.codes, label=label, reconstructed=self.reconstructed)
+        return _grid(self.cells, self.n_periods, label, self.reconstructed)
+
+
+def _fill(grid: DesignGrid, cells: bytes, n_periods: int, label: str,
+          reconstructed: bool) -> None:
+    for name, value in (("cells", cells), ("n_periods", n_periods), ("label", label),
+                        ("reconstructed", reconstructed)):
+        object.__setattr__(grid, name, value)
+
+
+def _grid(cells: bytes, n_periods: int, label: str, reconstructed: bool) -> DesignGrid:
+    """The grid of ``cells``, codes 0-3 row by row, ``n_periods`` to a row,
+    taken as they are: for cells that come from a grid or passed its
+    checks."""
+    grid = DesignGrid.__new__(DesignGrid)
+    _fill(grid, cells, n_periods, label, reconstructed)
+    return grid
 
 
 def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
@@ -170,13 +210,18 @@ def validate_design(grid: DesignGrid) -> list[TransitionViolation]:
     when a bit set in one period is clear in the next.  Whether the
     entries are errors or warnings is the caller's policy.
     """
-    codes = grid.codes
-    stopped = codes[:, :-1] & ~codes[:, 1:]
-    return [
-        TransitionViolation(cluster_index=int(i), period_index=int(j) + 1,
-                            before=int(codes[i, j]), after=int(codes[i, j + 1]))
-        for i, j in zip(*np.nonzero(stopped))
-    ]
+    cells, t = grid.cells, grid.n_periods
+    # read as one big-endian int, byte p of ``value >> 8`` is cell p - 1; the
+    # mask keeps the two code bits of every cell but a cluster's first
+    value = int.from_bytes(cells, "big")
+    mask = int.from_bytes((b"\0" + b"\3" * (t - 1)) * grid.n_clusters, "big")
+    stopped = (value >> 8) & ~value & mask
+    if not stopped:
+        return []
+    flags = stopped.to_bytes(len(cells), "big")
+    return [TransitionViolation(cluster_index=p // t, period_index=p % t,
+                                before=cells[p - 1], after=cells[p])
+            for p, flag in enumerate(flags) if flag]
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +247,9 @@ def generate_standard_swd(
         raise DesignError("need at least one cluster per sequence")
     if treatment == 0:
         raise DesignError("treatment condition cannot be CONTROL")
-    starts = np.repeat(np.arange(1, sequences + 1), clusters_per_sequence)
-    treated = np.arange(sequences + 1) >= starts[:, None]
-    return DesignGrid(np.where(treated, treatment, 0), label=label)
+    rows = [[0] * start + [treatment] * (sequences + 1 - start)
+            for start in range(1, sequences + 1) for _ in range(clusters_per_sequence)]
+    return DesignGrid(rows, label=label)
 
 
 def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -> DesignGrid:
@@ -229,7 +274,7 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
         )
     if not label:
         label = "+".join(p for p in (grid_a.label, grid_b.label) if p)
-    return DesignGrid(np.vstack([grid_a.codes, grid_b.codes]), label=label)
+    return _grid(grid_a.cells + grid_b.cells, grid_a.n_periods, label, False)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +318,8 @@ def _fig2c() -> DesignGrid:
 def _fig5a() -> DesignGrid:
     # Late factorial: the 12-cluster concurrent design with every cluster
     # switched to the combined condition in the final period.
-    codes = _fig2b().codes.copy()
-    codes[:, -1] = 3
-    return DesignGrid(codes, label="fig5a")
+    rows = [row[:-1] + [3] for row in _fig2b().to_codes()]
+    return DesignGrid(rows, label="fig5a")
 
 
 def _fig5b() -> DesignGrid:
@@ -468,9 +512,32 @@ def parse_design(text: str) -> DesignGrid:
         if not isinstance(label, str) or not isinstance(reconstructed, bool):
             raise DesignError("design JSON 'label' must be a string and 'reconstructed' a boolean")
         return DesignGrid(payload["cells"], label=label, reconstructed=reconstructed)
-    label, reconstructed = "", False
-    lines = []
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
+    lines = stripped.splitlines()
+    head = 0  # the comment lines that open the file, its header among them
+    while head < len(lines) and lines[head].startswith("#"):
+        head += 1
+    # Rows each exactly [0-3](,[0-3])* of one width after those lines are
+    # read as one buffer, a row of it per line and its "\n"; any other text
+    # is read line by line and cell by cell.
+    count = len(lines) - head
+    width = len(lines[head]) + 1 if count else 0
+    body = ("\n".join(lines[head:]) + "\n").encode("ascii", "replace")
+    if width >= 4 and width % 2 == 0 and len(body) == count * width \
+            and body[1::2] == (b"," * (width // 2 - 1) + b"\n") * count \
+            and not body[::2].translate(None, b"0123"):
+        label, reconstructed, _ = _read_lines(lines[:head])
+        return _grid(body[::2].translate(_DIGITS), width // 2, label, reconstructed)
+    label, reconstructed, rows = _read_lines(lines)
+    codes = [_parse_row(lineno, line) for lineno, line in rows]
+    return DesignGrid(codes, label=label, reconstructed=reconstructed)
+
+
+def _read_lines(lines: list[str]) -> tuple[str, bool, list[tuple[int, str]]]:
+    """``(label, reconstructed, rows)`` of CSV design lines: the fields of
+    the last design header, and the number and text of each line that is
+    neither blank nor a comment."""
+    label, reconstructed, rows = "", False, []
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -478,19 +545,8 @@ def parse_design(text: str) -> DesignGrid:
             if line.startswith(_HEADER_MAGIC):
                 label, reconstructed = _parse_header(line)
             continue
-        lines.append((lineno, line))
-    # Lines each exactly [0-3](,[0-3])* of one width are read as one buffer,
-    # a row of it per line and its "\n"; any other text is read cell by cell.
-    width = len(lines[0][1]) + 1 if lines else 0
-    body = "".join(line + "\n" for _, line in lines).encode("ascii", "replace")
-    chars = np.frombuffer(body, np.uint8)
-    if width >= 4 and width % 2 == 0 and chars.size == len(lines) * width:
-        chars = chars.reshape(len(lines), width)
-        codes = chars[:, ::2] - ord("0")  # wraps below "0" to a large code
-        if (codes <= 3).all() and (chars[:, 1::2] == list(b"," * (width // 2 - 1) + b"\n")).all():
-            return DesignGrid(codes, label=label, reconstructed=reconstructed)
-    codes = [_parse_row(lineno, line) for lineno, line in lines]
-    return DesignGrid(codes, label=label, reconstructed=reconstructed)
+        rows.append((lineno, line))
+    return label, reconstructed, rows
 
 
 def _parse_row(lineno: int, line: str) -> list[int]:

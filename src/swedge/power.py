@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-import numpy as np
-
 from .covariance import (
     CorrelationSpec,
     ParameterError,
@@ -22,9 +20,14 @@ from .covariance import (
     cluster_cov_stack,
 )
 from .designs import DesignGrid
-from .variance import (
+# design_power solves its point with closed_form_stack; closed_form_covariance
+# stays a name of this module, which perfbench/tracing.py binds
+from .variance import (  # noqa: F401
     EFFECT_LABELS,
     RankDeficiencyError,
+    _columns,
+    _elementwise,
+    _points,
     closed_form_covariance,
     closed_form_stack,
     contrast_variances,
@@ -34,6 +37,8 @@ from .variance import (
 def _holds_bool(rows) -> bool:
     """Whether any cell of ``rows`` is a Python or numpy bool, which numpy
     reads among numbers as 1 or 0."""
+    import numpy as np
+
     return not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
 
 
@@ -78,8 +83,8 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
 
 def _two_sided_power(shifts, crit: float) -> list[float]:
     """Power of the two-sided test with critical value ``crit`` for each
-    statistic centred at a shift = |effect| / se, given as a sequence or a
-    1-d array.
+    statistic centred at a shift = |effect| / se, given as a list, a 1-d
+    array or one float.
 
     Each value is Phi(shift - crit) + Phi(-shift - crit), for the standard
     normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2.  Near the centre and in the
@@ -91,7 +96,7 @@ def _two_sided_power(shifts, crit: float) -> list[float]:
     """
     root2 = math.sqrt(2.0)
     return [0.5 * math.erfc((crit - s) / root2) + 0.5 * math.erfc((s + crit) / root2)
-            for s in np.asarray(shifts, dtype=float).tolist()]
+            for s in (shifts if isinstance(shifts, list) else _points(shifts))]
 
 
 @dataclass(frozen=True)
@@ -194,16 +199,20 @@ class PowerResult:
         return tuple(r.label for r in self.rows)
 
 
-def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.ndarray):
+def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices):
     """The result columns of ``effects`` from m covariance matrices of the
-    effects ``labels``: ``(names, sizes, se, power, errors)``, the result
-    labels and effect sizes, (m, n) SE and power arrays, which mean nothing
-    in failed rows, and a map from each failed row to the first error of its
-    columns.  A contrast variance that is not finite and positive fails its
-    row; any other check fails every row and leaves the effect sizes nan.
+    effects ``labels``, as :func:`~swedge.variance.closed_form_stack`
+    returns them: ``(names, sizes, se, power, errors)``, the result labels
+    and effect sizes, an SE column per name, a (m,) array or for one point
+    a float, a power column per name, a list of m floats, and a map from
+    each failed row to the first error of its columns.  The columns mean
+    nothing in failed rows, and are nan when every row failed.  A contrast
+    variance that is not finite and positive fails its row; any other check
+    fails every row and leaves the effect sizes nan.
     """
     deltas = effects.deltas()
     names = (*deltas, *(spec.label for spec in effects.contrasts))
+    cov = _columns(matrices)
     sizes, variances, errors = list(deltas.values()), [], {}
     try:
         for label in deltas:
@@ -213,7 +222,7 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.n
                     effect=label,
                 )
             i = labels.index(label)
-            variances.append(matrices[:, i, i])
+            variances.append(cov[i][i])
         for spec in effects.contrasts:
             var, failed = contrast_variances(spec.weights, matrices)
             errors = {**failed, **errors}
@@ -232,16 +241,16 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices: np.n
             sizes.append(size)
     except (ParameterError, RankDeficiencyError) as exc:
         errors = {**dict.fromkeys(range(len(matrices)), exc), **errors}
-        nan = np.full((len(matrices), len(names)), math.nan)
-        return names, (math.nan,) * len(names), nan, nan.copy(), errors
+        sizes = [math.nan] * len(names)
+    if len(errors) == len(matrices):
+        return names, tuple(sizes), [math.nan] * len(names), [math.nan] * len(names), errors
     # a failed row's variance may be nan or 0; a shift beyond the float range has power 1
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        se = np.sqrt(np.array(variances).T)
-        shifts = np.abs(sizes) / se
+    with _elementwise(matrices).errstate(all="ignore"):
+        se = [_elementwise(var).sqrt(var) for var in variances]
+        shifts = [abs(size) / s for size, s in zip(sizes, se)]
     crit = _critical_value(effects.alpha)
-    power = np.array([[effects.alpha] * len(matrices) if size == 0
-                      else _two_sided_power(column, crit)
-                      for size, column in zip(sizes, shifts.T)]).T
+    power = [[effects.alpha] * len(matrices) if size == 0 else _two_sided_power(shift, crit)
+             for size, shift in zip(sizes, shifts)]
     return names, tuple(sizes), se, power, errors
 
 
@@ -249,19 +258,22 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
                  effects: EffectSpec) -> PowerResult:
     """Standard errors and Wald power for one design at one parameter point.
 
-    Standard errors come from the closed-form covariance.  Every requested
-    effect must be estimable in the design; otherwise a
-    :class:`RankDeficiencyError` names the offender.
+    Standard errors come from the closed-form covariance, one point of the
+    stack :func:`sweep` solves, on floats.  Every requested effect must be
+    estimable in the design; otherwise a :class:`RankDeficiencyError` names
+    the offender.
     """
-    cov = closed_form_covariance(grid, correlation.cov_entries(),
-                                 additive=effects.additive)
-    names, sizes, se, power, errors = _result_columns(effects, cov.labels, cov.matrix[None])
+    cs = correlation.cov_entries()
+    labels, matrices, errors = closed_form_stack(grid, cs.diag, cs.offdiag,
+                                                 additive=effects.additive)
+    if not errors:
+        names, sizes, se, power, errors = _result_columns(effects, labels, matrices)
     if errors:
         raise errors[0]
-    rows = tuple(EffectPower(label=label, effect=size, se=s, power=p)
-                 for label, size, s, p in zip(names, sizes, se[0].tolist(), power[0].tolist()))
+    rows = tuple(EffectPower(label=label, effect=size, se=s, power=p[0])
+                 for label, size, s, p in zip(names, sizes, se, power))
     metadata = {**correlation.describe(), "alpha": effects.alpha,
-                "estimable_effects": list(cov.labels)}
+                "estimable_effects": list(labels)}
     return PowerResult(rows=rows, design_label=grid.label, metadata=metadata)
 
 
@@ -295,6 +307,8 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
     ICCs.  Anything else, a grid holding a bool included, raises
     :class:`ParameterError`.
     """
+    import numpy as np
+
     if correlation.is_raw:
         raise ParameterError("cannot sweep correlations on a raw-component spec")
     second = correlation.model.second_icc
@@ -332,6 +346,8 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     :func:`design_power` is the same computation at one point, and each
     failed point keeps the exception it raises there.
     """
+    import numpy as np
+
     icc = _icc_columns(points, correlation)
     ok, diag, offdiag, errors = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
     estimable, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
@@ -341,7 +357,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     index = np.flatnonzero(ok)
     se = np.full((len(ok), len(labels)), math.nan)
     power = se.copy()
-    se[index], power[index] = se_valid, power_valid
+    se[index], power[index] = np.column_stack(se_valid), np.column_stack(power_valid)
     # a point's solver error wins over the errors of its result columns
     errors.update((int(index[j]), exc) for j, exc in {**result_errors, **solve_errors}.items())
     se[list(errors)] = power[list(errors)] = math.nan

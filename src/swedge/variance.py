@@ -20,16 +20,25 @@ none of the closed form's design sums, and exists to verify it.
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
 substituting their effective diagonal/off-diagonal values.
+
+The closed form reads the design's sums from its cells' bytes as Python
+ints, and evaluates a point with plain arithmetic that Python floats and
+numpy arrays answer alike: one point given as floats is solved without
+numpy, and a stack of points as (K,) arrays with the same bits per point.
+numpy is imported on first use by the stacks, by the floating-point
+diagnosis of a design with det(A) = 0, by the oracle and for the matrix
+:func:`closed_form_covariance` returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
-
-import numpy as np
+from operator import add, and_, mul
+from types import SimpleNamespace
 
 from .covariance import CompoundSymmetry, ParameterError
 from .designs import DesignGrid
@@ -65,19 +74,54 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v[..., None, :]
 
 
+# The translations of cell codes to their X, W and XW indicators.
+_INDICATORS = tuple(bytes.maketrans(b"\1\2\3", row) for row in (b"\1\0\1", b"\0\1\1", b"\0\0\1"))
+
+
 def _design_sums(grid: DesignGrid):
     """``(gram, cluster_gram, cols, totals)`` of the indicator stack (X, W,
-    XW) of ``grid``, the one summary of a design the closed form reads, in
-    int64: the 3x3 Gram matrices of the cells and of the per-cluster totals,
-    the (3, T) per-period totals and the grand totals.  The product of two
-    different indicators is XW, so ``gram`` holds the totals of X and W on
-    its diagonal and that of XW everywhere else."""
-    x, w = grid.codes & 1, grid.codes >> 1
-    stack = np.array([x, w, x & w], dtype=np.int64)
-    rows = stack.sum(axis=2)
-    cols = stack.sum(axis=1)
-    totals = cols.sum(axis=1)
-    return totals[2] + np.diag(totals - totals[2]), rows @ rows.T, cols, totals
+    XW) of ``grid``, the one summary of a design the closed form reads, as
+    nested lists of Python ints: the 3x3 Gram matrices of the cells and of
+    the per-cluster totals, the (3, T) per-period totals and the grand
+    totals.  The product of two different indicators is XW, so ``gram``
+    holds the totals of X and W on its diagonal and that of XW everywhere
+    else.
+
+    The cells are summed as bytes.  A period's total is a count over its
+    column.  For the cluster totals, an indicator's cells are read as one
+    int of a ``lane``-byte lane per cell, little end first, and multiplied
+    by 1 + 2**(8*lane) + ... + 2**(8*lane*(T-1)): the lane of each
+    cluster's last cell then holds the sum of the cluster's T cells, and
+    every lane a sum of at most T < 256**lane, so no lane carries into the
+    next.
+    """
+    cells, t = grid.cells, grid.n_periods
+    size = len(cells)
+    lane = (t.bit_length() + 7) // 8
+    bits = 8 * lane
+    window = ((1 << bits * t) - 1) // ((1 << bits) - 1)
+    columns = [cells[s::t] for s in range(t)]
+    both = [column.count(3) for column in columns]
+    cols = [[column.count(1) + n for column, n in zip(columns, both)],
+            [column.count(2) + n for column, n in zip(columns, both)], both]
+    rows = []  # byte b of every cluster total of each indicator, for b < lane
+    for table in _INDICATORS:
+        indicator = cells.translate(table)
+        if lane > 1:
+            wide = bytearray(lane * size)
+            wide[::lane] = indicator
+            indicator = wide
+        sums = (int.from_bytes(indicator, "little") * window).to_bytes(lane * (size + t), "little")
+        rows.append([sums[lane * (t - 1) + b:lane * size:lane * t] for b in range(lane)])
+    cluster_gram = [[0] * 3 for _ in range(3)]
+    for k in range(3):
+        for l in range(k, 3):
+            cluster_gram[k][l] = cluster_gram[l][k] = sum(
+                sum(map(mul, p, q)) << 8 * (i + j)
+                for i, p in enumerate(rows[k]) for j, q in enumerate(rows[l]))
+    totals = [sum(col) for col in cols]
+    gram = [[totals[k] if k == l else totals[2] for l in range(3)] for k in range(3)]
+    return gram, cluster_gram, cols, totals
 
 
 def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
@@ -104,7 +148,9 @@ def information_stack(grid: DesignGrid, sig_c, sig_a) -> np.ndarray:
     effects absent from the design are zero.  Overflowing or underflowing
     covariance entries give non-finite entries, not warnings.
     """
-    gram, cluster_gram, cols, totals = _design_sums(grid)
+    import numpy as np
+
+    gram, cluster_gram, cols, totals = map(np.array, _design_sums(grid))
     t, n_clusters = grid.n_periods, grid.n_clusters
     with np.errstate(all="ignore"):
         a = 1.0 / (sig_c + t * sig_a)
@@ -133,6 +179,8 @@ def information_matrix(grid: DesignGrid, cs: CompoundSymmetry) -> np.ndarray:
     diagnosis reads, which the tests check against the dense Schur
     complement and the benchmark's tracing binds.
     """
+    import numpy as np
+
     return information_stack(grid, np.array([cs.diag - cs.offdiag]), np.array([cs.offdiag]))[0]
 
 
@@ -184,15 +232,18 @@ def _exact_form(grid: DesignGrid, additive: bool):
     if additive in grid.forms:
         return grid.forms[additive]
     gram, cluster_gram, cols, totals = _design_sums(grid)
-    active = [k for k, n in enumerate(totals[:2 if additive else 3].tolist()) if n]
+    active = [k for k in range(2 if additive else 3) if totals[k]]
     labels = tuple(EFFECT_LABELS[k] for k in active)
     form = None
     if labels:
         n_clusters, n_periods = grid.n_clusters, grid.n_periods
-        a = n_clusters * gram - cols @ cols.T
-        b = n_periods * a - n_clusters * cluster_gram + totals[:, None] * totals
-        a, b = a.tolist(), b.tolist()
-        m = [[(a[r][c], b[r][c]) for c in active] for r in active]
+        m = []
+        for r in active:
+            m.append([])
+            for c in active:
+                a = n_clusters * gram[r][c] - sum(map(mul, cols[r], cols[c]))
+                b = n_periods * a - n_clusters * cluster_gram[r][c] + totals[r] * totals[c]
+                m[-1].append((a, b))
         n = len(m)
         # adj(M)[i][j], row by row: the (j, i) cofactor, the (i, j) one as M is symmetric
         adj = [_cofactor(m, j, i) for i in range(n) for j in range(n)]
@@ -208,23 +259,62 @@ def _exact_form(grid: DesignGrid, additive: bool):
     return labels, form
 
 
+def _ldexp(x: float, exponent: int) -> float:
+    """``math.ldexp``, but +-inf where the result overflows, as numpy's gives."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+# math's stand-ins for the numpy functions the closed form applies to one
+# point; Python float arithmetic never warns, so it needs no error state
+_MATH = SimpleNamespace(frexp=math.frexp, ldexp=_ldexp, sqrt=math.sqrt,
+                        errstate=lambda **_: contextlib.nullcontext())
+
+
+def _elementwise(x):
+    """numpy for an array ``x``, and :data:`_MATH` for a float or the
+    one-point list of :func:`closed_form_stack`: its ``frexp``, ``ldexp``
+    and ``sqrt`` give the values numpy gives, without loading numpy, and
+    its ``errstate`` does nothing."""
+    if isinstance(x, (float, list)):
+        return _MATH
+    import numpy as np
+
+    return np
+
+
+def _points(x) -> list:
+    """The values of ``x`` at each of its points: ``[x]`` for a float or a
+    bool, one point, else the list of the (K,) array."""
+    return [x] if isinstance(x, (float, bool)) else x.tolist()
+
+
+def _failed(ok) -> list[int]:
+    """The indices of the points where ``ok``, a bool or a (K,) bool array,
+    is false."""
+    ok = _points(ok)
+    return [k for k, good in enumerate(ok) if not good] if False in ok else []
+
+
 def _scaled(diag, offdiag):
     """``(sig_c, sig_a, e)``: the within and between variances of the
     compound-symmetry entries times 2**-e, for e the binary exponent of the
     diagonal, from (K,) arrays or from floats.  The scaling is exact, and
     finite entries with diag > offdiag >= 0 give a sig_c of at least 2**-54
     and sig_c + sig_a in [0.5, 1)."""
-    frexp, ldexp = (np.frexp, np.ldexp) if isinstance(diag, np.ndarray) \
-        else (math.frexp, math.ldexp)
-    exponent = frexp(diag)[1]
-    sig_a = ldexp(offdiag, -exponent)
-    return ldexp(diag, -exponent) - sig_a, sig_a, exponent
+    ops = _elementwise(diag)
+    exponent = ops.frexp(diag)[1]
+    sig_a = ops.ldexp(offdiag, -exponent)
+    return ops.ldexp(diag, -exponent) - sig_a, sig_a, exponent
 
 
-def _evaluate(form, diag, offdiag) -> np.ndarray:
-    """The (K, n, n) covariance matrices at the K points of the
-    compound-symmetry entries ``diag`` and ``offdiag``, given as (K,) arrays
-    or as floats (K = 1), with the bits of the same point either way.
+def _evaluate(form, diag, offdiag) -> list:
+    """The n*n entries of the covariance matrices, row by row, at the K
+    points of the compound-symmetry entries ``diag`` and ``offdiag``: (K,)
+    arrays for (K,) arrays and floats for floats (K = 1), with the bits of
+    the same point either way.
 
     A point is evaluated at its :func:`_scaled` variances and its covariance
     multiplied back by 2**e, which keeps every power of (sig_c, sig_a) in
@@ -241,25 +331,27 @@ def _evaluate(form, diag, offdiag) -> np.ndarray:
     # reduce, not sum: from Python 3.12 sum compensates the rounding of
     # float additions but not of array additions
     scale = n_clusters * sig_c * (sig_c + n_periods * sig_a) / reduce(add, map(mul, det, high), 0)
-    entries = [reduce(add, map(mul, coefs, low), 0) * scale for coefs in adj]
-    n = len(det) - 1
-    with np.errstate(all="ignore"):
-        return np.ldexp(np.array(entries), exponent).T.reshape(-1, n, n)
+    ldexp = _elementwise(diag).ldexp
+    return [ldexp(reduce(add, map(mul, coefs, low), 0) * scale, exponent) for coefs in adj]
 
 
-def _variance_errors(matrices: np.ndarray, diag, offdiag) -> dict:
-    """A map from each of the (K, n, n) ``matrices`` with a variance not
-    finite or not positive to its error; ``diag`` and ``offdiag`` are the
-    entries of the K points, as (K,) arrays or as floats (K = 1)."""
-    variances = matrices.diagonal(0, 1, 2)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _variance_errors(entries: list, n: int, diag, offdiag) -> dict:
+    """A map from each point whose n*n covariance ``entries`` (see
+    :func:`_evaluate`) hold a variance not finite or not positive to its
+    error; ``diag`` and ``offdiag`` are the entries of the points."""
+    variances = entries[::n + 1]
     # a finite variance bounds the covariances of its effect
-    failed = np.flatnonzero(~(np.isfinite(variances) & (variances > 0.0)).all(axis=1))
+    failed = _failed(reduce(and_, [(v > 0.0) & (v <= _FLOAT_MAX) for v in variances]))
     errors = {}
-    if failed.size:
-        diag, offdiag = np.atleast_1d(diag, offdiag)
-        for k in failed.tolist():
+    if failed:
+        diag, offdiag = _points(diag), _points(offdiag)
+        variances = [_points(v) for v in variances]
+        for k in failed:
             what = "a variance of the effect estimates underflows to 0" \
-                if np.isfinite(variances[k]).all() \
+                if all(abs(v[k]) <= _FLOAT_MAX for v in variances) \
                 else "covariance of the effect estimates is not finite"
             errors[k] = ParameterError(
                 f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
@@ -267,11 +359,36 @@ def _variance_errors(matrices: np.ndarray, diag, offdiag) -> dict:
     return errors
 
 
+def _stack(entries: list, n: int, diag, failed) -> list:
+    """The covariance matrices of the n*n ``entries`` of :func:`_evaluate`,
+    nan at the points ``failed``: a (K, n, n) array for (K,) arrays, and
+    for floats a list holding the one n x n list of lists."""
+    if isinstance(diag, float):
+        return [[[math.nan] * n for _ in range(n)] if failed
+                else [entries[i * n:i * n + n] for i in range(n)]]
+    import numpy as np
+
+    if len(failed) == len(diag):  # no point solved, or none given
+        return np.full((len(diag), n, n), np.nan)
+    matrices = np.stack(entries, axis=-1).reshape(-1, n, n)
+    if failed:
+        matrices[list(failed)] = np.nan
+    return matrices
+
+
+def _columns(matrices):
+    """``cov`` with ``cov[i][j]`` entry (i, j) of every matrix of a stack
+    that :func:`closed_form_stack` returns: a (K,) view of a (K, n, n)
+    array, or the float of a one-point list."""
+    return matrices[0] if isinstance(matrices, list) else matrices.transpose(1, 2, 0)
+
+
 def closed_form_covariance(
     grid: DesignGrid, cs: CompoundSymmetry, additive: bool = False
 ) -> TreatmentCovariance:
     """Covariance of the effect estimates in closed form: one point of
-    :func:`closed_form_stack`, evaluated on floats, raising its error.
+    :func:`closed_form_stack`, evaluated on floats, raising its error, and
+    its matrix as a numpy array.
 
     Effects whose columns are absent are dropped (no combined-condition
     cells -> 2x2; single treatment -> 1x1).  ``additive`` excludes the
@@ -282,7 +399,9 @@ def closed_form_covariance(
     labels, matrices, errors = closed_form_stack(grid, cs.diag, cs.offdiag, additive)
     if errors:
         raise errors[0]
-    return TreatmentCovariance(labels=labels, matrix=matrices[0])
+    import numpy as np
+
+    return TreatmentCovariance(labels=labels, matrix=np.array(matrices[0]))
 
 
 def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
@@ -290,28 +409,29 @@ def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
     """The closed-form covariance of the effect estimates at the K points of
     the (K,) compound-symmetry entries ``diag`` and ``offdiag``, or at one
     point given as two floats; each point is elementwise arithmetic and gets
-    the bits it gets on its own.
+    the bits it gets on its own.  One point given as floats is solved
+    without numpy, unless det(A) = 0 calls for the rank diagnosis.
 
-    Returns ``(labels, matrices, errors)``: the estimable effects, the (K,
-    n, n) covariance matrices in input order, nan at every unsolved point,
-    and a map from each unsolved point's index to its error: no effect
-    estimable, an effect confounded with the intercept, the periods or
-    another treatment (det(A) = 0, which fails every point), or a
-    covariance not finite or with a variance underflowing to 0.
+    Returns ``(labels, matrices, errors)``: the estimable effects; the
+    covariance matrices in input order, nan at every unsolved point, as a
+    (K, n, n) array, or for floats as a list holding the point's n x n
+    list of lists; and a map from each unsolved point's index to its error:
+    no effect estimable, an effect confounded with the intercept, the
+    periods or another treatment (det(A) = 0, which fails every point), or
+    a covariance not finite or with a variance underflowing to 0.
     """
-    count = np.size(diag)
     labels, form = _exact_form(grid, additive)
+    entries = []
     if not labels:
-        errors = dict.fromkeys(range(count), RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
-        return labels, np.empty((count, 0, 0)), errors
-    if form is None:
-        return labels, np.full((count, len(labels), len(labels)), np.nan), \
-            _rank_errors(grid, labels, diag, offdiag)
-    matrices = _evaluate(form, diag, offdiag)
-    errors = _variance_errors(matrices, diag, offdiag)
-    if errors:
-        matrices[list(errors)] = np.nan
-    return labels, matrices, errors
+        errors = dict.fromkeys(range(len(_points(diag))),
+                               RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
+    elif form is None:
+        errors = _rank_errors(grid, labels, diag, offdiag)
+    else:
+        with _elementwise(diag).errstate(all="ignore"):
+            entries = _evaluate(form, diag, offdiag)
+            errors = _variance_errors(entries, len(labels), diag, offdiag)
+    return labels, _stack(entries, len(labels), diag, errors), errors
 
 
 def _rank_errors(grid: DesignGrid, labels: tuple[str, ...], diag, offdiag) -> dict:
@@ -321,6 +441,8 @@ def _rank_errors(grid: DesignGrid, labels: tuple[str, ...], diag, offdiag) -> di
     estimate the ratio of its extreme eigenvalues, or inf where that ratio
     does not pass :data:`CONDITION_LIMIT`, as rounding can make an exactly
     singular matrix look well conditioned."""
+    import numpy as np
+
     active = np.array([EFFECT_LABELS.index(label) for label in labels])
     sig_c, sig_a, _ = _scaled(*np.atleast_1d(diag, offdiag))
     s = information_stack(grid, sig_c, sig_a)[:, active[:, None], active]
@@ -354,6 +476,8 @@ def oracle_covariance(
     lower-right block of its Cholesky factor: the inverse of the Schur
     complement that profiles out the intercept and periods.
     """
+    import numpy as np
+
     n_periods, n_clusters = grid.n_periods, grid.n_clusters
     x, w = grid.indicators()
     treat = np.array([x, w, x * w])  # (3, I, T)
@@ -409,23 +533,26 @@ def oracle_covariance(
     return TreatmentCovariance(labels=labels, matrix=block)
 
 
-def contrast_variances(weights, matrices: np.ndarray):
+def contrast_variances(weights, matrices):
     """Variances of a weighted combination of the effect estimates under m
-    covariance matrices, and a map from the row of each variance that is
-    not finite and positive, which gives no standard error, to its error.
+    covariance matrices, a (m, n, n) array or the one-point list of
+    :func:`closed_form_stack`, and a map from the row of each variance that
+    is not finite and positive, which gives no standard error, to its error.
     Weights of the wrong length raise :class:`ParameterError`; that they
     are not all zero is :class:`~swedge.power.ContrastSpec`'s check."""
-    c = np.asarray(weights, dtype=float)
-    dim = matrices.shape[-1]
-    if c.ndim != 1 or c.size != dim:
-        raise ParameterError(f"contrast length {c.size} does not match covariance dimension {dim}")
-    # c' M c written elementwise, so that each matrix of the stack gets the
-    # bits it gets in a stack of its own; overflow gives inf, not a warning
-    with np.errstate(all="ignore"):
-        var = ((matrices * c[:, None]).sum(-2) * c).sum(-1)
-    errors = {}
-    for k in np.flatnonzero(~np.isfinite(var) | ~(var > 0.0)).tolist():
+    c = [float(w) for w in weights]
+    cov = _columns(matrices)
+    dim = len(cov)
+    if len(c) != dim:
+        raise ParameterError(f"contrast length {len(c)} does not match covariance dimension {dim}")
+    # c' M c written elementwise, row sums first and each sum left to right,
+    # so that every matrix of a stack gets the bits it gets on its own
+    with _elementwise(matrices).errstate(all="ignore"):
+        var = reduce(add, [reduce(add, [cov[i][j] * c[i] for i in range(dim)]) * c[j]
+                           for j in range(dim)])
+    errors, values = {}, _points(var)
+    for k in _failed((var > 0.0) & (var <= _FLOAT_MAX)):
         errors[k] = ParameterError(
-            f"contrast variance is not finite (weights {c.tolist()})" if not np.isfinite(var[k])
-            else f"contrast variance is not positive, got {var[k]:g} (weights {c.tolist()})")
+            f"contrast variance is not finite (weights {c})" if not abs(values[k]) <= _FLOAT_MAX
+            else f"contrast variance is not positive, got {values[k]:g} (weights {c})")
     return var, errors

@@ -1,12 +1,21 @@
-"""Property tests for design-file parsing and serialization."""
+"""Property tests for design-file parsing, serialization and storage."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swedge.designs import DesignError, DesignGrid, parse_design, serialize_design
+from swedge.designs import (
+    DesignError,
+    DesignGrid,
+    parse_design,
+    serialize_design,
+    validate_design,
+)
 
 # Any value a JSON document can hold, nested a few levels deep.
 json_leaves = st.one_of(
@@ -204,3 +213,94 @@ def test_list_cells_are_read_as_one_by_one(rows):
         assert parse_design(text).to_codes() == expected
     except DesignError as exc:
         assert str(exc) == expected
+
+
+# Storage: a grid keeps its cells as bytes, whatever form they came in.
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def violations_one_by_one(rows):
+    """(cluster, period, before, after) of every cell whose code clears a bit
+    set in the cell before it, row by row."""
+    return [(i, j, row[j - 1], row[j]) for i, row in enumerate(rows)
+            for j in range(1, len(row)) if row[j - 1] & ~row[j]]
+
+
+@st.composite
+def grid_inputs(draw):
+    """A grid of codes, as a list of lists, and the same cells in another
+    form: a numpy array of an integer dtype, C-ordered, Fortran-ordered or
+    strided, or a list of rows holding numpy integer scalars."""
+    periods = draw(st.integers(2, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=periods, max_size=periods),
+                         min_size=1, max_size=8))
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    form = draw(st.sampled_from(["list", "array", "fortran", "strided", "scalars"]))
+    if form == "list":
+        return rows, rows
+    if form == "scalars":
+        return rows, [[dtype(cell) for cell in row] for row in rows]
+    array = np.array(rows, dtype=dtype)
+    if form == "fortran":
+        return rows, np.asfortranarray(array)
+    if form == "strided":
+        return rows, np.repeat(array, 2, axis=1)[:, ::2]
+    return rows, array
+
+
+@settings(deadline=None)
+@given(grid_inputs(), st.randoms(use_true_random=False))
+def test_a_grid_stores_its_cells_as_bytes(data, rng):
+    rows, cells = data
+    grid = DesignGrid(cells, label="g")
+    assert grid.cells == bytes(cell for row in rows for cell in row)
+    assert grid.to_codes() == rows
+    assert (grid.n_clusters, grid.n_periods) == (len(rows), len(rows[0]))
+    assert grid.codes.dtype == np.int8 and not grid.codes.flags.writeable
+    assert grid.codes.tolist() == rows
+    assert grid.condition_counts() == {c: sum(row.count(c) for row in rows) for c in range(4)}
+    assert grid == DesignGrid(rows, label="g") and grid != DesignGrid(rows, label="h")
+    for again in (pickle.loads(pickle.dumps(grid)), copy.copy(grid), copy.deepcopy(grid)):
+        assert again == grid and again.cells == grid.cells
+        assert again.codes.tolist() == rows and not again.codes.flags.writeable
+    swapped = [[(c & 1) << 1 | c >> 1 for c in row] for row in rows]
+    assert grid.swap_treatments().to_codes() == swapped
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    assert grid.permute_clusters(order).to_codes() == [rows[k] for k in order]
+    assert [(v.cluster_index, v.period_index, v.before, v.after)
+            for v in validate_design(grid)] == violations_one_by_one(rows)
+
+
+@pytest.mark.parametrize("cells, message", [
+    (np.array([[0, 1], [1, 4]]), "row 2: unknown condition code 4"),
+    (np.array([[0, 1], [-1, 0]], dtype=np.int8), "row 2: unknown condition code -1"),
+    (np.array([[0, 1], [0, 256]], dtype=np.uint16), "row 2: unknown condition code 256"),
+    (np.array([[0.0, 1.0], [0.0, 1.0]]), "row 1: unknown condition code 0.0"),
+    (np.array([[True, False], [False, True]]), "row 1: unknown condition code True"),
+    ([[0, 1], [0, 1.0]], "row 2: unknown condition code 1.0"),
+    ([[0, 1], [np.uint64(2**63), 0]], f"row 2: unknown condition code {2**63}"),
+])
+def test_a_bad_cell_of_any_form_is_named(cells, message):
+    with pytest.raises(DesignError) as info:
+        DesignGrid(cells)
+    assert str(info.value) == message
+
+
+@settings(deadline=None)
+@given(code_rows, st.lists(st.sampled_from([
+    "# swedge-design v1 label=a", "# swedge-design v1 reconstructed=true label=b",
+    "# note", ""]), max_size=3), st.integers(0, 8))
+def test_header_lines_anywhere_give_the_last_header(rows, comments, at):
+    lines = [",".join(map(str, row)) for row in rows]
+    lines[at:at] = comments
+    header = next((line for line in reversed(lines) if line.startswith("# swedge-design")), "")
+    try:
+        grid = parse_design("\n".join(lines))
+    except DesignError as exc:
+        assert str(exc) == "design needs at least 2 periods"
+        return
+    assert grid.to_codes() == rows
+    assert grid.label == header.partition("label=")[2]
+    assert grid.reconstructed is ("reconstructed=true" in header)

@@ -13,6 +13,7 @@ from designgen import (
     random_grid,
     random_single_treatment_grid,
 )
+from swedge import designs
 from swedge.covariance import CovarianceModel
 from swedge.designs import (
     DesignError,
@@ -490,6 +491,17 @@ class TestSerialization:
             grid = random_grid(rng)
             assert parse_design(serialize_design(grid)) == grid
             assert parse_design(serialize_design(grid, fmt="json")) == grid
+
+    @pytest.mark.parametrize("grid", [
+        catalog_design("fig1"), catalog_design("fig5b"), DesignGrid([[0, 1], [0, 3]]),
+        generate_standard_swd(9, 2)], ids=["label", "reconstructed", "two-periods", "no-header"])
+    def test_a_canonical_file_is_read_as_one_buffer(self, grid, monkeypatch):
+        # rows each exactly [0-3](,[0-3])* never reach the per-cell reader
+        def per_cell(lineno, line):
+            raise AssertionError(f"line {lineno} read cell by cell")
+
+        monkeypatch.setattr(designs, "_parse_row", per_cell)
+        assert parse_design(serialize_design(grid)) == grid
 
     def test_header_label_with_spaces(self):
         grid = DesignGrid([[0, 1]], label="my trial, phase 2")

@@ -1,5 +1,6 @@
 import builtins
 import math
+import operator
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -776,3 +777,22 @@ def test_the_oracle_reports_a_cluster_covariance_too_near_singular_to_factor():
             as oracle:
         oracle_covariance(grid, cs)
     assert oracle.value.effect is None and oracle.value.condition > CONDITION_LIMIT
+
+
+@pytest.mark.parametrize("periods", [2, 7, 21, 255, 256, 300])
+def test_design_sums_are_exact_for_any_number_of_periods(periods):
+    """The byte-wise design sums equal plain sums over the cells, also when
+    a cluster total passes 255 and the sums need lanes of two bytes."""
+    rng = np.random.default_rng(periods)
+    for rows in (rng.integers(0, 4, (7, periods)).tolist(),
+                 [[3] * periods, [1] * periods, [0] * (periods - 1) + [2], [2, 3] * (periods // 2)
+                  + [1] * (periods % 2)]):
+        stack = [[[c & 1 for c in row] for row in rows], [[c >> 1 for c in row] for row in rows],
+                 [[c & 1 & c >> 1 for c in row] for row in rows]]
+        cells = [[cell for row in indicator for cell in row] for indicator in stack]
+        cluster = [[sum(row) for row in indicator] for indicator in stack]
+        cols = [[sum(column) for column in zip(*indicator)] for indicator in stack]
+        expected = ([[sum(map(operator.mul, a, b)) for b in cells] for a in cells],
+                    [[sum(map(operator.mul, a, b)) for b in cluster] for a in cluster],
+                    cols, [sum(col) for col in cols])
+        assert variance._design_sums(DesignGrid(rows)) == expected
