@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import operator
 import os
@@ -61,6 +60,8 @@ def _json_value(x: float) -> float:
 
 
 def _json(value) -> str:
+    import json
+
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 

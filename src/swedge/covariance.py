@@ -11,12 +11,12 @@ variance 1) or as raw variance components.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
+
+from ._record import Record
 
 
 class ParameterError(ValueError):
@@ -37,13 +37,6 @@ def _read_float(value):
         except OverflowError:  # an int beyond the float range, which the checks reject
             pass
     return value
-
-
-def _read_floats(obj, names) -> None:
-    """Store each of the fields ``names`` of the frozen ``obj`` as
-    :func:`_read_float` reads it, before it is checked."""
-    for name in names:
-        object.__setattr__(obj, name, _read_float(getattr(obj, name)))
 
 
 class CovarianceModel(Enum):
@@ -67,8 +60,7 @@ class CovarianceModel(Enum):
         return {"cohort": "pi", "nested": "rho_a"}.get(self.value)
 
 
-@dataclass(frozen=True)
-class RawComponents:
+class RawComponents(Record):
     """Raw variance components of the outcome model.
 
     ``sigma_psi_sq`` (individual intercept) applies to the cohort model
@@ -79,14 +71,16 @@ class RawComponents:
 
     sigma_alpha_sq: float
     sigma_e_sq: float
-    sigma_psi_sq: float = 0.0
-    sigma_nu_sq: float = 0.0
+    sigma_psi_sq: float
+    sigma_nu_sq: float
 
-    def __post_init__(self) -> None:
-        names = ("sigma_alpha_sq", "sigma_e_sq", "sigma_psi_sq", "sigma_nu_sq")
-        _read_floats(self, names)
-        for name in names:
-            value = getattr(self, name)
+    def __init__(self, sigma_alpha_sq: float, sigma_e_sq: float, sigma_psi_sq: float = 0.0,
+                 sigma_nu_sq: float = 0.0) -> None:
+        self.__dict__.update(sigma_alpha_sq=_read_float(sigma_alpha_sq),
+                             sigma_e_sq=_read_float(sigma_e_sq),
+                             sigma_psi_sq=_read_float(sigma_psi_sq),
+                             sigma_nu_sq=_read_float(sigma_nu_sq))
+        for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
             if value < 0:
@@ -139,16 +133,15 @@ def _raise_first(v, checks) -> None:
             raise error(template.format_map(vars(v)))
 
 
-@dataclass(frozen=True)
-class CompoundSymmetry:
+class CompoundSymmetry(Record):
     """Effective covariance of cluster-period means: constant diagonal and
     off-diagonal."""
 
     diag: float
     offdiag: float
 
-    def __post_init__(self) -> None:
-        _read_floats(self, ("diag", "offdiag"))
+    def __init__(self, diag: float, offdiag: float) -> None:
+        self.__dict__.update(diag=_read_float(diag), offdiag=_read_float(offdiag))
         _raise_first(self, _ENTRIES)
 
 
@@ -205,8 +198,7 @@ def standardize(raw: RawComponents, model: CovarianceModel) -> dict[str, float]:
             "rho_a": raw.sigma_alpha_sq / total}
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
+class CorrelationSpec(Record):
     """Model selection plus exactly one parameterization and the cell size.
 
     Either the correlation parameters or ``raw`` variance components must
@@ -219,13 +211,17 @@ class CorrelationSpec:
 
     model: CovarianceModel
     n_per_period: int
-    rho_w: float | None = None
-    rho_a: float | None = None
-    pi: float | None = None
-    raw: RawComponents | None = None
+    rho_w: float | None
+    rho_a: float | None
+    pi: float | None
+    raw: RawComponents | None
 
-    def __post_init__(self) -> None:
-        n = self.n_per_period
+    def __init__(self, model: CovarianceModel, n_per_period: int, rho_w: float | None = None,
+                 rho_a: float | None = None, pi: float | None = None,
+                 raw: RawComponents | None = None) -> None:
+        self.__dict__.update(model=model, n_per_period=n_per_period, rho_w=_read_float(rho_w),
+                             rho_a=_read_float(rho_a), pi=_read_float(pi), raw=raw)
+        n = n_per_period
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ParameterError(f"n_per_period must be an integer, got {n!r}")
         if n < 1:
@@ -243,7 +239,6 @@ class CorrelationSpec:
         if has_raw:
             self.raw.check_model(self.model)
             return
-        _read_floats(self, ("rho_w", "rho_a", "pi"))
         _raise_first(self, _RHO_W)
         second = self.model.second_icc
         for name in ("rho_a", "pi"):
@@ -283,9 +278,9 @@ class CorrelationSpec:
         """
         if self.is_raw:
             raise ParameterError("cannot sweep correlations on a raw-component spec")
-        return dataclasses.replace(self, rho_w=rho_w,
-                                   rho_a=self.rho_a if rho_a is None else rho_a,
-                                   pi=self.pi if pi is None else pi)
+        return CorrelationSpec(self.model, self.n_per_period, rho_w,
+                               self.rho_a if rho_a is None else rho_a,
+                               self.pi if pi is None else pi)
 
     def describe(self) -> dict:
         """Flat parameter dictionary for result metadata."""

@@ -18,12 +18,11 @@ views the dense oracle and the tests read, import it.
 
 from __future__ import annotations
 
-import itertools
-import json
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
+
+from ._record import Record
 
 
 class DesignError(ValueError):
@@ -43,8 +42,7 @@ _SWAP = bytes.maketrans(b"\1\2", b"\2\1")
 _DIGITS = bytes.maketrans(b"0123", _CODES)
 
 
-@dataclass(frozen=True)
-class TransitionViolation:
+class TransitionViolation(Record):
     """A disallowed transition entering (cluster_index, period_index),
     from cell code ``before`` to cell code ``after``."""
 
@@ -52,6 +50,10 @@ class TransitionViolation:
     period_index: int
     before: int
     after: int
+
+    def __init__(self, cluster_index: int, period_index: int, before: int, after: int) -> None:
+        self.__dict__.update(cluster_index=cluster_index, period_index=period_index,
+                             before=before, after=after)
 
     def __str__(self) -> str:
         return (
@@ -65,8 +67,9 @@ def _code_array(codes) -> tuple[bytes, int]:
     byte per cell, and T.
 
     Every cell must be an int 0-3; a bool is not a code.  A numpy array is
-    judged by its dtype, a grid of int cells read as one byte per cell, and
-    any other input cell by cell.  A bad cell is named by its Python value.
+    judged by its dtype.  The cells of any other grid are gathered into one
+    list, which is read as one byte per cell when its types are all integer
+    types, and else cell by cell.  A bad cell is named by its Python value.
     """
     try:
         rows = list(codes)
@@ -86,14 +89,20 @@ def _code_array(codes) -> tuple[bytes, int]:
     if np is not None and isinstance(codes, np.ndarray):
         if codes.ndim == 2 and codes.dtype.kind in "iu" and ((codes >= 0) & (codes <= 3)).all():
             cells = codes.astype(np.int8).tobytes()
-    elif all(issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
-             for t in set(map(type, itertools.chain.from_iterable(rows)))):
-        try:  # one byte per cell
-            cells = bytes(itertools.chain.from_iterable(rows))
-        except ValueError:  # a cell outside 0-255
-            pass
-        if cells is not None and cells.translate(None, _CODES):
-            cells = None
+    else:
+        flat = []
+        for row in rows:
+            flat.extend(row)
+        kinds = list(map(type, flat))
+        if kinds.count(int) == len(kinds) or all(
+                issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
+                for t in set(kinds)):
+            try:  # one byte per cell
+                cells = bytes(flat)
+            except ValueError:  # a cell outside 0-255
+                pass
+            if cells is not None and cells.translate(None, _CODES):
+                cells = None
     if cells is None:
         cells = []
         for r, row in enumerate(rows):
@@ -107,8 +116,7 @@ def _code_array(codes) -> tuple[bytes, int]:
     return cells, width
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class DesignGrid:
+class DesignGrid(Record):
     """Immutable I x T grid of cell codes (bit 0: treatment 1, bit 1: treatment 2).
 
     ``DesignGrid(codes, label="", reconstructed=False)`` copies ``codes``,
@@ -119,13 +127,13 @@ class DesignGrid:
     own.  Equality compares ``label`` and the cells.  ``reconstructed``
     marks catalog grids whose exact layout was rebuilt from published
     summary counts rather than copied cell-for-cell; it is provenance
-    metadata and excluded from equality.
+    metadata and excluded from equality; a grid has no hash.
     """
 
     cells: bytes
     n_periods: int
-    label: str = ""
-    reconstructed: bool = False
+    label: str
+    reconstructed: bool
 
     def __init__(self, codes, label: str = "", reconstructed: bool = False) -> None:
         _fill(self, *_code_array(codes), label, reconstructed)
@@ -189,9 +197,8 @@ class DesignGrid:
 
 def _fill(grid: DesignGrid, cells: bytes, n_periods: int, label: str,
           reconstructed: bool) -> None:
-    for name, value in (("cells", cells), ("n_periods", n_periods), ("label", label),
-                        ("reconstructed", reconstructed)):
-        object.__setattr__(grid, name, value)
+    grid.__dict__.update(cells=cells, n_periods=n_periods, label=label,
+                         reconstructed=reconstructed)
 
 
 def _grid(cells: bytes, n_periods: int, label: str, reconstructed: bool) -> DesignGrid:
@@ -458,6 +465,8 @@ def serialize_design(grid: DesignGrid, fmt: str = "csv") -> str:
     the JSON form carries any label.
     """
     if fmt == "json":
+        import json
+
         payload: dict = {"label": grid.label, "cells": grid.to_codes()}
         if grid.reconstructed:
             payload["reconstructed"] = True
@@ -499,6 +508,8 @@ def parse_design(text: str) -> DesignGrid:
     if not stripped:
         raise DesignError("empty design file")
     if stripped.startswith(("{", "[")):
+        import json
+
         try:
             payload = json.loads(stripped)
         except json.JSONDecodeError as exc:

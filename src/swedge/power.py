@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from statistics import NormalDist
 
+from ._record import Record
 from .covariance import (
     CorrelationSpec,
     ParameterError,
     _read_float,
-    _read_floats,
     cluster_cov_stack,
 )
 from .designs import DesignGrid
@@ -45,13 +43,67 @@ def _holds_bool(rows) -> bool:
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))
 
+# Wichura's algorithm AS241 (Applied Statistics 37:477, 1988), the rational
+# approximations of the normal quantile that statistics.NormalDist.inv_cdf
+# evaluates: (numerator, denominator) coefficients, highest degree first, at
+# a probability p, for the centre |p - 0.5| <= 0.425 in r = 0.180625 -
+# (p - 0.5)**2, and for a tail p in r = sqrt(-log(p)) - 1.6 up to
+# sqrt(-log(p)) = 5 and in r = sqrt(-log(p)) - 5 beyond.
+_CENTRE = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_NEAR_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0),
+)
+_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _horner(coefficients, r: float) -> float:
+    """The polynomial of ``coefficients``, highest degree first, at ``r``."""
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * r + c
+    return value
+
+
 def _critical_value(alpha: float) -> float:
-    """Critical value of the two-sided test at level ``alpha`` in (0, 1), from
-    the lower tail: alpha/2 is exact, and 1 - alpha/2 loses low digits."""
+    """Critical value z of the two-sided test at level ``alpha`` in (0, 1):
+    the upper normal quantile of alpha/2, taken from the lower tail, where
+    alpha/2 is exact and 1 - alpha/2 loses low digits.
+
+    z is AS241 at p = alpha/2 with the bits of
+    ``-statistics.NormalDist().inv_cdf(p)``: the same products, sums and
+    quotients, up to signs, which change no rounding.
+    """
     if 1.0 - alpha / 2.0 == 1.0:
         raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
                              "which has no normal quantile")
-    return -NormalDist().inv_cdf(alpha / 2.0)
+    p = alpha / 2.0
+    q = 0.5 - p
+    if q <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _CENTRE
+        return _horner(num, r) * q / _horner(den, r)
+    r = math.sqrt(-math.log(p))
+    (num, den), r = (_NEAR_TAIL, r - 1.6) if r <= 5.0 else (_FAR_TAIL, r - 5.0)
+    return _horner(num, r) / _horner(den, r)
 
 
 def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
@@ -99,8 +151,7 @@ def _two_sided_power(shifts, crit: float) -> list[float]:
             for s in (shifts if isinstance(shifts, list) else _points(shifts))]
 
 
-@dataclass(frozen=True)
-class ContrastSpec:
+class ContrastSpec(Record):
     """A weighted comparison of effect estimates.
 
     ``weights`` must match the dimension of the design's estimable effect
@@ -111,11 +162,12 @@ class ContrastSpec:
 
     label: str
     weights: tuple[float, ...]
-    effect: float | None = None
+    effect: float | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(map(_read_float, self.weights)))
-        _read_floats(self, ("effect",))
+    def __init__(self, label: str, weights: tuple[float, ...],
+                 effect: float | None = None) -> None:
+        self.__dict__.update(label=label, weights=tuple(map(_read_float, weights)),
+                             effect=_read_float(effect))
         if not self.label:
             raise ParameterError("contrast needs a label")
         if not all(math.isfinite(w) for w in self.weights):
@@ -126,8 +178,7 @@ class ContrastSpec:
             raise ParameterError(f"contrast {self.label!r} effect must be finite")
 
 
-@dataclass(frozen=True)
-class EffectSpec:
+class EffectSpec(Record):
     """Effect sizes, significance level, and requested contrasts.
 
     ``delta1``/``delta2``/``delta3`` are effect sizes for treatment 1,
@@ -141,15 +192,19 @@ class EffectSpec:
     floats, numpy scalars included.
     """
 
-    delta1: float | None = None
-    delta2: float | None = None
-    delta3: float | None = None
-    alpha: float = 0.05
-    contrasts: tuple[ContrastSpec, ...] = ()
-    additive: bool = False
+    delta1: float | None
+    delta2: float | None
+    delta3: float | None
+    alpha: float
+    contrasts: tuple[ContrastSpec, ...]
+    additive: bool
 
-    def __post_init__(self) -> None:
-        _read_floats(self, ("delta1", "delta2", "delta3", "alpha"))
+    def __init__(self, delta1: float | None = None, delta2: float | None = None,
+                 delta3: float | None = None, alpha: float = 0.05,
+                 contrasts: tuple[ContrastSpec, ...] = (), additive: bool = False) -> None:
+        self.__dict__.update(delta1=_read_float(delta1), delta2=_read_float(delta2),
+                             delta3=_read_float(delta3), alpha=_read_float(alpha),
+                             contrasts=contrasts, additive=additive)
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         _critical_value(self.alpha)  # raises for an alpha too small to have one
@@ -173,21 +228,29 @@ class EffectSpec:
         return {label: delta for label, delta in pairs if delta is not None}
 
 
-@dataclass(frozen=True)
-class EffectPower:
+class EffectPower(Record):
+    """One effect's size, standard error and power in a :class:`PowerResult`."""
+
     label: str
     effect: float
     se: float
     power: float
 
+    def __init__(self, label: str, effect: float, se: float, power: float) -> None:
+        self.__dict__.update(label=label, effect=effect, se=se, power=power)
 
-@dataclass(frozen=True)
-class PowerResult:
-    """Per-effect standard errors and power, with run metadata."""
+
+class PowerResult(Record, compare=("rows", "design_label")):
+    """Per-effect standard errors and power, with run metadata, which
+    equality ignores."""
 
     rows: tuple[EffectPower, ...]
     design_label: str
-    metadata: dict = field(compare=False)
+    metadata: dict
+
+    def __init__(self, rows: tuple[EffectPower, ...], design_label: str,
+                 metadata: dict) -> None:
+        self.__dict__.update(rows=rows, design_label=design_label, metadata=metadata)
 
     def row(self, label: str) -> EffectPower:
         for r in self.rows:
@@ -277,8 +340,7 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
     return PowerResult(rows=rows, design_label=grid.label, metadata=metadata)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(Record):
     """Power across a grid of correlation values, one array per column.
 
     ``labels`` are the result labels in :func:`design_power` order and
@@ -288,6 +350,7 @@ class SweepTable:
     and ``power`` are (K, n) arrays, nan in failed rows; ``errors`` maps
     each failed point's index to the exception :func:`design_power`
     raises there, a rank deficiency's ``effect`` and ``condition`` included.
+    A table equals only itself.
     """
 
     labels: tuple[str, ...]
@@ -296,6 +359,14 @@ class SweepTable:
     se: np.ndarray
     power: np.ndarray
     errors: dict[int, Exception]
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, labels: tuple[str, ...], effects: tuple[float, ...],
+                 icc: dict[str, np.ndarray], se: np.ndarray, power: np.ndarray,
+                 errors: dict[int, Exception]) -> None:
+        self.__dict__.update(labels=labels, effects=effects, icc=icc, se=se, power=power,
+                             errors=errors)
 
 
 def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:

@@ -35,11 +35,11 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, and_, mul
 from types import SimpleNamespace
 
+from ._record import Record
 from .covariance import CompoundSymmetry, ParameterError
 from .designs import DesignGrid
 
@@ -191,14 +191,16 @@ def active_effects(grid: DesignGrid, additive: bool = False) -> tuple[str, ...]:
     return _exact_form(grid, additive)[0]
 
 
-@dataclass(frozen=True)
-class TreatmentCovariance:
+class TreatmentCovariance(Record):
     """Symmetric covariance matrix of the estimable effect estimates, in
     squared effect units of the covariance entries' scale: row and column i
     belong to ``labels[i]``."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
+
+    def __init__(self, labels: tuple[str, ...], matrix: np.ndarray) -> None:
+        self.__dict__.update(labels=labels, matrix=matrix)
 
 
 def _cofactor(m: list, i: int, j: int) -> list[int]:

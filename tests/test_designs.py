@@ -58,6 +58,7 @@ class TestGridStructure:
         ([[0, 1], [0, False]], 2, False),
         ([[0, np.True_], [0, 1]], 1, True),
         (([0, 1], (0, np.bool_(False))), 2, False),
+        ([[False, True], [False, True]], 1, False),
     ])
     def test_bool_cells_are_not_codes(self, rows, row, cell):
         with pytest.raises(DesignError) as info:
@@ -81,6 +82,9 @@ class TestGridStructure:
             DesignGrid(np.array([[False, True], [False, True]]))
         # numpy has already read this array's True as 1
         assert DesignGrid(np.array([[0, True], [0, 1]])).to_codes() == [[0, 1], [0, 1]]
+        # a cell of a 3-d array is a row of codes, not a code
+        with pytest.raises(DesignError, match=r"row 1: unknown condition code \[0, 0\]"):
+            DesignGrid(np.zeros((2, 3, 2), int))
 
     def test_an_object_array_is_read_cell_by_cell(self):
         cells = [[0, 1, 3], [2, 3, 0]]

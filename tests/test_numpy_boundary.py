@@ -3,8 +3,10 @@
 Importing swedge and the CLI's ``power``, ``catalog`` and ``validate`` run
 on Python floats and the bytes of a design; ``sweep``, ``compare``, the
 det(A) = 0 rank diagnosis and the dense oracle import numpy on first use.
-Each case runs in a fresh interpreter, since a test process has numpy
-loaded already.
+Neither the import nor a one-point call loads ``dataclasses``, ``inspect``
+or ``statistics`` either, and only a call that reads or writes JSON loads
+``json``.  Each case runs in a fresh interpreter, since a test process has
+all of them loaded already.
 """
 
 import json
@@ -17,13 +19,19 @@ import pytest
 import swedge
 from swedge.designs import catalog_design, serialize_design
 
-# Runs the CLI with the given arguments and prints its exit code and
-# whether numpy was imported, after the command's own output.
-CLI = """
-import json, sys
+# The modules a one-point call has no use for, json among them unless it
+# reads or writes JSON.  Each script prints its result, then the ones it loaded.
+MODULES = ("numpy", "dataclasses", "inspect", "statistics", "json")
+LOADED = f"print(*[name for name in {MODULES!r} if name in sys.modules])"
+
+# Runs the CLI with the given arguments and prints its exit code, after the
+# command's own output.
+CLI = f"""
+import sys
 from swedge.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(code)
+{LOADED}
 """
 
 POINT = ["--rho-w", "0.05", "--n", "15", "--delta", "0.4"]
@@ -36,29 +44,33 @@ MODELS = {
 
 
 def _run(script, *args, cwd=None):
+    """The last two lines the script prints: its result, and the set of
+    :data:`MODULES` it loaded."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(swedge.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    result, loaded = proc.stdout.splitlines()[-2:]
+    return json.loads(result), set(loaded.split())
 
 
 @pytest.fixture(scope="module")
 def design_files(tmp_path_factory):
-    """A design file in each form, and one the strict policy rejects."""
+    """A design file in each form, one the strict policy rejects, and one
+    with a cell that is not a code."""
     path = tmp_path_factory.mktemp("designs")
     grid = catalog_design("fig8-design2")
     (path / "d.csv").write_text(serialize_design(grid))
     (path / "d.json").write_text(serialize_design(grid, fmt="json"))
     (path / "bad.csv").write_text("0,1,0\n0,0,2\n")
+    (path / "bad.json").write_text('{"cells": [[0, 1], [0, true]]}')
     return path
 
 
 def test_importing_swedge_leaves_numpy_unloaded():
-    assert _run('import json, sys, swedge, swedge.cli; print(json.dumps("numpy" in sys.modules))') \
-        is False
+    assert _run(f"import sys, swedge, swedge.cli\nprint(0)\n{LOADED}") == (0, set())
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -72,13 +84,15 @@ def test_importing_swedge_leaves_numpy_unloaded():
     (["power", "--design", "d.csv", *MODELS["cs"], *POINT], 0),
     (["power", "--design", "d.json", *MODELS["cohort"], *POINT], 0),
     (["power", "--design", "bad.csv", *MODELS["cs"], *POINT], 2),
+    (["power", "--design", "bad.json", *MODELS["cs"], *POINT], 2),
     (["catalog"], 0),
     (["catalog", "fig8-design2", "--json"], 0),
     (["validate", "--design", "fig1"], 0),
     (["validate", "--design", "bad.csv"], 2),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_one_point_commands_do_not_load_numpy(design_files, argv, code):
-    assert _run(CLI, *argv, cwd=design_files) == [code, False]
+    reads_or_writes_json = any(arg.endswith("json") for arg in argv)
+    assert _run(CLI, *argv, cwd=design_files) == (code, {"json"} if reads_or_writes_json else set())
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -90,15 +104,18 @@ def test_one_point_commands_do_not_load_numpy(design_files, argv, code):
     (["power", "--design", "fig5a", *MODELS["cs"], *POINT], 3),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
 def test_stacks_and_the_rank_diagnosis_load_numpy(argv, code):
-    assert _run(CLI, *argv) == [code, True]
+    result, loaded = _run(CLI, *argv)
+    assert result == code and "numpy" in loaded
 
 
 def test_the_oracle_loads_numpy():
-    script = """
-import json, sys
+    script = f"""
+import sys
 from swedge import CompoundSymmetry, catalog_design, oracle_covariance
 before = "numpy" in sys.modules
 oracle_covariance(catalog_design("fig2b"), CompoundSymmetry(1.0, 0.5))
-print(json.dumps([before, "numpy" in sys.modules]))
+print(int(before))
+{LOADED}
 """
-    assert _run(script) == [False, True]
+    result, loaded = _run(script)
+    assert result == 0 and "numpy" in loaded
