@@ -475,6 +475,8 @@ def cmd_compare(args) -> int:
 
 def cmd_catalog(args) -> int:
     if not args.id:
+        if args.json:
+            raise CliError("--json dumps one design; give a catalog id")
         header = ["id", "clusters", "periods", "reconstructed"]
         rows = []
         for design_id in catalog_ids():

@@ -221,6 +221,9 @@ class CorrelationSpec(Record):
                  raw: RawComponents | None = None) -> None:
         self.__dict__.update(model=model, n_per_period=n_per_period, rho_w=_read_float(rho_w),
                              rho_a=_read_float(rho_a), pi=_read_float(pi), raw=raw)
+        if not isinstance(model, CovarianceModel):
+            raise ParameterError(f"model must be a CovarianceModel, got {model!r}; "
+                                 "CovarianceModel.from_string reads a name")
         n = n_per_period
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise ParameterError(f"n_per_period must be an integer, got {n!r}")

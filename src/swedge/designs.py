@@ -66,10 +66,10 @@ def _code_array(codes) -> tuple[bytes, int]:
     """The cells of an I x T grid of condition codes, row by row and one
     byte per cell, and T.
 
-    Every cell must be an int 0-3; a bool is not a code.  A numpy array is
-    judged by its dtype.  The cells of any other grid are gathered into one
-    list, which is read as one byte per cell when its types are all integer
-    types, and else cell by cell.  A bad cell is named by its Python value.
+    Every cell must be an int 0-3; a bool is not a code.  The cells are
+    gathered into one list, which is read as one byte per cell when its
+    types are all integer types, and else cell by cell.  A bad cell is
+    named by its Python value.
     """
     try:
         rows = list(codes)
@@ -86,23 +86,19 @@ def _code_array(codes) -> tuple[bytes, int]:
     # an input holds numpy objects only once a caller has imported numpy
     np = sys.modules.get("numpy")
     cells = None
-    if np is not None and isinstance(codes, np.ndarray):
-        if codes.ndim == 2 and codes.dtype.kind in "iu" and ((codes >= 0) & (codes <= 3)).all():
-            cells = codes.astype(np.int8).tobytes()
-    else:
-        flat = []
-        for row in rows:
-            flat.extend(row)
-        kinds = list(map(type, flat))
-        if kinds.count(int) == len(kinds) or all(
-                issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
-                for t in set(kinds)):
-            try:  # one byte per cell
-                cells = bytes(flat)
-            except ValueError:  # a cell outside 0-255
-                pass
-            if cells is not None and cells.translate(None, _CODES):
-                cells = None
+    flat = []
+    for row in rows:
+        flat.extend(row)
+    kinds = list(map(type, flat))
+    if kinds.count(int) == len(kinds) or all(
+            issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
+            for t in set(kinds)):
+        try:  # one byte per cell
+            cells = bytes(flat)
+        except ValueError:  # a cell outside 0-255
+            pass
+        if cells is not None and cells.translate(None, _CODES):
+            cells = None
     if cells is None:
         cells = []
         for r, row in enumerate(rows):

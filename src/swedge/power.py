@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from ._record import Record
 from .covariance import (
@@ -23,21 +24,12 @@ from .designs import DesignGrid
 from .variance import (  # noqa: F401
     EFFECT_LABELS,
     RankDeficiencyError,
-    _columns,
     _elementwise,
     _points,
     closed_form_covariance,
     closed_form_stack,
     contrast_variances,
 )
-
-
-def _holds_bool(rows) -> bool:
-    """Whether any cell of ``rows`` is a Python or numpy bool, which numpy
-    reads among numbers as 1 or 0."""
-    import numpy as np
-
-    return not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows)))
 
 
 #: Default within-period ICC sweep grid: 0.001 through 0.300 in 0.001 steps.
@@ -133,22 +125,20 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
     return _two_sided_power([abs(effect) / se], crit)[0]
 
 
-def _two_sided_power(shifts, crit: float) -> list[float]:
+def _two_sided_power(shifts: list, crit: float) -> list[float]:
     """Power of the two-sided test with critical value ``crit`` for each
-    statistic centred at a shift = |effect| / se, given as a list, a 1-d
-    array or one float.
+    statistic centred at one of the list ``shifts`` = |effect| / se.
 
     Each value is Phi(shift - crit) + Phi(-shift - crit), for the standard
     normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2.  Near the centre and in the
     upper tail Phi is accurate to a few ulps.  In the lower tail the
     rounding of ``-x / sqrt(2)`` is amplified by erfc's conditioning, to
-    about 4e-13 relative for x near -37.5.  Each value is the scalar
-    formula on a Python float, so a column and a single shift give the
-    same bits.
+    about 4e-13 relative for x near -37.5.  Every shift gets the same
+    scalar formula, so a column and a single shift give the same bits.
     """
     root2 = math.sqrt(2.0)
     return [0.5 * math.erfc((crit - s) / root2) + 0.5 * math.erfc((s + crit) / root2)
-            for s in (shifts if isinstance(shifts, list) else _points(shifts))]
+            for s in shifts]
 
 
 class ContrastSpec(Record):
@@ -189,7 +179,9 @@ class EffectSpec(Record):
     the effect labels.  ``additive`` analyzes the design under assumed
     additive treatment effects, dropping the interaction column from the
     model entirely.  The effect sizes and ``alpha`` are read as Python
-    floats, numpy scalars included.
+    floats, numpy scalars included; ``contrasts``, a tuple or list of
+    :class:`ContrastSpec` values, is kept as a tuple, and ``additive``, a
+    Python or numpy bool, as a Python bool.
     """
 
     delta1: float | None
@@ -202,9 +194,16 @@ class EffectSpec(Record):
     def __init__(self, delta1: float | None = None, delta2: float | None = None,
                  delta3: float | None = None, alpha: float = 0.05,
                  contrasts: tuple[ContrastSpec, ...] = (), additive: bool = False) -> None:
+        np = sys.modules.get("numpy")  # an input holds a numpy bool only once numpy is loaded
+        if not (isinstance(additive, bool) or np is not None and isinstance(additive, np.bool_)):
+            raise ParameterError(f"additive must be a bool, got {additive!r}")
+        if not isinstance(contrasts, (tuple, list)) or \
+                not all(isinstance(spec, ContrastSpec) for spec in contrasts):
+            raise ParameterError(f"contrasts must be a tuple of ContrastSpec values, "
+                                 f"got {contrasts!r}")
         self.__dict__.update(delta1=_read_float(delta1), delta2=_read_float(delta2),
                              delta3=_read_float(delta3), alpha=_read_float(alpha),
-                             contrasts=contrasts, additive=additive)
+                             contrasts=tuple(contrasts), additive=bool(additive))
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
         _critical_value(self.alpha)  # raises for an alpha too small to have one
@@ -262,20 +261,20 @@ class PowerResult(Record, compare=("rows", "design_label")):
         return tuple(r.label for r in self.rows)
 
 
-def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices):
-    """The result columns of ``effects`` from m covariance matrices of the
-    effects ``labels``, as :func:`~swedge.variance.closed_form_stack`
-    returns them: ``(names, sizes, se, power, errors)``, the result labels
-    and effect sizes, an SE column per name, a (m,) array or for one point
-    a float, a power column per name, a list of m floats, and a map from
-    each failed row to the first error of its columns.  The columns mean
-    nothing in failed rows, and are nan when every row failed.  A contrast
-    variance that is not finite and positive fails its row; any other check
-    fails every row and leaves the effect sizes nan.
+def _result_columns(effects: EffectSpec, labels: tuple[str, ...], cov, m: int):
+    """The result columns of ``effects`` at m points from the entry columns
+    ``cov`` of the effects ``labels``, as
+    :func:`~swedge.variance.closed_form_stack` returns them:
+    ``(names, sizes, se, power, errors)``, the result labels and effect
+    sizes, an SE column per name, a (m,) array or for one point a float, a
+    power column per name, a list of m floats, and a map from each failed
+    row to the first error of its columns.  The columns mean nothing in
+    failed rows, and are nan when every row failed.  A contrast variance
+    that is not finite and positive fails its row; any other check fails
+    every row and leaves the effect sizes nan.
     """
     deltas = effects.deltas()
     names = (*deltas, *(spec.label for spec in effects.contrasts))
-    cov = _columns(matrices)
     sizes, variances, errors = list(deltas.values()), [], {}
     try:
         for label in deltas:
@@ -287,7 +286,7 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices):
             i = labels.index(label)
             variances.append(cov[i][i])
         for spec in effects.contrasts:
-            var, failed = contrast_variances(spec.weights, matrices)
+            var, failed = contrast_variances(spec.weights, cov)
             errors = {**failed, **errors}
             variances.append(var)
             size = spec.effect
@@ -303,16 +302,17 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], matrices):
                     raise ParameterError(f"contrast {spec.label!r} effect size is not finite")
             sizes.append(size)
     except (ParameterError, RankDeficiencyError) as exc:
-        errors = {**dict.fromkeys(range(len(matrices)), exc), **errors}
+        errors = {**dict.fromkeys(range(m), exc), **errors}
         sizes = [math.nan] * len(names)
-    if len(errors) == len(matrices):
+    if len(errors) == m:
         return names, tuple(sizes), [math.nan] * len(names), [math.nan] * len(names), errors
     # a failed row's variance may be nan or 0; a shift beyond the float range has power 1
-    with _elementwise(matrices).errstate(all="ignore"):
-        se = [_elementwise(var).sqrt(var) for var in variances]
+    ops = _elementwise(variances[0])
+    with ops.errstate(all="ignore"):
+        se = [ops.sqrt(var) for var in variances]
         shifts = [abs(size) / s for size, s in zip(sizes, se)]
     crit = _critical_value(effects.alpha)
-    power = [[effects.alpha] * len(matrices) if size == 0 else _two_sided_power(shift, crit)
+    power = [[effects.alpha] * m if size == 0 else _two_sided_power(_points(shift), crit)
              for size, shift in zip(sizes, shifts)]
     return names, tuple(sizes), se, power, errors
 
@@ -327,10 +327,9 @@ def design_power(grid: DesignGrid, correlation: CorrelationSpec,
     the offender.
     """
     cs = correlation.cov_entries()
-    labels, matrices, errors = closed_form_stack(grid, cs.diag, cs.offdiag,
-                                                 additive=effects.additive)
+    labels, cov, errors = closed_form_stack(grid, cs.diag, cs.offdiag, additive=effects.additive)
     if not errors:
-        names, sizes, se, power, errors = _result_columns(effects, labels, matrices)
+        names, sizes, se, power, errors = _result_columns(effects, labels, cov, 1)
     if errors:
         raise errors[0]
     rows = tuple(EffectPower(label=label, effect=size, se=s, power=p[0])
@@ -389,7 +388,9 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
         values = np.array(None)
     numeric = values.dtype.kind in "fiu"
     if numeric and values.ndim in (1, 2) and not isinstance(points, np.ndarray):
-        numeric = not _holds_bool([points] if values.ndim == 1 else points)
+        # numpy reads a Python or numpy bool among numbers as 1 or 0
+        cells = itertools.chain.from_iterable([points] if values.ndim == 1 else points)
+        numeric = {bool, np.bool_}.isdisjoint(map(type, cells))
     if numeric and values.shape[1:] == (2,) and second is None:
         raise ParameterError("cross-sectional sweep points are single rho_w values")
     if not numeric or values.ndim == 0 or values.shape[1:] not in ((), (2,)):
@@ -421,10 +422,10 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
 
     icc = _icc_columns(points, correlation)
     ok, diag, offdiag, errors = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
-    estimable, matrices, solve_errors = closed_form_stack(grid, diag, offdiag,
-                                                          additive=effects.additive)
+    estimable, cov, solve_errors = closed_form_stack(grid, diag, offdiag,
+                                                     additive=effects.additive)
     labels, sizes, se_valid, power_valid, result_errors = _result_columns(
-        effects, estimable, matrices)
+        effects, estimable, cov, len(diag))
     index = np.flatnonzero(ok)
     se = np.full((len(ok), len(labels)), math.nan)
     power = se.copy()

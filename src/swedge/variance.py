@@ -25,8 +25,10 @@ The closed form reads the design's sums from its cells' bytes as Python
 ints, and evaluates a point with plain arithmetic that Python floats and
 numpy arrays answer alike: one point given as floats is solved without
 numpy, and a stack of points as (K,) arrays with the same bits per point.
-numpy is imported on first use by the stacks, by the floating-point
-diagnosis of a design with det(A) = 0, by the oracle and for the matrix
+Either way the covariance is one shape, n rows of n entry columns: entry
+(i, j) is a float for one point and a (K,) array for a stack.  numpy is
+imported on first use by the stacks, by the floating-point diagnosis of a
+design with det(A) = 0, by the oracle and for the matrix
 :func:`closed_form_covariance` returns.
 """
 
@@ -247,16 +249,16 @@ def _exact_form(grid: DesignGrid, additive: bool):
                 b = n_periods * a - n_clusters * cluster_gram[r][c] + totals[r] * totals[c]
                 m[-1].append((a, b))
         n = len(m)
-        # adj(M)[i][j], row by row: the (j, i) cofactor, the (i, j) one as M is symmetric
-        adj = [_cofactor(m, j, i) for i in range(n) for j in range(n)]
+        # adj(M)[i][j]: the (j, i) cofactor, the (i, j) one as M is symmetric
+        adj = [[_cofactor(m, j, i) for j in range(n)] for i in range(n)]
         det = [0] * (n + 1)
-        for (x0, x1), cofactor in zip(m[0], adj):  # along the first row
+        for (x0, x1), cofactor in zip(m[0], adj[0]):  # along the first row
             for k, c in enumerate(cofactor):
                 det[k] += x0 * c
                 det[k + 1] += x1 * c
         if det[0]:
             form = (float(n_clusters), float(n_periods), [float(c) for c in det],
-                    [[float(c) for c in poly] for poly in adj])
+                    [[[float(c) for c in poly] for poly in row] for row in adj])
     grid.forms[additive] = labels, form
     return labels, form
 
@@ -276,11 +278,10 @@ _MATH = SimpleNamespace(frexp=math.frexp, ldexp=_ldexp, sqrt=math.sqrt,
 
 
 def _elementwise(x):
-    """numpy for an array ``x``, and :data:`_MATH` for a float or the
-    one-point list of :func:`closed_form_stack`: its ``frexp``, ``ldexp``
-    and ``sqrt`` give the values numpy gives, without loading numpy, and
-    its ``errstate`` does nothing."""
-    if isinstance(x, (float, list)):
+    """numpy for an array ``x``, and :data:`_MATH` for a float: its
+    ``frexp``, ``ldexp`` and ``sqrt`` give the values numpy gives, without
+    loading numpy, and its ``errstate`` does nothing."""
+    if isinstance(x, float):
         return _MATH
     import numpy as np
 
@@ -293,10 +294,13 @@ def _points(x) -> list:
     return [x] if isinstance(x, (float, bool)) else x.tolist()
 
 
-def _failed(ok) -> list[int]:
-    """The indices of the points where ``ok``, a bool or a (K,) bool array,
-    is false."""
-    ok = _points(ok)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _failed(values: list) -> list[int]:
+    """The indices of the points where any of ``values``, floats or (K,)
+    arrays, is not finite and positive."""
+    ok = _points(reduce(and_, [(v > 0.0) & (v <= _FLOAT_MAX) for v in values]))
     return [k for k, good in enumerate(ok) if not good] if False in ok else []
 
 
@@ -313,10 +317,10 @@ def _scaled(diag, offdiag):
 
 
 def _evaluate(form, diag, offdiag) -> list:
-    """The n*n entries of the covariance matrices, row by row, at the K
-    points of the compound-symmetry entries ``diag`` and ``offdiag``: (K,)
-    arrays for (K,) arrays and floats for floats (K = 1), with the bits of
-    the same point either way.
+    """The covariance at the K points of the compound-symmetry entries
+    ``diag`` and ``offdiag`` as n rows of n entries: (K,) arrays for (K,)
+    arrays and floats for floats (K = 1), with the bits of the same point
+    either way.
 
     A point is evaluated at its :func:`_scaled` variances and its covariance
     multiplied back by 2**e, which keeps every power of (sig_c, sig_a) in
@@ -334,55 +338,28 @@ def _evaluate(form, diag, offdiag) -> list:
     # float additions but not of array additions
     scale = n_clusters * sig_c * (sig_c + n_periods * sig_a) / reduce(add, map(mul, det, high), 0)
     ldexp = _elementwise(diag).ldexp
-    return [ldexp(reduce(add, map(mul, coefs, low), 0) * scale, exponent) for coefs in adj]
+    return [[ldexp(reduce(add, map(mul, coefs, low), 0) * scale, exponent) for coefs in row]
+            for row in adj]
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
-def _variance_errors(entries: list, n: int, diag, offdiag) -> dict:
-    """A map from each point whose n*n covariance ``entries`` (see
-    :func:`_evaluate`) hold a variance not finite or not positive to its
-    error; ``diag`` and ``offdiag`` are the entries of the points."""
-    variances = entries[::n + 1]
+def _variance_errors(cov: list, diag, offdiag) -> dict:
+    """A map from each point whose covariance ``cov`` (see :func:`_evaluate`)
+    holds a variance not finite or not positive to its error; ``diag`` and
+    ``offdiag`` are the entries of the points."""
+    variances = [row[i] for i, row in enumerate(cov)]
     # a finite variance bounds the covariances of its effect
-    failed = _failed(reduce(and_, [(v > 0.0) & (v <= _FLOAT_MAX) for v in variances]))
+    failed = _failed(variances)
+    if failed:  # read the points' values only when one failed
+        diag, offdiag, variances = _points(diag), _points(offdiag), list(map(_points, variances))
     errors = {}
-    if failed:
-        diag, offdiag = _points(diag), _points(offdiag)
-        variances = [_points(v) for v in variances]
-        for k in failed:
-            what = "a variance of the effect estimates underflows to 0" \
-                if all(abs(v[k]) <= _FLOAT_MAX for v in variances) \
-                else "covariance of the effect estimates is not finite"
-            errors[k] = ParameterError(
-                f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
-                f"{offdiag[k]:g}) are too large or too small to represent")
+    for k in failed:
+        what = "a variance of the effect estimates underflows to 0" \
+            if all(abs(v[k]) <= _FLOAT_MAX for v in variances) \
+            else "covariance of the effect estimates is not finite"
+        errors[k] = ParameterError(
+            f"{what}: the covariance entries (diagonal {diag[k]:g}, off-diagonal "
+            f"{offdiag[k]:g}) are too large or too small to represent")
     return errors
-
-
-def _stack(entries: list, n: int, diag, failed) -> list:
-    """The covariance matrices of the n*n ``entries`` of :func:`_evaluate`,
-    nan at the points ``failed``: a (K, n, n) array for (K,) arrays, and
-    for floats a list holding the one n x n list of lists."""
-    if isinstance(diag, float):
-        return [[[math.nan] * n for _ in range(n)] if failed
-                else [entries[i * n:i * n + n] for i in range(n)]]
-    import numpy as np
-
-    if len(failed) == len(diag):  # no point solved, or none given
-        return np.full((len(diag), n, n), np.nan)
-    matrices = np.stack(entries, axis=-1).reshape(-1, n, n)
-    if failed:
-        matrices[list(failed)] = np.nan
-    return matrices
-
-
-def _columns(matrices):
-    """``cov`` with ``cov[i][j]`` entry (i, j) of every matrix of a stack
-    that :func:`closed_form_stack` returns: a (K,) view of a (K, n, n)
-    array, or the float of a one-point list."""
-    return matrices[0] if isinstance(matrices, list) else matrices.transpose(1, 2, 0)
 
 
 def closed_form_covariance(
@@ -398,12 +375,12 @@ def closed_form_covariance(
     cells exist, for designs analyzed under assumed-additive treatment
     effects.
     """
-    labels, matrices, errors = closed_form_stack(grid, cs.diag, cs.offdiag, additive)
+    labels, cov, errors = closed_form_stack(grid, cs.diag, cs.offdiag, additive)
     if errors:
         raise errors[0]
     import numpy as np
 
-    return TreatmentCovariance(labels=labels, matrix=np.array(matrices[0]))
+    return TreatmentCovariance(labels=labels, matrix=np.array(cov))
 
 
 def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
@@ -414,26 +391,25 @@ def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
     the bits it gets on its own.  One point given as floats is solved
     without numpy, unless det(A) = 0 calls for the rank diagnosis.
 
-    Returns ``(labels, matrices, errors)``: the estimable effects; the
-    covariance matrices in input order, nan at every unsolved point, as a
-    (K, n, n) array, or for floats as a list holding the point's n x n
-    list of lists; and a map from each unsolved point's index to its error:
-    no effect estimable, an effect confounded with the intercept, the
-    periods or another treatment (det(A) = 0, which fails every point), or
-    a covariance not finite or with a variance underflowing to 0.
+    Returns ``(labels, cov, errors)``: the estimable effects; the
+    covariance as entry columns, ``cov[i][j]`` entry (i, j) at every point
+    in input order, a (K,) array, or for floats a float; and a map from
+    each unsolved point's index to its error: no effect estimable, an
+    effect confounded with the intercept, the periods or another treatment
+    (det(A) = 0, which fails every point and leaves every entry nan), or a
+    covariance not finite or with a variance underflowing to 0.  An
+    unsolved point's entries mean nothing.
     """
     labels, form = _exact_form(grid, additive)
-    entries = []
-    if not labels:
-        errors = dict.fromkeys(range(len(_points(diag))),
-                               RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
-    elif form is None:
-        errors = _rank_errors(grid, labels, diag, offdiag)
+    if form is None:
+        cov = [[diag * math.nan] * len(labels)] * len(labels)
+        errors = _rank_errors(grid, labels, diag, offdiag) if labels else dict.fromkeys(
+            range(len(_points(diag))), RankDeficiencyError(NO_EFFECTS_ESTIMABLE))
     else:
         with _elementwise(diag).errstate(all="ignore"):
-            entries = _evaluate(form, diag, offdiag)
-            errors = _variance_errors(entries, len(labels), diag, offdiag)
-    return labels, _stack(entries, len(labels), diag, errors), errors
+            cov = _evaluate(form, diag, offdiag)
+            errors = _variance_errors(cov, diag, offdiag)
+    return labels, cov, errors
 
 
 def _rank_errors(grid: DesignGrid, labels: tuple[str, ...], diag, offdiag) -> dict:
@@ -535,26 +511,24 @@ def oracle_covariance(
     return TreatmentCovariance(labels=labels, matrix=block)
 
 
-def contrast_variances(weights, matrices):
-    """Variances of a weighted combination of the effect estimates under m
-    covariance matrices, a (m, n, n) array or the one-point list of
-    :func:`closed_form_stack`, and a map from the row of each variance that
-    is not finite and positive, which gives no standard error, to its error.
-    Weights of the wrong length raise :class:`ParameterError`; that they
-    are not all zero is :class:`~swedge.power.ContrastSpec`'s check."""
+def contrast_variances(weights, cov):
+    """Variances of a weighted combination of the effect estimates at the
+    points of ``cov``, entry columns as :func:`closed_form_stack` returns
+    them, and a map from each point whose variance is not finite and
+    positive, which gives no standard error, to its error.  Weights of the
+    wrong length raise :class:`ParameterError`; that they are not all zero
+    is :class:`~swedge.power.ContrastSpec`'s check."""
     c = [float(w) for w in weights]
-    cov = _columns(matrices)
     dim = len(cov)
     if len(c) != dim:
         raise ParameterError(f"contrast length {len(c)} does not match covariance dimension {dim}")
     # c' M c written elementwise, row sums first and each sum left to right,
-    # so that every matrix of a stack gets the bits it gets on its own
-    with _elementwise(matrices).errstate(all="ignore"):
+    # so that every point of a stack gets the bits it gets on its own
+    with _elementwise(cov[0][0]).errstate(all="ignore"):
         var = reduce(add, [reduce(add, [cov[i][j] * c[i] for i in range(dim)]) * c[j]
                            for j in range(dim)])
-    errors, values = {}, _points(var)
-    for k in _failed((var > 0.0) & (var <= _FLOAT_MAX)):
-        errors[k] = ParameterError(
-            f"contrast variance is not finite (weights {c})" if not abs(values[k]) <= _FLOAT_MAX
-            else f"contrast variance is not positive, got {values[k]:g} (weights {c})")
-    return var, errors
+    values = _points(var)
+    return var, {k: ParameterError(
+        f"contrast variance is not finite (weights {c})" if not abs(values[k]) <= _FLOAT_MAX
+        else f"contrast variance is not positive, got {values[k]:g} (weights {c})")
+        for k in _failed([var])}

@@ -794,6 +794,11 @@ class TestCatalogAndValidate:
         assert payload["reconstructed"] is True
         assert payload["label"] == "fig8-design2"
 
+    def test_catalog_json_needs_an_id(self, capsys):
+        code, out, err = run(capsys, "catalog", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: --json dumps one design; give a catalog id\n"
+
     def test_catalog_unknown_id(self, capsys):
         code, _, err = run(capsys, "catalog", "fig99")
         assert code == 2

@@ -173,6 +173,11 @@ class TestCorrelationSpec:
         with pytest.raises(ParameterError):
             CorrelationSpec(model=CS, n_per_period=10)
 
+    @pytest.mark.parametrize("model", ["cs", None, 0])
+    def test_model_must_be_a_covariance_model(self, model):
+        with pytest.raises(ParameterError, match="^model must be a CovarianceModel, got "):
+            CorrelationSpec(model=model, n_per_period=10, rho_w=0.1)
+
     @pytest.mark.parametrize("n", [2.5, 10.0, True, "10", None])
     def test_n_per_period_must_be_an_integer(self, n):
         with pytest.raises(ParameterError, match="integer"):

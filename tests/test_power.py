@@ -197,6 +197,31 @@ class TestEffectSpec:
         with pytest.raises(ParameterError):
             EffectSpec(delta3=0.4, additive=True)
 
+    @pytest.mark.parametrize("additive", ["no", "", 1, 0.0, None])
+    def test_additive_must_be_a_bool(self, additive):
+        grid = DesignGrid(catalog_design("fig8-design2").to_codes())
+        with pytest.raises(ParameterError, match="^additive must be a bool, got "):
+            design_power(grid, cs_spec(), EffectSpec(delta1=0.4, additive=additive))
+        assert grid.forms == {}
+
+    def test_numpy_bool_additive_is_kept_as_a_python_bool(self):
+        grid = catalog_design("fig8-design2")
+        spec = EffectSpec(delta1=0.4, additive=np.bool_(True))
+        assert type(spec.additive) is bool and spec.additive
+        assert spec == EffectSpec(delta1=0.4, additive=True)
+        assert design_power(grid, cs_spec(), spec) == \
+            design_power(grid, cs_spec(), EffectSpec(delta1=0.4, additive=True))
+
+    @pytest.mark.parametrize("contrasts", [("d",), [None], 5, "d",
+                                           ContrastSpec(label="d", weights=(1.0, -1.0))])
+    def test_contrasts_must_be_contrast_specs(self, contrasts):
+        with pytest.raises(ParameterError, match="^contrasts must be a tuple of ContrastSpec"):
+            EffectSpec(delta1=0.4, contrasts=contrasts)
+
+    def test_contrasts_are_kept_as_a_tuple(self):
+        spec = ContrastSpec(label="d", weights=(1.0, -1.0))
+        assert EffectSpec(contrasts=[spec]).contrasts == (spec,)
+
     def test_contrast_weights_nonzero(self):
         with pytest.raises(ParameterError):
             ContrastSpec(label="null", weights=(0.0, 0.0))

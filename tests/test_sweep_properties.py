@@ -255,10 +255,11 @@ def test_label_swap_permutes_the_batched_covariance_bit_exactly(seed, template, 
         extra["rho_a"] = np.minimum(extra["rho_a"], rho_w)
     _, diag, offdiag, _ = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
                                             **extra)
-    labels, matrices, errors = closed_form_stack(grid, diag, offdiag, additive)
+    labels, cov, errors = closed_form_stack(grid, diag, offdiag, additive)
     swapped_labels, swapped, swapped_errors = closed_form_stack(
         grid.swap_treatments(), diag, offdiag, additive)
     assert sorted(SWAPPED[label] for label in labels) == sorted(swapped_labels)
     assert errors.keys() == swapped_errors.keys()
     order = [swapped_labels.index(SWAPPED[label]) for label in labels]
-    assert swapped[:, order][:, :, order].tobytes() == matrices.tobytes()
+    assert [[swapped[i][j].tobytes() for j in order] for i in order] == \
+        [[entry.tobytes() for entry in row] for row in cov]

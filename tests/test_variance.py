@@ -300,11 +300,12 @@ class TestExtremeCovarianceEntries:
     def test_stack_solves_the_point_as_on_its_own(self):
         grid = catalog_design("fig2b")
         cs = std_cs()
-        labels, matrices, errors = closed_form_stack(
+        labels, cov, errors = closed_form_stack(
             grid, np.array([cs.diag, self.HUGE.diag]), np.array([cs.offdiag, self.HUGE.offdiag]))
         assert errors == {}
-        for matrix, entries in zip(matrices, (cs, self.HUGE)):
-            assert matrix.tobytes() == closed_form_covariance(grid, entries).matrix.tobytes()
+        for k, entries in enumerate((cs, self.HUGE)):
+            assert np.array(cov)[..., k].tobytes() == \
+                closed_form_covariance(grid, entries).matrix.tobytes()
 
     def test_stack_bits_do_not_depend_on_how_sum_adds_floats(self, monkeypatch):
         # from Python 3.12 the built-in sum compensates the rounding of float
@@ -320,10 +321,11 @@ class TestExtremeCovarianceEntries:
         rho_w = np.linspace(0.01, 0.99, 50)
         for name in ("fig2b", "fig8-design2"):
             grid = catalog_design(name)
-            _, matrices, _ = closed_form_stack(grid, np.ones(len(rho_w)), rho_w)
-            for matrix, rho in zip(matrices, rho_w.tolist()):
+            _, cov, _ = closed_form_stack(grid, np.ones(len(rho_w)), rho_w)
+            for k, rho in enumerate(rho_w.tolist()):
                 cs = CompoundSymmetry(1.0, rho)
-                assert matrix.tobytes() == closed_form_covariance(grid, cs).matrix.tobytes()
+                assert np.array(cov)[..., k].tobytes() == \
+                    closed_form_covariance(grid, cs).matrix.tobytes()
 
     def test_oracle_solves_subnormal_entries(self, capfd):
         grid = catalog_design("fig2b")
@@ -350,10 +352,10 @@ class TestExtremeCovarianceEntries:
         # covariance overflows near the float maximum
         grid = catalog_design("fig5b")
         cs = std_cs()
-        labels, matrices, errors = closed_form_stack(
-            grid, np.array([cs.diag, 1.79e308, 5e-324]), np.array([cs.offdiag, 0.0, 0.0]))
-        assert matrices.shape == (3, 3, 3)
-        assert np.isnan(matrices[1:]).all()
+        diag, offdiag = [cs.diag, 1.79e308, 5e-324], [cs.offdiag, 0.0, 0.0]
+        labels, cov, errors = closed_form_stack(grid, np.array(diag), np.array(offdiag))
+        stack = np.array(cov)
+        assert stack.shape == (3, 3, 3)
         assert {k: (type(exc), str(exc)) for k, exc in errors.items()} == {
             1: (ParameterError, "covariance of the effect estimates is not finite: the "
                 "covariance entries (diagonal 1.79e+308, off-diagonal 0) are too large or "
@@ -362,7 +364,13 @@ class TestExtremeCovarianceEntries:
                 "covariance entries (diagonal 4.94066e-324, off-diagonal 0) are too large or "
                 "too small to represent"),
         }
-        assert matrices[0].tobytes() == closed_form_covariance(grid, cs).matrix.tobytes()
+        assert stack[..., 0].tobytes() == closed_form_covariance(grid, cs).matrix.tobytes()
+        # each point, solved or not, gets the entries and the error it gets on its own
+        for k, point in enumerate(zip(diag, offdiag)):
+            _, alone, alone_errors = closed_form_stack(grid, *point)
+            assert np.array(alone).tobytes() == stack[..., k].tobytes()
+            assert [(type(exc), str(exc)) for exc in alone_errors.values()] == \
+                ([(type(errors[k]), str(errors[k]))] if k in errors else [])
 
     @pytest.mark.parametrize("diag, offdiag", [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan)])
     def test_non_finite_entries_are_rejected(self, diag, offdiag):
@@ -443,39 +451,40 @@ class TestContrastVariance:
             half = rng.normal(size=(int(rng.integers(1, 9)), n, n))
             stack = half @ half.swapaxes(-1, -2) * 10.0 ** rng.integers(-3, 4)
             c = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, rng.normal()], size=n)
-            alone = [contrast_variances(c, m[None])[0][0].hex() for m in stack]
-            assert alone == [v.hex() for v in contrast_variances(c, stack)[0].tolist()]
+            alone = [contrast_variances(c, m.tolist())[0].hex() for m in stack]
+            columns = np.moveaxis(stack, 0, -1)
+            assert alone == [v.hex() for v in contrast_variances(c, columns)[0].tolist()]
 
     def test_unit_vector_recovers_variance(self):
         cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
-        var, errors = contrast_variances((1.0, 0.0), cov.matrix[None])
+        var, errors = contrast_variances((1.0, 0.0), cov.matrix.tolist())
         assert errors == {}
-        assert var[0] == pytest.approx(cov.matrix[0, 0])
+        assert var == pytest.approx(cov.matrix[0, 0])
 
     def test_difference_identity_on_symmetric_design(self):
         cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
         assert cov.labels == ("trt1", "trt2")
         expected = 2.0 * (cov.matrix[0, 0] - cov.matrix[0, 1])
-        var, _ = contrast_variances((1.0, -1.0), cov.matrix[None])
-        assert var[0] == pytest.approx(expected, rel=1e-12)
+        var, _ = contrast_variances((1.0, -1.0), cov.matrix.tolist())
+        assert var == pytest.approx(expected, rel=1e-12)
 
     def test_concurrent_beats_factorial_for_treatment_comparison(self):
         cs = std_cs(rho_w=0.15, n=15)
         concurrent = closed_form_covariance(catalog_design("fig2b"), cs)
         factorial = closed_form_covariance(catalog_design("fig5a"), cs, additive=True)
-        matrices = np.stack([concurrent.matrix, factorial.matrix])
-        (v_concurrent, v_factorial), errors = contrast_variances((1.0, -1.0), matrices)
+        columns = np.stack([concurrent.matrix, factorial.matrix], axis=-1)
+        (v_concurrent, v_factorial), errors = contrast_variances((1.0, -1.0), columns)
         assert errors == {}
         assert v_concurrent < v_factorial
 
     def test_bad_contrasts_are_parameter_errors(self):
         cov = closed_form_covariance(catalog_design("fig2b"), std_cs())
         with pytest.raises(ParameterError, match="contrast length 3 does not match"):
-            contrast_variances((1.0, -1.0, 0.0), cov.matrix[None])
-        # a variance that gives no standard error fails its row, not the call
-        _, errors = contrast_variances((1e300, 1e300), cov.matrix[None])
+            contrast_variances((1.0, -1.0, 0.0), cov.matrix.tolist())
+        # a variance that gives no standard error fails its point, not the call
+        _, errors = contrast_variances((1e300, 1e300), cov.matrix.tolist())
         assert "not finite" in str(errors[0])
-        _, errors = contrast_variances((0.0, 0.0), cov.matrix[None])
+        _, errors = contrast_variances((0.0, 0.0), cov.matrix.tolist())
         assert "not positive, got 0" in str(errors[0])
 
     def test_contrast_variance_against_manual_expansion(self):
@@ -486,8 +495,8 @@ class TestContrastVariance:
             manual = sum(
                 c[i] * c[j] * cov.matrix[i, j] for i in range(3) for j in range(3)
             )
-            var, _ = contrast_variances(c, cov.matrix[None])
-            assert var[0] == pytest.approx(manual, rel=1e-12)
+            var, _ = contrast_variances(c, cov.matrix.tolist())
+            assert var == pytest.approx(manual, rel=1e-12)
 
 
 class TestSingleTreatmentReduction:
@@ -740,10 +749,10 @@ def test_exact_estimability_rule(codes, additive, model, n, second, rho_w):
         # a rho_w within about 1e-12 of 1 took the float rule past its limit:
         # the covariance is large but exact, and the closed form solves it
         for k in np.flatnonzero(~well).tolist():
-            labels, matrices, _ = closed_form_stack(grid, diag[k:k + 1], offdiag[k:k + 1],
-                                                    additive)
+            labels, cov, _ = closed_form_stack(grid, diag[k:k + 1], offdiag[k:k + 1], additive)
             cs = CompoundSymmetry(diag[k], offdiag[k])
-            assert max(relative_errors(matrices[0], exact_covariance(grid, cs, labels))) <= 1e-13
+            assert max(relative_errors(np.array(cov)[..., 0],
+                                       exact_covariance(grid, cs, labels))) <= 1e-13
 
 
 def test_the_oracle_keeps_the_condition_limit():
