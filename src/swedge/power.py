@@ -25,6 +25,7 @@ from .variance import (  # noqa: F401
     EFFECT_LABELS,
     RankDeficiencyError,
     _elementwise,
+    _horner,
     _points,
     closed_form_covariance,
     closed_form_stack,
@@ -65,14 +66,6 @@ _FAR_TAIL = (
      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
      5.99832206555887937690e-1, 1.0),
 )
-
-
-def _horner(coefficients, r: float) -> float:
-    """The polynomial of ``coefficients``, highest degree first, at ``r``."""
-    value = coefficients[0]
-    for c in coefficients[1:]:
-        value = value * r + c
-    return value
 
 
 def _critical_value(alpha: float) -> float:

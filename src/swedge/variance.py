@@ -6,25 +6,28 @@ after profiling out the intercept and period effects, as an exact rational
 function of the within and between variances sig_c and sig_a: for two
 integer matrices A and B built from the design's cell codes it is
 I*sig_c*(sig_c + T*sig_a) * adj(sig_c*A + sig_a*B) / det(sig_c*A + sig_a*B),
-Hussey & Hughes (2007) for one treatment.  The coefficients of det and adj
-are computed once per design, exactly, and kept in ``grid.forms``, so a
-point costs a few products and estimability is det(A) != 0.  The dense
-oracle whitens the design by the Cholesky factor L of the cluster
-covariance V and assembles the GLS precision blockwise: the intercept and
-period block, the same for every cluster, is whitened once and counted I
-times, and every cluster's treatment columns are whitened in one product.
-That sharing is linearity of the sum over clusters and holds for any V;
-the oracle uses no compound-symmetry inverse, no profiling algebra and
-none of the closed form's design sums, and exists to verify it.
+Hussey & Hughes (2007) for one treatment.  det and adj are homogeneous, so
+each entry is sig_c times a ratio of two polynomials in the one variable
+r = sig_a/sig_c, whose coefficients are computed once per design, exactly,
+and kept in ``grid.forms``: a point costs a few products and estimability
+is det(A) != 0.  The dense oracle whitens the design by the Cholesky factor
+L of the cluster covariance V and assembles the GLS precision blockwise:
+the intercept and period block, the same for every cluster, is whitened
+once and counted I times, and every cluster's treatment columns are
+whitened in one product.  That sharing is linearity of the sum over
+clusters and holds for any V; the oracle uses no compound-symmetry
+inverse, no profiling algebra and none of the closed form's design sums,
+and exists to verify it.
 
 Both paths take the design grid plus the compound-symmetry entries of the
 cluster-mean covariance, so all three covariance models are handled by
 substituting their effective diagonal/off-diagonal values.
 
 The closed form reads the design's sums from its cells' bytes as Python
-ints, and evaluates a point with plain arithmetic that Python floats and
-numpy arrays answer alike: one point given as floats is solved without
-numpy, and a stack of points as (K,) arrays with the same bits per point.
+ints, and evaluates a point by Horner's rule in r, with no scaling: plain
+arithmetic that Python floats and numpy arrays answer alike, so one point
+given as floats is solved without numpy, and a stack of points as (K,)
+arrays with the same bits per point.
 Either way the covariance is one shape, n rows of n entry columns: entry
 (i, j) is a float for one point and a (K,) array for a stack.  numpy is
 imported on first use by the stacks, by the floating-point diagnosis of a
@@ -225,13 +228,17 @@ def _exact_form(grid: DesignGrid, additive: bool):
     Over those effects, the integer sums of :func:`_design_sums` give
     A = I*G - cols cols' and B = T*A - (I*R - t t'), and the covariance is
     I*sig_c*(sig_c + T*sig_a) * adj(M) / det(M) for M = sig_c*A + sig_a*B.
-    The coefficients of det(M) and of each entry of adj(M), homogeneous
-    polynomials in (sig_c, sig_a), are computed exactly in Python ints and
-    rounded to floats once.  A and B are positive semidefinite, so det(M)
-    and every variance have nonnegative coefficients.  A null vector of A
-    is a combination of the effects that is a period effect, and B
-    annihilates it too: the effects are estimable at every point when
-    det(A) != 0 and at none when det(A) = 0.
+    det(M) and adj(M) are homogeneous in (sig_c, sig_a), of degrees n and
+    n - 1, so entry (i, j) is sig_c * N_ij(r) / det(r) at r = sig_a/sig_c,
+    for det(r) = det(A + r*B) and N_ij(r) = I*(1 + T*r)*adj(A + r*B)_ij.
+    ``form`` is ``(det, numerators)``: the coefficients of det and of each
+    N_ij, highest degree first, computed exactly in Python ints and rounded
+    to floats once.  A and B are positive semidefinite, so det and every
+    variance's numerator have nonnegative coefficients, and det(r) >=
+    det(A) >= 1 for r >= 0.  A null vector of A is a combination of the
+    effects that is a period effect, and B annihilates it too: the effects
+    are estimable at every point when det(A) != 0 and at none when
+    det(A) = 0.
     """
     if additive in grid.forms:
         return grid.forms[additive]
@@ -257,35 +264,38 @@ def _exact_form(grid: DesignGrid, additive: bool):
                 det[k] += x0 * c
                 det[k + 1] += x1 * c
         if det[0]:
-            form = (float(n_clusters), float(n_periods), [float(c) for c in det],
-                    [[[float(c) for c in poly] for poly in row] for row in adj])
+            def floats(poly):  # lowest degree first, as above, to floats highest first
+                return [float(c) for c in reversed(poly)]
+            form = floats(det), [[floats([n_clusters * (c + n_periods * b)
+                                          for c, b in zip([*poly, 0], [0, *poly])])
+                                  for poly in row] for row in adj]
     grid.forms[additive] = labels, form
     return labels, form
 
 
-def _ldexp(x: float, exponent: int) -> float:
-    """``math.ldexp``, but +-inf where the result overflows, as numpy's gives."""
-    try:
-        return math.ldexp(x, exponent)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 # math's stand-ins for the numpy functions the closed form applies to one
 # point; Python float arithmetic never warns, so it needs no error state
-_MATH = SimpleNamespace(frexp=math.frexp, ldexp=_ldexp, sqrt=math.sqrt,
-                        errstate=lambda **_: contextlib.nullcontext())
+_MATH = SimpleNamespace(sqrt=math.sqrt, errstate=lambda **_: contextlib.nullcontext())
 
 
 def _elementwise(x):
-    """numpy for an array ``x``, and :data:`_MATH` for a float: its
-    ``frexp``, ``ldexp`` and ``sqrt`` give the values numpy gives, without
-    loading numpy, and its ``errstate`` does nothing."""
+    """numpy for an array ``x``, and :data:`_MATH` for a float: its ``sqrt``
+    gives the values numpy gives, without loading numpy, and its
+    ``errstate`` does nothing."""
     if isinstance(x, float):
         return _MATH
     import numpy as np
 
     return np
+
+
+def _horner(coefficients, r):
+    """The polynomial of ``coefficients``, highest degree first, at ``r``, a
+    float or an array."""
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * r + c
+    return value
 
 
 def _points(x) -> list:
@@ -304,42 +314,25 @@ def _failed(values: list) -> list[int]:
     return [k for k, good in enumerate(ok) if not good] if False in ok else []
 
 
-def _scaled(diag, offdiag):
-    """``(sig_c, sig_a, e)``: the within and between variances of the
-    compound-symmetry entries times 2**-e, for e the binary exponent of the
-    diagonal, from (K,) arrays or from floats.  The scaling is exact, and
-    finite entries with diag > offdiag >= 0 give a sig_c of at least 2**-54
-    and sig_c + sig_a in [0.5, 1)."""
-    ops = _elementwise(diag)
-    exponent = ops.frexp(diag)[1]
-    sig_a = ops.ldexp(offdiag, -exponent)
-    return ops.ldexp(diag, -exponent) - sig_a, sig_a, exponent
-
-
 def _evaluate(form, diag, offdiag) -> list:
     """The covariance at the K points of the compound-symmetry entries
     ``diag`` and ``offdiag`` as n rows of n entries: (K,) arrays for (K,)
     arrays and floats for floats (K = 1), with the bits of the same point
     either way.
 
-    A point is evaluated at its :func:`_scaled` variances and its covariance
-    multiplied back by 2**e, which keeps every power of (sig_c, sig_a) in
-    range and leaves only a covariance out of range unsolved.  The
-    polynomials are evaluated by explicit products and left-to-right sums,
-    plain arithmetic that floats and numpy arrays answer alike.
+    Each entry is sig_c * N_ij(r) / det(r) at sig_c = diag - offdiag and
+    r = offdiag/sig_c (see :func:`_exact_form`), each polynomial by
+    Horner's rule: plain arithmetic that floats and numpy arrays answer
+    alike, which forms no power of a variance.  Entries with
+    diag > offdiag >= 0 give sig_c > 0 and r < 2**53, and det(r) >= 1, so
+    only a covariance out of range is left unsolved.  sig_c multiplies
+    last, since sig_c / det(r) can underflow where the entry does not.
     """
-    n_clusters, n_periods, det, adj = form
-    sig_c, sig_a, exponent = _scaled(diag, offdiag)
-    low = [1.0]  # the monomials of degree n - 1, sig_c**(n-1) first
-    for _ in range(len(det) - 2):
-        low = [x * sig_c for x in low] + [low[-1] * sig_a]
-    high = [x * sig_c for x in low] + [low[-1] * sig_a]
-    # reduce, not sum: from Python 3.12 sum compensates the rounding of
-    # float additions but not of array additions
-    scale = n_clusters * sig_c * (sig_c + n_periods * sig_a) / reduce(add, map(mul, det, high), 0)
-    ldexp = _elementwise(diag).ldexp
-    return [[ldexp(reduce(add, map(mul, coefs, low), 0) * scale, exponent) for coefs in row]
-            for row in adj]
+    det, numerators = form
+    sig_c = diag - offdiag
+    r = offdiag / sig_c
+    inverse = 1.0 / _horner(det, r)
+    return [[_horner(poly, r) * inverse * sig_c for poly in row] for row in numerators]
 
 
 def _variance_errors(cov: list, diag, offdiag) -> dict:
@@ -422,8 +415,13 @@ def _rank_errors(grid: DesignGrid, labels: tuple[str, ...], diag, offdiag) -> di
     import numpy as np
 
     active = np.array([EFFECT_LABELS.index(label) for label in labels])
-    sig_c, sig_a, _ = _scaled(*np.atleast_1d(diag, offdiag))
-    s = information_stack(grid, sig_c, sig_a)[:, active[:, None], active]
+    # the entries scaled exactly by 2**-e, for e the binary exponent of the
+    # diagonal, which keeps the information matrix's reciprocals in range
+    diag, offdiag = np.atleast_1d(diag, offdiag)
+    exponent = np.frexp(diag)[1]
+    sig_a = np.ldexp(offdiag, -exponent)
+    s = information_stack(grid, np.ldexp(diag, -exponent) - sig_a, sig_a)
+    s = s[:, active[:, None], active]
     eigvals = np.linalg.eigvalsh(s)
     nulls = np.linalg.eigh(s)[1][:, :, 0]
     return {k: RankDeficiencyError(

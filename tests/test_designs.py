@@ -97,6 +97,19 @@ class TestGridStructure:
             DesignGrid(np.array([[0, 1], [1, cell]], dtype=object))
         assert str(info.value) == f"row 2: unknown condition code {cell!r}"
 
+    def test_a_grid_of_numpy_integers_is_read_as_one_buffer(self):
+        # a cell read on its own becomes a Python int through tolist
+        calls = []
+
+        class Code(np.int64):
+            def tolist(self):
+                calls.append(self)
+                return super().tolist()
+
+        grid = DesignGrid([[Code(0), Code(1)], [Code(2), Code(3)]])
+        assert grid.to_codes() == [[0, 1], [2, 3]]
+        assert calls == []
+
     def test_counts_and_indicators(self):
         grid = DesignGrid([[C, T1, B], [C, T2, T2]])
         assert grid.condition_counts() == {C: 2, T1: 1, T2: 2, B: 1}

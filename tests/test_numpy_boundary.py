@@ -77,6 +77,12 @@ def test_importing_swedge_leaves_numpy_unloaded():
     *[(["power", "--design", "fig2b", *flags, *POINT], 0) for flags in MODELS.values()],
     (["power", "--design", "fig2b", "--model", "cs", "--n", "15", "--sigma-alpha-sq", "0.1",
       "--sigma-e-sq", "1", "--delta", "0.4"], 0),
+    # raw components from subnormal to near the float maximum are solved on
+    # floats, and a variance or entries out of range fail there too
+    *[(["power", "--design", "fig2b", "--model", "cs", "--n", n, "--sigma-alpha-sq", alpha,
+        "--sigma-e-sq", e, "--delta", "0.3"], code) for n, alpha, e, code in [
+        ("10", "1e-320", "1e-320", 0), ("10", "1e308", "1e308", 0),
+        ("1", "1e-323", "5e-324", 2), ("1", "1.7e308", "1.7e308", 2)]],
     (["power", "--design", "fig5a", "--additive", *MODELS["cs"], *POINT], 0),
     (["power", "--design", "fig2b", "--contrast", "d=1,-1@0.3", *MODELS["cs"], *POINT], 0),
     *[(["power", "--design", "fig8-design2", *MODELS["nested-cac"], *POINT, "--format", fmt], 0)
