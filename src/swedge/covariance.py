@@ -39,6 +39,13 @@ def _read_float(value):
     return value
 
 
+#: What the cohort and nested exchangeable models add to the cross-sectional
+#: one, by model name: the ICC besides ``rho_w``, the raw variance component,
+#: and the model's name in messages.
+_EXTRAS = {"cohort": ("pi", "sigma_psi_sq", "cohort"),
+           "nested": ("rho_a", "sigma_nu_sq", "nested exchangeable")}
+
+
 class CovarianceModel(Enum):
     CROSS_SECTIONAL = "cs"
     COHORT = "cohort"
@@ -54,10 +61,9 @@ class CovarianceModel(Enum):
 
     @property
     def second_icc(self) -> str | None:
-        """The correlation parameter the model takes besides ``rho_w``:
-        ``"pi"`` for cohort, ``"rho_a"`` for nested exchangeable, ``None``
-        for cross-sectional."""
-        return {"cohort": "pi", "nested": "rho_a"}.get(self.value)
+        """The correlation parameter the model takes besides ``rho_w``, as
+        :data:`_EXTRAS` names it; ``None`` for cross-sectional."""
+        return _EXTRAS.get(self.value, (None,))[0]
 
 
 class RawComponents(Record):
@@ -65,8 +71,9 @@ class RawComponents(Record):
 
     ``sigma_psi_sq`` (individual intercept) applies to the cohort model
     only; ``sigma_nu_sq`` (cluster-period intercept) to the nested
-    exchangeable model only.  Components that do not apply to the selected
-    model must remain zero.
+    exchangeable model only.  :meth:`check_model` holds the components a
+    model does not include at zero, and :meth:`CorrelationSpec.cov_entries`
+    relies on this: it adds every component under every model.
     """
 
     sigma_alpha_sq: float
@@ -94,12 +101,10 @@ class RawComponents(Record):
 
     def check_model(self, model: CovarianceModel) -> None:
         """Reject components that the selected model does not include."""
-        if model is not CovarianceModel.COHORT and self.sigma_psi_sq != 0:
-            raise ParameterError(f"sigma_psi_sq applies to the cohort model only, not {model.value}")
-        if model is not CovarianceModel.NESTED_EXCHANGEABLE and self.sigma_nu_sq != 0:
-            raise ParameterError(
-                f"sigma_nu_sq applies to the nested exchangeable model only, not {model.value}"
-            )
+        for value, (_, component, name) in _EXTRAS.items():
+            if value != model.value and getattr(self, component) != 0:
+                raise ParameterError(
+                    f"{component} applies to the {name} model only, not {model.value}")
 
 
 #: The covariance domain, in the order it is checked: a :class:`CorrelationSpec`
@@ -145,36 +150,37 @@ class CompoundSymmetry(Record):
         _raise_first(self, _ENTRIES)
 
 
-def _entries(model: CovarianceModel, n: float, rho_w, rho_a=None, pi=None):
+def _entries(n: float, rho_w, rho_a=None, pi=None):
     """Diagonal and off-diagonal of the standardized cluster-mean covariance.
 
-    Plain arithmetic, so floats and numpy arrays of ICCs give the same
-    values entry by entry.
+    The model is read from the second ICC given: ``pi`` for cohort,
+    ``rho_a`` for nested exchangeable, neither for cross-sectional.  Plain
+    arithmetic, so floats and numpy arrays of ICCs give the same values
+    entry by entry.
     """
     diag = rho_w + (1.0 - rho_w) / n
-    if model is CovarianceModel.CROSS_SECTIONAL:
-        return diag, rho_w
-    if model is CovarianceModel.COHORT:
+    if pi is not None:
         return diag, rho_w + pi * (1.0 - rho_w) / n
-    return diag, rho_a
+    return diag, rho_w if rho_a is None else rho_a
 
 
-def cluster_cov_stack(model: CovarianceModel, n_per_period: int, rho_w,
-                      rho_a=None, pi=None):
+def cluster_cov_stack(n_per_period: int, rho_w, rho_a=None, pi=None):
     """:meth:`CorrelationSpec.cov_entries` over numpy arrays of ICCs, one
     entry per point.
 
-    ``rho_w`` and the model's second ICC are arrays of one shape.  Returns
-    ``(ok, diag, offdiag, errors)``: a mask of the points that pass every
-    :data:`DOMAIN` check, the entries of those points, in order, with the
-    bits the scalar objects hold, and a map from each other point's index
-    to the error of the first check it fails, the one they raise there.
+    ``rho_w`` and the second ICC, if the model has one, are arrays of one
+    shape; the model is read from the second ICC given, as in
+    :func:`_entries`.  Returns ``(ok, diag, offdiag, errors)``: a mask of
+    the points that pass every :data:`DOMAIN` check, the entries of those
+    points, in order, with the bits the scalar objects hold, and a map from
+    each other point's index to the error of the first check it fails, the
+    one they raise there.
     """
     import numpy as np
 
     ok, errors = np.ones(rho_w.shape, bool), {}
     with np.errstate(invalid="ignore", over="ignore"):  # entries of points outside the domain
-        diag, offdiag = _entries(model, float(n_per_period), rho_w, rho_a=rho_a, pi=pi)
+        diag, offdiag = _entries(float(n_per_period), rho_w, rho_a=rho_a, pi=pi)
         v = SimpleNamespace(rho_w=rho_w, rho_a=rho_a, pi=pi, diag=diag, offdiag=offdiag)
         for fails, error, template in DOMAIN:
             for k in np.flatnonzero(ok & fails(v)).tolist():
@@ -259,17 +265,12 @@ class CorrelationSpec(Record):
         """Compound-symmetry entries of the cluster-mean covariance, in raw
         outcome-variance units for raw components."""
         n = float(self.n_per_period)
-        if not self.is_raw:
-            diag, off = _entries(self.model, n, self.rho_w, rho_a=self.rho_a, pi=self.pi)
-            return CompoundSymmetry(diag=diag, offdiag=off)
         raw = self.raw
-        diag = raw.sigma_alpha_sq + raw.sigma_e_sq / n
-        off = raw.sigma_alpha_sq
-        if self.model is CovarianceModel.COHORT:
-            diag += raw.sigma_psi_sq / n
-            off += raw.sigma_psi_sq / n
-        elif self.model is CovarianceModel.NESTED_EXCHANGEABLE:
-            diag += raw.sigma_nu_sq
+        if raw is None:
+            diag, off = _entries(n, self.rho_w, rho_a=self.rho_a, pi=self.pi)
+        else:  # a component the model lacks is zero
+            diag = raw.sigma_alpha_sq + raw.sigma_e_sq / n + raw.sigma_psi_sq / n + raw.sigma_nu_sq
+            off = raw.sigma_alpha_sq + raw.sigma_psi_sq / n
         return CompoundSymmetry(diag=diag, offdiag=off)
 
     def with_icc(
@@ -288,18 +289,12 @@ class CorrelationSpec(Record):
     def describe(self) -> dict:
         """Flat parameter dictionary for result metadata."""
         info: dict = {"model": self.model.value, "n_per_period": self.n_per_period}
+        icc, component, _ = _EXTRAS.get(self.model.value, (None, None, None))
         if self.is_raw:
-            info["sigma_alpha_sq"] = self.raw.sigma_alpha_sq
-            info["sigma_e_sq"] = self.raw.sigma_e_sq
-            if self.model is CovarianceModel.COHORT:
-                info["sigma_psi_sq"] = self.raw.sigma_psi_sq
-            if self.model is CovarianceModel.NESTED_EXCHANGEABLE:
-                info["sigma_nu_sq"] = self.raw.sigma_nu_sq
+            for name in filter(None, ("sigma_alpha_sq", "sigma_e_sq", component)):
+                info[name] = getattr(self.raw, name)
             info["sigma_y_sq"] = self.raw.total_variance
         else:
-            info["rho_w"] = self.rho_w
-            if self.rho_a is not None:
-                info["rho_a"] = self.rho_a
-            if self.pi is not None:
-                info["pi"] = self.pi
+            for name in filter(None, ("rho_w", icc)):
+                info[name] = getattr(self, name)
         return info

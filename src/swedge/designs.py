@@ -512,7 +512,7 @@ def parse_design(text: str) -> DesignGrid:
             raise DesignError(f"invalid design JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise DesignError("design JSON must be an object with a 'cells' array")
-        if "cells" not in payload:
+        if not isinstance(payload.get("cells"), list):
             raise DesignError("design JSON must contain a 'cells' array")
         label = payload.get("label", "")
         reconstructed = payload.get("reconstructed", False)

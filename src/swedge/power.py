@@ -414,7 +414,7 @@ def sweep(grid: DesignGrid, correlation: CorrelationSpec, effects: EffectSpec,
     import numpy as np
 
     icc = _icc_columns(points, correlation)
-    ok, diag, offdiag, errors = cluster_cov_stack(correlation.model, correlation.n_per_period, **icc)
+    ok, diag, offdiag, errors = cluster_cov_stack(correlation.n_per_period, **icc)
     estimable, cov, solve_errors = closed_form_stack(grid, diag, offdiag,
                                                      additive=effects.additive)
     labels, sizes, se_valid, power_valid, result_errors = _result_columns(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from swedge.covariance import (
     CompoundSymmetry,
@@ -120,6 +122,46 @@ class TestRawCovEntries:
             total = raw.total_variance
             assert raw_cs.diag / total == pytest.approx(std_cs.diag, rel=1e-12)
             assert raw_cs.offdiag / total == pytest.approx(std_cs.offdiag, rel=1e-12, abs=1e-15)
+
+
+# Raw components from zero and the subnormals to near the float maximum.
+components = st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 1e308]),
+                       st.floats(0.0, 1e308))
+# Each model's raw entries as it summed them on its own, term by term, and
+# the component it adds to the cross-sectional model's two.
+PER_MODEL = {
+    CS: (None, lambda a, e, extra, n: (a + e / n, a)),
+    COHORT: ("sigma_psi_sq", lambda a, e, psi, n: (a + e / n + psi / n, a + psi / n)),
+    NESTED: ("sigma_nu_sq", lambda a, e, nu, n: (a + e / n + nu, a)),
+}
+
+
+@given(model=st.sampled_from(list(CovarianceModel)), alpha=components,
+       e=components.filter(lambda e: e > 0), extra=components,
+       n=st.one_of(st.integers(1, 100), st.integers(1, 10**300)))
+@example(model=COHORT, alpha=0.1, e=0.7, extra=0.3, n=3)
+@example(model=NESTED, alpha=0.1, e=0.7, extra=0.3, n=3)
+def test_raw_entries_are_each_models_sums_bit_for_bit(model, alpha, e, extra, n):
+    name, sums = PER_MODEL[model]
+    given_extra = {name: extra} if name else {}
+    raw = RawComponents(sigma_alpha_sq=alpha, sigma_e_sq=e, **given_extra)
+    spec = CorrelationSpec(model=model, n_per_period=n, raw=raw)
+    info = spec.describe()
+    assert list(info) == ["model", "n_per_period", "sigma_alpha_sq", "sigma_e_sq",
+                          *given_extra, "sigma_y_sq"]
+    assert info == {"model": model.value, "n_per_period": n, "sigma_alpha_sq": alpha,
+                    "sigma_e_sq": e, **given_extra, "sigma_y_sq": raw.total_variance}
+    diag, offdiag = sums(alpha, e, extra, float(n))
+    try:
+        expected = CompoundSymmetry(diag, offdiag)
+    except ParameterError as exc:
+        with pytest.raises(type(exc)) as raised:
+            spec.cov_entries()
+        assert str(raised.value) == str(exc)
+        return
+    entries = spec.cov_entries()
+    assert (entries.diag.hex(), entries.offdiag.hex()) == \
+        (expected.diag.hex(), expected.offdiag.hex())
 
 
 class TestDomains:

@@ -110,6 +110,11 @@ class TestGridStructure:
         assert grid.to_codes() == [[0, 1], [2, 3]]
         assert calls == []
 
+    def test_zero_dimensional_arrays_are_read_cell_by_cell(self):
+        # a 0-d array is no numpy integer, so its grid is read a cell at a time
+        cells = [[np.array(0), np.array(1)], [np.array(0), np.array(1)]]
+        assert DesignGrid(cells) == DesignGrid([[0, 1], [0, 1]])
+
     def test_counts_and_indicators(self):
         grid = DesignGrid([[C, T1, B], [C, T2, T2]])
         assert grid.condition_counts() == {C: 2, T1: 1, T2: 2, B: 1}

@@ -108,6 +108,10 @@ FIG1 = catalog_design("fig1")
      ParameterError, "the cohort model requires pi"),
     (lambda: CorrelationSpec(model=CS, n_per_period=10, rho_w=0.1, pi=0.5),
      ParameterError, "pi does not apply to the cs model"),
+    (lambda: CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=10,
+                             raw=RawComponents(sigma_alpha_sq=0.1, sigma_e_sq=1.0,
+                                               sigma_nu_sq=0.2)),
+     ParameterError, "sigma_nu_sq applies to the nested exchangeable model only, not cohort"),
     (lambda: DesignGrid([[0, [1]], [0, 1]]), DesignError, "row 1: unknown condition code [1]"),
     (lambda: FIG1.permute_clusters([0, 0, 1, 2, 3, 4]), DesignError,
      "cluster permutation must reorder all rows exactly once"),
@@ -120,6 +124,10 @@ FIG1 = catalog_design("fig1")
      "invalid design JSON: Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1)"),
     (lambda: parse_design('{"label": "x"}'), DesignError,
+     "design JSON must contain a 'cells' array"),
+    (lambda: parse_design('{"cells": "0101"}'), DesignError,
+     "design JSON must contain a 'cells' array"),
+    (lambda: parse_design('{"cells": {"a": [0, 1]}}'), DesignError,
      "design JSON must contain a 'cells' array"),
     (lambda: ContrastSpec(label="", weights=(1.0, -1.0)), ParameterError,
      "contrast needs a label"),

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import swedge
+from swedge.cli import main
 from swedge.designs import catalog_design, serialize_design
 
 # The modules a one-point call has no use for, json among them unless it
@@ -83,6 +84,10 @@ def test_importing_swedge_leaves_numpy_unloaded():
         "--sigma-e-sq", e, "--delta", "0.3"], code) for n, alpha, e, code in [
         ("10", "1e-320", "1e-320", 0), ("10", "1e308", "1e308", 0),
         ("1", "1e-323", "5e-324", 2), ("1", "1.7e308", "1.7e308", 2)]],
+    # the component each model adds to the cross-sectional one
+    *[(["power", "--design", "fig2b", "--model", model, "--n", "10", "--sigma-alpha-sq", "0.1",
+        "--sigma-e-sq", "1", flag, "0.2", "--delta", "0.3"], 0)
+      for model, flag in [("cohort", "--sigma-psi-sq"), ("nested", "--sigma-nu-sq")]],
     (["power", "--design", "fig5a", "--additive", *MODELS["cs"], *POINT], 0),
     (["power", "--design", "fig2b", "--contrast", "d=1,-1@0.3", *MODELS["cs"], *POINT], 0),
     *[(["power", "--design", "fig8-design2", *MODELS["nested-cac"], *POINT, "--format", fmt], 0)
@@ -99,6 +104,15 @@ def test_importing_swedge_leaves_numpy_unloaded():
 def test_one_point_commands_do_not_load_numpy(design_files, argv, code):
     reads_or_writes_json = any(arg.endswith("json") for arg in argv)
     assert _run(CLI, *argv, cwd=design_files) == (code, {"json"} if reads_or_writes_json else set())
+
+
+def test_a_component_the_model_lacks_fails_without_numpy(capsys):
+    argv = ["power", "--design", "fig2b", "--model", "cs", "--n", "10", "--sigma-alpha-sq", "0.1",
+            "--sigma-e-sq", "1", "--sigma-psi-sq", "0.2", "--delta", "0.3"]
+    assert _run(CLI, *argv) == (2, set())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: sigma_psi_sq applies to the cohort model only, not cs\n"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -141,7 +141,7 @@ def test_correlation_spec_raises_exactly_when_a_rule_is_broken(model, n, rho_w, 
     assert kept == {name: None if v is None else float(v) for name, v in given.items()}
     assert all(type(v) is float for v in kept.values() if v is not None)
     ok, diag, offdiag, errors = cluster_cov_stack(
-        model, n, **{name: np.array([float(v)]) for name, v in given.items() if v is not None})
+        n, **{name: np.array([float(v)]) for name, v in given.items() if v is not None})
     try:
         cs = spec.cov_entries()
     except ParameterError as exc:

@@ -222,7 +222,7 @@ def test_covariance_masks_match_the_scalar_checks(template, rho_w, second):
     rho_w = [v if isinstance(v, float) else 0.5 for v in rho_w]
     second = [v if isinstance(v, float) else 0.5 for v in second][:len(rho_w)]
     extra = {model.second_icc: np.array(second)} if model.second_icc else {}
-    ok, diag, offdiag, errors = cluster_cov_stack(model, template.n_per_period,
+    ok, diag, offdiag, errors = cluster_cov_stack(template.n_per_period,
                                                   np.array(rho_w), **extra)
     entries = []
     for k, r in enumerate(rho_w):
@@ -253,7 +253,7 @@ def test_label_swap_permutes_the_batched_covariance_bit_exactly(seed, template, 
         if model.second_icc else {}
     if model.second_icc == "rho_a":
         extra["rho_a"] = np.minimum(extra["rho_a"], rho_w)
-    _, diag, offdiag, _ = cluster_cov_stack(model, template.n_per_period, np.array(rho_w),
+    _, diag, offdiag, _ = cluster_cov_stack(template.n_per_period, np.array(rho_w),
                                             **extra)
     labels, cov, errors = closed_form_stack(grid, diag, offdiag, additive)
     swapped_labels, swapped, swapped_errors = closed_form_stack(

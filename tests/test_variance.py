@@ -727,7 +727,7 @@ def test_exact_estimability_rule(codes, additive, model, n, second, rho_w):
     rho_w = np.array(rho_w)
     iccs = {"pi": np.full(len(rho_w), second)} if model is CovarianceModel.COHORT else \
         {"rho_a": second * rho_w} if model is CovarianceModel.NESTED_EXCHANGEABLE else {}
-    _, diag, offdiag, _ = cluster_cov_stack(model, n, rho_w, **iccs)
+    _, diag, offdiag, _ = cluster_cov_stack(n, rho_w, **iccs)
     if not labels or not len(diag):
         return
     _, _, errors = closed_form_stack(grid, diag, offdiag, additive)
