@@ -173,7 +173,7 @@ def _read_design(spec: str) -> DesignGrid:
         # utf-8-sig drops the byte-order mark spreadsheet exports often write
         with open(spec, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read design file {spec!r}: {exc}") from None
     try:
         grid = parse_design(text)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from enum import Enum
 from types import SimpleNamespace
 
@@ -30,7 +31,12 @@ class SingularCovarianceError(ParameterError):
 def _read_float(value):
     """A real number ``value`` as a Python float, so that numpy float32 and
     float16 values are checked and solved in double precision, as a sweep
-    reads them; anything else, a string say, as it is, to fail as it did."""
+    reads them; a Python or numpy bool, which a sweep grid rejects too,
+    raises :class:`ParameterError`; anything else, a string say, is kept
+    as it is, to fail as it did."""
+    np = sys.modules.get("numpy")  # an input holds a numpy bool only once numpy is loaded
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+        raise ParameterError(f"a bool is not a number, got {value!r}")
     if type(value) is not float and isinstance(value, numbers.Real):
         try:
             return float(value)

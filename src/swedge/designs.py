@@ -18,6 +18,7 @@ views the dense oracle and the tests read, import it.
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections.abc import Sequence
 from functools import cache, cached_property
@@ -180,7 +181,10 @@ class DesignGrid(Record):
                      self.reconstructed)
 
     def permute_clusters(self, order: Sequence[int]) -> "DesignGrid":
-        order = list(order)
+        try:  # an int or numpy integer; 1.0 == 1 would pass the check below
+            order = list(map(operator.index, order))
+        except TypeError:
+            raise DesignError("cluster permutation must be a sequence of row indices") from None
         if sorted(order) != list(range(self.n_clusters)):
             raise DesignError("cluster permutation must reorder all rows exactly once")
         t = self.n_periods
@@ -508,7 +512,7 @@ def parse_design(text: str) -> DesignGrid:
 
         try:
             payload = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for the parser
             raise DesignError(f"invalid design JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise DesignError("design JSON must be an object with a 'cells' array")

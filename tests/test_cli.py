@@ -867,6 +867,18 @@ class TestCatalogAndValidate:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: invalid design file"), err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"0,1\n0,\xff\n", "error: cannot read design file"),  # not UTF-8
+        (b"[" * 200_000 + b"]" * 200_000, "error: invalid design file"),  # too deep to parse
+    ], ids=["undecodable", "deeply nested"])
+    def test_unreadable_design_file_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "design.txt"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "validate", "--design", str(path))
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), err
+
     def test_every_catalog_design_passes_validate(self, capsys):
         from swedge.designs import catalog_ids
 

@@ -6,10 +6,12 @@ in exactly one spelling (model names, ``--rho-values``, contrast labels,
 the catalog's format flag).
 """
 
+import numpy as np
 import pytest
 
 from swedge.cli import main
 from swedge.covariance import (
+    CompoundSymmetry,
     CorrelationSpec,
     CovarianceModel,
     ParameterError,
@@ -115,6 +117,8 @@ FIG1 = catalog_design("fig1")
     (lambda: DesignGrid([[0, [1]], [0, 1]]), DesignError, "row 1: unknown condition code [1]"),
     (lambda: FIG1.permute_clusters([0, 0, 1, 2, 3, 4]), DesignError,
      "cluster permutation must reorder all rows exactly once"),
+    (lambda: FIG1.permute_clusters([float(k) for k in range(6)]), DesignError,
+     "cluster permutation must be a sequence of row indices"),
     (lambda: generate_standard_swd(0, 1), DesignError, "need at least one sequence"),
     (lambda: generate_standard_swd(1, 0), DesignError, "need at least one cluster per sequence"),
     (lambda: serialize_design(FIG1, fmt="xml"), DesignError, "unknown design format 'xml'"),
@@ -123,6 +127,9 @@ FIG1 = catalog_design("fig1")
     (lambda: parse_design("{"), DesignError,
      "invalid design JSON: Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1)"),
+    (lambda: parse_design("[" * 200_000 + "]" * 200_000), DesignError,
+     "invalid design JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
     (lambda: parse_design('{"label": "x"}'), DesignError,
      "design JSON must contain a 'cells' array"),
     (lambda: parse_design('{"cells": "0101"}'), DesignError,
@@ -140,3 +147,34 @@ def test_library_input_error(call, kind, message):
         call()
     assert type(info.value) is kind
     assert info.value.args[0] == message
+
+
+#: Every spec field read as a float, each taking a bool ``b`` beside valid values.
+FLOAT_FIELDS = {
+    "rho_w": lambda b: CorrelationSpec(model=CS, n_per_period=10, rho_w=b),
+    "rho_a": lambda b: CorrelationSpec(model=CovarianceModel.NESTED_EXCHANGEABLE,
+                                       n_per_period=10, rho_w=0.1, rho_a=b),
+    "pi": lambda b: CorrelationSpec(model=CovarianceModel.COHORT, n_per_period=10,
+                                    rho_w=0.1, pi=b),
+    "sigma_alpha_sq": lambda b: RawComponents(sigma_alpha_sq=b, sigma_e_sq=1.0),
+    "sigma_e_sq": lambda b: RawComponents(sigma_alpha_sq=0.1, sigma_e_sq=b),
+    "sigma_psi_sq": lambda b: RawComponents(sigma_alpha_sq=0.1, sigma_e_sq=1.0, sigma_psi_sq=b),
+    "sigma_nu_sq": lambda b: RawComponents(sigma_alpha_sq=0.1, sigma_e_sq=1.0, sigma_nu_sq=b),
+    "diag": lambda b: CompoundSymmetry(diag=b, offdiag=0.1),
+    "offdiag": lambda b: CompoundSymmetry(diag=2.0, offdiag=b),
+    "delta1": lambda b: EffectSpec(delta1=b),
+    "delta2": lambda b: EffectSpec(delta2=b),
+    "delta3": lambda b: EffectSpec(delta3=b),
+    "alpha": lambda b: EffectSpec(delta1=0.3, alpha=b),
+    "contrast weight": lambda b: ContrastSpec(label="c", weights=(b, -1.0)),
+    "contrast effect": lambda b: ContrastSpec(label="c", weights=(1.0, -1.0), effect=b),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy bool"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_a_bool_is_not_a_number(field, value):
+    # a sweep grid holding a bool is rejected too
+    with pytest.raises(ParameterError) as info:
+        FLOAT_FIELDS[field](value)
+    assert info.value.args[0] == f"a bool is not a number, got {value!r}"
