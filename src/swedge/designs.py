@@ -181,7 +181,12 @@ class DesignGrid(Record):
                      self.reconstructed)
 
     def permute_clusters(self, order: Sequence[int]) -> "DesignGrid":
-        try:  # an int or numpy integer; 1.0 == 1 would pass the check below
+        np = sys.modules.get("numpy")  # an order holds a numpy bool only once numpy is loaded
+        bools = bool if np is None else (bool, np.bool_)
+        try:  # ints or numpy integers, not bools; 1.0 == 1 would pass the check below
+            order = list(order)
+            if any(isinstance(k, bools) for k in order):
+                raise TypeError
             order = list(map(operator.index, order))
         except TypeError:
             raise DesignError("cluster permutation must be a sequence of row indices") from None
@@ -288,144 +293,27 @@ def concurrent_design(grid_a: DesignGrid, grid_b: DesignGrid, label: str = "") -
 # Design catalog
 # ---------------------------------------------------------------------------
 
-def _fig1() -> DesignGrid:
-    return generate_standard_swd(3, 2, label="fig1")
-
-
-def _fig2a_trt1() -> DesignGrid:
-    return generate_standard_swd(3, 2, label="fig2a-trt1")
-
-
-def _fig2a_trt2() -> DesignGrid:
-    return generate_standard_swd(3, 2, treatment=2, label="fig2a-trt2")
-
-
-def _fig2b() -> DesignGrid:
-    return concurrent_design(_fig2a_trt1(), _fig2a_trt2(), label="fig2b")
-
-
-def _fig2c() -> DesignGrid:
-    # 10-cluster concurrent variant: one cluster dropped from the last
-    # sequence of each treatment's wedge.  Rebuilt from summary counts.
-    rows = [
-        [0, 1, 1, 1],
-        [0, 1, 1, 1],
-        [0, 0, 1, 1],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
-        [0, 2, 2, 2],
-        [0, 2, 2, 2],
-        [0, 0, 2, 2],
-        [0, 0, 2, 2],
-        [0, 0, 0, 2],
-    ]
-    return DesignGrid(rows, label="fig2c", reconstructed=True)
-
-
-def _fig5a() -> DesignGrid:
-    # Late factorial: the 12-cluster concurrent design with every cluster
-    # switched to the combined condition in the final period.
-    rows = [row[:-1] + [3] for row in _fig2b().to_codes()]
-    return DesignGrid(rows, label="fig5a")
-
-
-def _fig5b() -> DesignGrid:
-    # Earlier factorial, 10 clusters: two clusters adopt the combined
-    # condition straight from control in period 3, the rest in period 4
-    # after a single-treatment phase.  Rebuilt from summary counts (6
-    # cluster-periods per single treatment, 12 combined).
-    rows = [
-        [0, 0, 3, 3],
-        [0, 0, 3, 3],
-        [0, 1, 1, 3],
-        [0, 1, 1, 3],
-        [0, 1, 1, 3],
-        [0, 2, 2, 3],
-        [0, 2, 2, 3],
-        [0, 2, 2, 3],
-        [0, 0, 0, 3],
-        [0, 0, 0, 3],
-    ]
-    return DesignGrid(rows, label="fig5b", reconstructed=True)
-
-
-def _fig8_design1() -> DesignGrid:
-    # Concurrent-style: each cluster makes a single transition from
-    # control into one condition (including straight to combined).
-    rows = [
-        [0, 1, 1, 1, 1],
-        [0, 0, 1, 1, 1],
-        [0, 2, 2, 2, 2],
-        [0, 0, 2, 2, 2],
-        [0, 3, 3, 3, 3],
-        [0, 0, 3, 3, 3],
-        [0, 0, 0, 3, 3],
-        [0, 0, 0, 0, 3],
-    ]
-    return DesignGrid(rows, label="fig8-design1", reconstructed=True)
-
-
-def _fig8_design2() -> DesignGrid:
-    # Three clusters run control -> treatment 1 -> combined, three run
-    # control -> treatment 2 -> combined, two adopt a single treatment
-    # late.  Close to symmetric, with treatment 2 sequenced slightly later.
-    rows = [
-        [0, 1, 3, 3, 3],
-        [0, 1, 1, 1, 3],
-        [0, 0, 1, 1, 3],
-        [0, 0, 2, 3, 3],
-        [0, 2, 2, 3, 3],
-        [0, 0, 2, 2, 3],
-        [0, 0, 0, 0, 1],
-        [0, 0, 0, 2, 2],
-    ]
-    return DesignGrid(rows, label="fig8-design2", reconstructed=True)
-
-
-def _fig8_design3() -> DesignGrid:
-    # Six clusters step into a single treatment classic-wedge style; every
-    # cluster ends combined, with only two combined cells before the end.
-    rows = [
-        [0, 1, 1, 1, 3],
-        [0, 0, 1, 1, 3],
-        [0, 0, 1, 1, 3],
-        [0, 2, 2, 2, 3],
-        [0, 0, 2, 2, 3],
-        [0, 0, 2, 2, 3],
-        [0, 0, 0, 3, 3],
-        [0, 0, 0, 3, 3],
-    ]
-    return DesignGrid(rows, label="fig8-design3", reconstructed=True)
-
-
-def _fig8_design4() -> DesignGrid:
-    # Like design 3 but with earlier combined starts and two clusters that
-    # never reach the combined condition.
-    rows = [
-        [0, 1, 3, 3, 3],
-        [0, 0, 1, 1, 3],
-        [0, 0, 0, 1, 3],
-        [0, 0, 1, 1, 1],
-        [0, 2, 3, 3, 3],
-        [0, 0, 2, 2, 3],
-        [0, 0, 0, 2, 3],
-        [0, 0, 2, 2, 2],
-    ]
-    return DesignGrid(rows, label="fig8-design4", reconstructed=True)
-
-
+# Each published layout: its rows of cell codes, a digit per period, and whether it
+# was rebuilt from published summary counts rather than copied cell-for-cell.
 _CATALOG = {
-    "fig1": _fig1,
-    "fig2a-trt1": _fig2a_trt1,
-    "fig2a-trt2": _fig2a_trt2,
-    "fig2b": _fig2b,
-    "fig2c": _fig2c,
-    "fig5a": _fig5a,
-    "fig5b": _fig5b,
-    "fig8-design1": _fig8_design1,
-    "fig8-design2": _fig8_design2,
-    "fig8-design3": _fig8_design3,
-    "fig8-design4": _fig8_design4,
+    "fig1": ("0111 0111 0011 0011 0001 0001", False),
+    "fig2a-trt1": ("0111 0111 0011 0011 0001 0001", False),
+    "fig2a-trt2": ("0222 0222 0022 0022 0002 0002", False),
+    "fig2b": ("0111 0111 0011 0011 0001 0001 0222 0222 0022 0022 0002 0002", False),
+    # fig2b less one cluster from the last sequence of each wedge
+    "fig2c": ("0111 0111 0011 0011 0001 0222 0222 0022 0022 0002", True),
+    # late factorial: fig2b with every cluster combined in the final period
+    "fig5a": ("0113 0113 0013 0013 0003 0003 0223 0223 0023 0023 0003 0003", False),
+    # two clusters combined from period 3, the rest from period 4: 6 cells per treatment, 12 both
+    "fig5b": ("0033 0033 0113 0113 0113 0223 0223 0223 0003 0003", True),
+    # each cluster makes one transition, from control into one condition
+    "fig8-design1": ("01111 00111 02222 00222 03333 00333 00033 00003", True),
+    # three clusters via each treatment to combined, two take one treatment late
+    "fig8-design2": ("01333 01113 00113 00233 02233 00223 00001 00022", True),
+    # single-treatment wedges that all end combined, two combined cells before the end
+    "fig8-design3": ("01113 00113 00113 02223 00223 00223 00033 00033", True),
+    # like design 3 with earlier combined starts; two clusters never combined
+    "fig8-design4": ("01333 00113 00013 00111 02333 00223 00023 00222", True),
 }
 
 
@@ -444,10 +332,10 @@ def catalog_design(design_id: str) -> DesignGrid:
     or :meth:`~DesignGrid.permute_clusters`.
     """
     try:
-        builder = _CATALOG[design_id]
+        rows, reconstructed = _CATALOG[design_id]
     except KeyError:
         raise UnknownDesignError(design_id) from None
-    return builder()
+    return DesignGrid([list(map(int, row)) for row in rows.split()], design_id, reconstructed)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +452,8 @@ def _parse_row(lineno: int, line: str) -> list[int]:
     cells = []
     for tok in line.split(","):
         tok = tok.strip()
-        try:
-            cells.append(int(tok))
-        except ValueError:
-            raise DesignError(f"line {lineno}: bad cell value {tok!r}") from None
+        digits = tok[1:] if tok[:1] in ("+", "-") else tok
+        if not (digits.isascii() and digits.isdigit()):  # int() reads '1_0' and '١' too
+            raise DesignError(f"line {lineno}: bad cell value {tok!r}")
+        cells.append(int(tok))
     return cells

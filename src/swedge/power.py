@@ -36,6 +36,13 @@ from .variance import (  # noqa: F401
 DEFAULT_RHO_GRID = tuple(round(0.001 * k, 3) for k in range(1, 301))
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise for an alpha in (0, 1) too small to have a critical value."""
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
+                             "which has no normal quantile")
+
+
 def _critical_value(alpha: float) -> float:
     """Critical value z of the two-sided test at level ``alpha`` in (0, 1):
     the root of Q(z) = alpha/2 for the upper normal tail Q(z) =
@@ -50,9 +57,7 @@ def _critical_value(alpha: float) -> float:
     alphas from 2**-53 to 1 - 2**-53; of 16,000 log-uniform alphas in
     [1e-15, 1), 51-52 % were correctly rounded and none was 3 ulps off.
     """
-    if 1.0 - alpha / 2.0 == 1.0:
-        raise ParameterError(f"alpha {alpha:g} is too small: 1 - alpha/2 rounds to 1, "
-                             "which has no normal quantile")
+    _check_alpha(alpha)
     p, root2 = alpha / 2.0, math.sqrt(2.0)
     z = math.sqrt(-2.0 * math.log(alpha))
     for _ in range(5):
@@ -173,7 +178,7 @@ class EffectSpec(Record):
                              contrasts=tuple(contrasts), additive=bool(additive))
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
-        _critical_value(self.alpha)  # raises for an alpha too small to have one
+        _check_alpha(self.alpha)
         for label, delta in self.deltas().items():
             if not math.isfinite(delta):
                 raise ParameterError(f"effect size for {label} must be finite, got {delta}")
@@ -264,7 +269,9 @@ def _result_columns(effects: EffectSpec, labels: tuple[str, ...], cov, m: int):
                         raise ParameterError(
                             f"contrast {spec.label!r} has no explicit effect size and no "
                             f"effect size was given for {label}")
-                size = sum(w * deltas[label] for w, label in pairs)
+                size = 0  # summed left to right: from Python 3.12 sum() compensates
+                for w, label in pairs:
+                    size += w * deltas[label]
                 if not math.isfinite(size):
                     raise ParameterError(f"contrast {spec.label!r} effect size is not finite")
             sizes.append(size)

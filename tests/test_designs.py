@@ -424,6 +424,35 @@ class TestCatalog:
         never = [row for row in grid.to_codes() if B not in row]
         assert len(never) == 2
 
+    # the table's layouts keep the relations between the published figures
+    @pytest.mark.parametrize("design_id, treatment",
+                             [("fig1", T1), ("fig2a-trt1", T1), ("fig2a-trt2", T2)])
+    def test_the_wedges_are_the_standard_layout(self, design_id, treatment):
+        assert catalog_design(design_id) == \
+            generate_standard_swd(3, 2, treatment).relabel(design_id)
+
+    def test_fig2b_stacks_the_two_wedges_of_fig2a(self):
+        stacked = concurrent_design(catalog_design("fig2a-trt1"), catalog_design("fig2a-trt2"))
+        assert catalog_design("fig2b") == stacked.relabel("fig2b")
+
+    def test_fig5a_is_fig2b_combined_in_the_final_period(self):
+        rows = [row[:-1] + [B] for row in catalog_design("fig2b").to_codes()]
+        assert catalog_design("fig5a") == DesignGrid(rows, label="fig5a")
+
+    def test_the_reconstructed_layouts(self):
+        assert [i for i in catalog_ids() if catalog_design(i).reconstructed] == \
+            ["fig2c", "fig5b", "fig8-design1", "fig8-design2", "fig8-design3", "fig8-design4"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0141 0111", "row 1: unknown condition code 4"),
+        ("0111 011", "ragged design: row lengths [3, 4]"),
+    ])
+    def test_a_bad_table_entry_fails_on_first_use(self, rows, message, monkeypatch):
+        monkeypatch.setitem(designs._CATALOG, "typo", (rows, False))
+        with pytest.raises(DesignError) as info:
+            catalog_design("typo")
+        assert str(info.value) == message
+
     def test_every_catalog_design_validates_cleanly(self):
         for design_id in catalog_ids():
             assert validate_design(catalog_design(design_id)) == []
@@ -479,6 +508,9 @@ class TestSerialization:
         ("0,1\n0,x", "line 2: bad cell value 'x'"),
         ("# swedge-design v1 label=a\n\n0,1\n0,1.0", "line 4: bad cell value '1.0'"),
         ("0,1\n0,", "line 2: bad cell value ''"),
+        ("0,\u0661\n0,1\n", "line 1: bad cell value '\u0661'"),
+        ("0,1_0\n0,1", "line 1: bad cell value '1_0'"),
+        ("0,+4\n0,0", "row 1: unknown condition code 4"),
         ("0,1\n0,4", "row 2: unknown condition code 4"),
         ("0,-1\n0,0", "row 1: unknown condition code -1"),
         ("0,99999999999999999999\n0,0", "row 1: unknown condition code 99999999999999999999"),

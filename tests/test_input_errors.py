@@ -119,6 +119,10 @@ FIG1 = catalog_design("fig1")
      "cluster permutation must reorder all rows exactly once"),
     (lambda: FIG1.permute_clusters([float(k) for k in range(6)]), DesignError,
      "cluster permutation must be a sequence of row indices"),
+    (lambda: FIG1.permute_clusters([False, True, 2, 3, 4, 5]), DesignError,
+     "cluster permutation must be a sequence of row indices"),
+    (lambda: FIG1.permute_clusters([np.False_, np.True_, 2, 3, 4, 5]), DesignError,
+     "cluster permutation must be a sequence of row indices"),
     (lambda: generate_standard_swd(0, 1), DesignError, "need at least one sequence"),
     (lambda: generate_standard_swd(1, 0), DesignError, "need at least one cluster per sequence"),
     (lambda: serialize_design(FIG1, fmt="xml"), DesignError, "unknown design format 'xml'"),

@@ -74,6 +74,17 @@ def test_importing_swedge_leaves_numpy_unloaded():
     assert _run(f"import sys, swedge, swedge.cli\nprint(0)\n{LOADED}") == (0, set())
 
 
+def test_a_permuted_grid_leaves_numpy_unloaded():
+    # the bool check on the order finds numpy only if a caller loaded it
+    script = f"""
+import sys
+from swedge import catalog_design
+print(catalog_design("fig1").permute_clusters(range(5, -1, -1)).to_codes())
+{LOADED}
+"""
+    assert _run(script) == (catalog_design("fig1").to_codes()[::-1], set())
+
+
 @pytest.mark.parametrize("argv, code", [
     *[(["power", "--design", "fig2b", *flags, *POINT], 0) for flags in MODELS.values()],
     (["power", "--design", "fig2b", "--model", "cs", "--n", "15", "--sigma-alpha-sq", "0.1",

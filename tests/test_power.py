@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from designgen import random_correlation, random_grid, random_raw_components
+from swedge import power
 from swedge.covariance import (
     CompoundSymmetry,
     CorrelationSpec,
@@ -179,6 +180,19 @@ class TestEffectSpec:
     def test_alpha_domain(self):
         with pytest.raises(ParameterError):
             EffectSpec(delta1=0.4, alpha=0.0)
+
+    def test_one_point_solves_for_the_critical_value_once(self, monkeypatch):
+        calls = []
+
+        def counting(alpha):
+            calls.append(alpha)
+            return _critical_value(alpha)
+
+        monkeypatch.setattr(power, "_critical_value", counting)
+        design_power(catalog_design("fig2b"), cs_spec(), EffectSpec(delta1=0.4, alpha=0.01))
+        assert calls == [0.01]
+        wald_power(0.4, 0.1, 0.02)
+        assert calls == [0.01, 0.02]
 
     def test_additive_conflicts_with_interaction_size(self):
         with pytest.raises(ParameterError):
