@@ -14,6 +14,12 @@ cell, and everything here works on those bytes in plain Python, so
 building, checking and reading a design does not load numpy.  Only
 :attr:`DesignGrid.codes` and :meth:`DesignGrid.indicators`, the array
 views the dense oracle and the tests read, import it.
+
+A design file in the form :func:`serialize_design` writes, CSV rows of
+single digits or the JSON text, is read as one byte buffer: one
+``translate`` checks its rows and another gives the codes.  Any other
+layout is decoded in full, CSV line by line and JSON by ``json.loads``,
+with the same results and error messages.
 """
 
 from __future__ import annotations
@@ -398,6 +404,9 @@ def parse_design(text: str) -> DesignGrid:
     if stripped.startswith(("{", "[")):
         import json
 
+        grid = _read_serialized_json(stripped)
+        if grid is not None:
+            return grid
         try:
             payload = json.loads(stripped)
         except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for the parser
@@ -415,20 +424,70 @@ def parse_design(text: str) -> DesignGrid:
     head = 0  # the comment lines that open the file, its header among them
     while head < len(lines) and lines[head].startswith("#"):
         head += 1
-    # Rows each exactly [0-3](,[0-3])* of one width after those lines are
-    # read as one buffer, a row of it per line and its "\n"; any other text
-    # is read line by line and cell by cell.
-    count = len(lines) - head
-    width = len(lines[head]) + 1 if count else 0
+    # the rows after those lines, a row per line, each with its "\n"
     body = ("\n".join(lines[head:]) + "\n").encode("ascii", "replace")
-    if width >= 4 and width % 2 == 0 and len(body) == count * width \
-            and body[1::2] == (b"," * (width // 2 - 1) + b"\n") * count \
-            and not body[::2].translate(None, b"0123"):
+    read = _read_rows(body, b"", b",", b"\n")
+    if read is not None:
         label, reconstructed, _ = _read_lines(lines[:head])
-        return _grid(body[::2].translate(_DIGITS), width // 2, label, reconstructed)
+        return _grid(*read, label, reconstructed)
     label, reconstructed, rows = _read_lines(lines)
     codes = [_parse_row(lineno, line) for lineno, line in rows]
     return DesignGrid(codes, label=label, reconstructed=reconstructed)
+
+
+# The translation of design-file bytes that makes every digit 0-3 a "0" and
+# leaves every other byte, so a row of cells reads as its delimiters and
+# "0"s; "?", which a non-ASCII character encodes to, is no digit.
+_SKELETON = bytes.maketrans(b"123", b"000")
+
+
+def _read_rows(body: bytes, opening: bytes, sep: bytes, closing: bytes):
+    """``(cells, periods)`` of ``body`` when it is rows of one width, each
+    exactly ``opening + d (sep d)* + closing`` for digits d 0-3 and at
+    least 2 periods, read as one buffer; else None.
+    """
+    # the bytes of the first row; when ``body`` holds no ``closing``, periods < 2
+    width = body.find(closing) + len(closing)
+    periods, rest = divmod(width - len(opening) - len(closing) + len(sep), len(sep) + 1)
+    if periods < 2 or rest or len(body) % width:
+        return None
+    row = opening + sep.join([b"0"] * periods) + closing
+    if body.translate(_SKELETON) != row * (len(body) // width):
+        return None
+    return body.translate(_DIGITS, opening + sep + closing), periods
+
+
+# The JSON text serialize_design writes, json.dumps with its default
+# separators: the label, then the cells, then the flag only when it is set.
+_JSON_LABEL = '{"label": "'
+_JSON_CELLS = ', "cells": ['
+_JSON_END = "]}"
+_JSON_RECONSTRUCTED_END = '], "reconstructed": true}'
+
+
+def _read_serialized_json(text: str) -> DesignGrid | None:
+    """The grid of JSON ``text`` in the exact form :func:`serialize_design`
+    writes, its cells read as one buffer by :func:`_read_rows`; else None,
+    for the decoder to read ``text`` and name any error.  The label is
+    decoded by the ``json`` module, escapes and all."""
+    if not text.startswith(_JSON_LABEL):
+        return None
+    import json
+
+    try:
+        label, end = json.JSONDecoder().raw_decode(text, len(_JSON_LABEL) - 1)
+    except json.JSONDecodeError:
+        return None
+    if not text.startswith(_JSON_CELLS, end):
+        return None
+    reconstructed = text.endswith(_JSON_RECONSTRUCTED_END)
+    if not reconstructed and not text.endswith(_JSON_END):
+        return None
+    stop = len(text) - len(_JSON_RECONSTRUCTED_END if reconstructed else _JSON_END)
+    # each row "[d, d, ...], ", the last one given its ", " too
+    body = (text[end + len(_JSON_CELLS):stop] + ", ").encode("ascii", "replace")
+    read = _read_rows(body, b"[", b", ", b"], ")
+    return None if read is None else _grid(*read, label, reconstructed)
 
 
 def _read_lines(lines: list[str]) -> tuple[str, bool, list[tuple[int, str]]]:

@@ -327,12 +327,19 @@ def _evaluate(form, diag, offdiag) -> list:
     diag > offdiag >= 0 give sig_c > 0 and r < 2**53, and det(r) >= 1, so
     only a covariance out of range is left unsolved.  sig_c multiplies
     last, since sig_c / det(r) can underflow where the entry does not.
+    adj(M) is symmetric, so N_ij and N_ji have the same coefficients:
+    each entry above the diagonal is evaluated once and ``cov[i][j]`` and
+    ``cov[j][i]`` are the same object, which no caller writes to.
     """
     det, numerators = form
     sig_c = diag - offdiag
     r = offdiag / sig_c
     inverse = 1.0 / _horner(det, r)
-    return [[_horner(poly, r) * inverse * sig_c for poly in row] for row in numerators]
+    cov = [[None] * len(numerators) for _ in numerators]
+    for i, row in enumerate(numerators):
+        for j in range(i, len(row)):
+            cov[i][j] = cov[j][i] = _horner(row[j], r) * inverse * sig_c
+    return cov
 
 
 def _variance_errors(cov: list, diag, offdiag) -> dict:
@@ -386,7 +393,8 @@ def closed_form_stack(grid: DesignGrid, diag: np.ndarray | float,
 
     Returns ``(labels, cov, errors)``: the estimable effects; the
     covariance as entry columns, ``cov[i][j]`` entry (i, j) at every point
-    in input order, a (K,) array, or for floats a float; and a map from
+    in input order, a (K,) array, or for floats a float, and the same
+    object as ``cov[j][i]``; and a map from
     each unsolved point's index to its error: no effect estimable, an
     effect confounded with the intercept, the periods or another treatment
     (det(A) = 0, which fails every point and leaves every entry nan), or a

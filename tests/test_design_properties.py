@@ -10,9 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swedge import designs
 from swedge.designs import (
     DesignError,
     DesignGrid,
+    catalog_design,
+    catalog_ids,
     parse_design,
     serialize_design,
     validate_design,
@@ -158,6 +161,103 @@ def large_token_rows(draw):
 def test_csv_parse_matches_a_cell_by_cell_read(rows, extra_lines):
     text = "\n".join(extra_lines + [",".join(row) for row in rows])
     assert outcome(parse_design, text) == outcome(parse_cell_by_cell, text)
+
+
+def read_decoded(text):
+    """The cells, label and flag of design JSON ``text``, or the DesignError
+    text, read by ``json.loads`` and DesignGrid alone."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid design JSON: {exc}"
+    try:
+        grid = DesignGrid(payload["cells"], payload["label"], payload.get("reconstructed", False))
+    except DesignError as exc:
+        return str(exc)
+    return grid.to_codes(), grid.label, grid.reconstructed
+
+
+def read_parsed(text):
+    try:
+        grid = parse_design(text)
+    except DesignError as exc:
+        return str(exc)
+    return grid.to_codes(), grid.label, grid.reconstructed
+
+
+# Labels with characters JSON escapes, non-ASCII text, and the text of the
+# cells key and of the flag, which reading the label must step over.
+json_labels = st.lists(st.one_of(
+    st.text(max_size=3),
+    st.sampled_from(['"', "\\", "\\u0041", "\x00", "\n", "\x1f", "\xe9", " ", "\ud800",
+                     '"cells": [[', '], "reconstructed": true}']),
+), max_size=4).map("".join)
+
+# The forms of a design JSON text: as serialize_design writes it, or with one change.
+JSON_FORMS = [None, None, None, "compact", "indent", "swapped", "newline", "extra", "false",
+              "unicode"]
+CELLS_MARK = "@cells@"  # a JSON label escapes every quote, so none reads '"@cells@"'
+# the size of design-screen's largest design
+SCREEN = DesignGrid(np.random.default_rng(1).integers(0, 4, (300, 21)), label="screen")
+
+
+@st.composite
+def design_json_texts(draw):
+    """Design JSON with cells 0-3, or with one cell the decoder reads as
+    another value or refuses, one row longer than the rest, or no rows."""
+    periods = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.sampled_from("0123"), min_size=periods, max_size=periods),
+                         max_size=8))
+    defect = draw(st.sampled_from([None, None, "cell", "ragged"]))
+    if rows and defect == "cell":
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, periods - 1))] = \
+            draw(st.sampled_from(["true", "4", "1.0", '"1"', "d"]))
+    if rows and defect == "ragged":
+        rows[draw(st.integers(0, len(rows) - 1))].append("0")
+    form = draw(st.sampled_from(JSON_FORMS))
+    payload = {"label": draw(json_labels), "cells": CELLS_MARK}
+    if form == "false":
+        payload["reconstructed"] = False
+    elif draw(st.booleans()):
+        payload["reconstructed"] = True
+    if form == "swapped":
+        payload = dict(reversed(payload.items()))
+    if form == "extra":
+        payload["note"] = 0
+    options = {"compact": {"separators": (",", ":")}, "indent": {"indent": 1},
+               "unicode": {"ensure_ascii": False}}.get(form, {})
+    sep = "," if form in ("compact", "indent") else ", "
+    cells = "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+    text = json.dumps(payload, **options).replace(json.dumps(CELLS_MARK), cells)
+    return text + ("\n\n" if form == "newline" else "\n")
+
+
+@settings(deadline=None, max_examples=300)
+@given(design_json_texts())
+@example('{"label": "x", "cells": [[0, d], [0, 1]]}')
+@example('{"label": "x", "cells": [[0, ?], [0, 1]]}')
+@example(serialize_design(SCREEN, fmt="json"))
+def test_json_parse_matches_the_decoded_read(text):
+    assert read_parsed(text) == read_decoded(text)
+
+
+def test_serialized_designs_are_read_as_one_buffer(monkeypatch):
+    """The texts serialize_design writes never reach json.loads or the
+    CSV line reader."""
+    def refuse(*args):
+        raise AssertionError("decoded in full")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(designs, "_parse_row", refuse)
+    grids = [catalog_design(design_id) for design_id in catalog_ids()] + [SCREEN]
+    for grid in grids:
+        for fmt in ("csv", "json"):
+            again = parse_design(serialize_design(grid, fmt))
+            assert again == grid
+            assert again.reconstructed is grid.reconstructed
+    for label in ['"cells": [[0, 1]]', "a\\b\u00e9\n", ""]:
+        again = parse_design(serialize_design(SCREEN.relabel(label), "json"))
+        assert again == SCREEN.relabel(label)
 
 
 def read_cells_one_by_one(rows):

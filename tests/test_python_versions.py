@@ -7,7 +7,9 @@ effect size, standard error and power, and the text of each error.  The
 script runs under ``python3.10``, ``python3.12`` and ``python3.13`` where
 they are on the path and start, and its hash must equal the one the running
 interpreter gives.  The full analyses of fig5a are left out: their rank
-diagnosis needs numpy, which the script must not load.
+diagnosis needs numpy, which the script must not load.  The script also
+reads every catalog design back from its CSV, JSON and compact JSON texts,
+which take both design-file readers, and hashes the cells it gets.
 """
 
 import shutil
@@ -54,8 +56,20 @@ for design_id in catalog_ids():
                         text = f"{type(exc).__name__}: {exc}"
                     digest.update(repr((design_id, additive, model, text)).encode())
                     records += 1
+import json
+from swedge import parse_design, serialize_design
+parsed = 0
+for design_id in catalog_ids():
+    grid = catalog_design(design_id)
+    text = serialize_design(grid, "json")
+    compact = json.dumps(json.loads(text), separators=(",", ":"))
+    for form in (serialize_design(grid), text, compact):
+        again = parse_design(form)
+        digest.update(repr((design_id, again.cells, again.n_periods, again.label,
+                            again.reconstructed)).encode())
+        parsed += 1
 assert "numpy" not in sys.modules, "the script loaded numpy"
-print(records, digest.hexdigest())
+print(records, parsed, digest.hexdigest())
 """
 
 
@@ -73,8 +87,8 @@ def reference() -> str:
 
 
 def test_the_script_covers_the_catalog(reference):
-    # 21 analyses, 3 models, 13 points, 2 effect specs
-    assert reference.split()[0] == str(21 * 3 * 13 * 2)
+    # 21 analyses, 3 models, 13 points, 2 effect specs; 11 designs, 3 texts each
+    assert reference.split()[:2] == [str(21 * 3 * 13 * 2), str(11 * 3)]
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
