@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import operator
 import os
 import sys
 
@@ -59,19 +58,22 @@ def _json_value(x: float) -> float:
     return float("%.12g" % x)
 
 
-def _json(value) -> str:
+@functools.cache
+def _json_encoder():
     import json
 
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _json_number(token: str) -> str:
-    """The JSON text of ``float(token)`` for a token written by ``"%.12g"``.
+def _json(value) -> str:
+    return _json_encoder().encode(value)
 
-    A ``.12g`` token without an exponent is already the float's shortest
-    repr, save the ``.0`` of an integral value; the rare exponent token is
-    re-encoded.
-    """
+
+def _json_number(x: float) -> str:
+    """The JSON text of ``x``'s ``"%.12g"`` token read back: the token itself
+    (the float's shortest repr), save the ``.0`` of an integral value and
+    the re-encoding of the rare token with an exponent."""
+    token = "%.12g" % x
     if "e" not in token:
         if "." in token:
             return token
@@ -80,33 +82,13 @@ def _json_number(token: str) -> str:
     return _json(float(token))
 
 
-def _json_row_writer(header: list[str], text=()):
-    """A function from a CSV line of ``header`` columns to the line's JSON
-    object with its keys sorted.  The columns at the indices ``text`` hold
-    strings; every other field is a number written by ``"%.12g"``.
-
-    The header's names must be distinct.
-    """
-    order = sorted(range(len(header)), key=header.__getitem__)
-    template = "{" + ",".join(_json(header[i]).replace("%", "%%") + ":%s" for i in order) + "}"
-    pick = operator.itemgetter(*order)  # one column gives one str, which % takes too
-    encoders = [_json if i in text else _json_number for i in range(len(header))]
-
-    def json_row(line: str) -> str:
-        fields = line.split(",")
-        if text or "e" in line or line.count(".") != len(fields):
-            fields = [encode(field) for encode, field in zip(encoders, fields)]
-        return template % pick(fields)
-
-    return json_row
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         try:
-            with open(output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
+            data = text.encode("utf-8")  # before the file exists, so a failure leaves none
+            with open(output, "wb") as fh:
+                fh.write(data)
+        except (OSError, UnicodeEncodeError) as exc:
             raise CliError(f"cannot write output file {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
@@ -122,31 +104,51 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args, header: list[str], lines: list[str], meta: dict, title: str = "",
+def _write(args, header: list[str], rows, meta: dict, title: str = "",
            error_rows: dict | None = None, text=()) -> None:
-    """Write ``lines``, CSV lines of ``header`` columns whose numbers were
-    each formatted once by ``"%.12g"``, to ``--output`` or stdout in
-    ``--format``.
+    """Write ``rows`` (a numpy array, or a list of tuples) of ``header``
+    columns to ``--output`` or stdout in ``--format``, as one format string
+    that ``%`` fills in one pass: each number is written once, by ``"%.12g"``.
 
-    CSV is those lines under the header.  JSON is ``meta`` and one object
-    per line, except that ``error_rows`` maps a point index to the object
-    that stands at that index instead.  A table, after ``title``, shows each
+    CSV is that text under the header.  JSON is ``meta`` and one object per
+    row, except that ``error_rows`` maps a point index to the object that
+    stands at that index instead.  A table, after ``title``, shows each
     number read back to 4 digits.  The columns at the indices ``text`` hold
     text, which every format writes as it is.
     """
-    if args.format == "csv":
-        body = "\n".join([",".join(header), *lines]) + "\n"
-    elif args.format == "json":
-        rows = list(map(_json_row_writer(header, text), lines))
-        if error_rows:
-            kept = iter(rows)
-            rows = [_json(error_rows[k]) if k in error_rows else next(kept)
-                    for k in range(len(rows) + len(error_rows))]
-        body = '{"meta":' + _json(meta) + ',"rows":[' + ",".join(rows) + "]}\n"
+    # JSON sorts the keys, so its columns are permuted once here
+    order = (sorted(range(len(header)), key=header.__getitem__) if args.format == "json"
+             else range(len(header)))
+    if isinstance(rows, list):  # the few rows of one point, built without numpy
+        values = tuple([row[k] for row in rows for k in order])
     else:
-        cells = [[field if k in text else _human(field) for k, field in enumerate(line.split(","))]
-                 for line in lines]
-        body = title + _render_table(header, cells)
+        values = tuple(rows[:, order].ravel().tolist())
+    if args.format == "json":
+        keys = [_json(header[k]).replace("%", "%%") + ":" for k in order]
+        errors = {k: _json(obj).replace("%", "%%") for k, obj in (error_rows or {}).items()}
+        total = len(rows) + len(errors)
+
+        def rows_format(spec: str) -> str:  # each failed point's object at its index
+            row = "{" + ",".join(key + spec for key in keys) + "}"
+            return ",".join(map(errors.get, range(total), [row] * total))
+
+        fmt = rows_format("%.12g")
+        written = "" if text else fmt % values
+        # A "%.12g" token holds at most one "." and is its float's JSON text
+        # when it holds one and no "e": then both counts equal the format's.
+        # Text, and a table with any other token, is encoded value by value.
+        if text or written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
+            encoders = [_json if k in text else _json_number for k in order] * len(rows)
+            written = rows_format("%s") % tuple([f(v) for f, v in zip(encoders, values)])
+        body = '{"meta":' + _json(meta) + ',"rows":[' + written + "]}\n"
+    else:
+        line = ",".join(["%s" if k in text else "%.12g" for k in range(len(header))])
+        written = ((line + "\n") * len(rows)) % values
+        body = ",".join(header) + "\n" + written
+        if args.format == "table":
+            body = title + _render_table(header, [
+                [field if k in text else _human(field) for k, field in enumerate(row.split(","))]
+                for row in written.split("\n")[:-1]])
     _emit(body, args.output)
 
 
@@ -388,7 +390,7 @@ def cmd_power(args) -> int:
     params = " ".join(f"{k}={_human(v) if isinstance(v, float) else v}"
                       for k, v in correlation.describe().items())
     _write(args, ["label", "effect", "se", "power"],
-           ["%s,%.12g,%.12g,%.12g" % (r.label, r.effect, r.se, r.power) for r in result.rows],
+           [(r.label, r.effect, r.se, r.power) for r in result.rows],
            _meta(args, [args.design], correlation, effects),
            title=f"# {result.design_label or args.design}: {params} alpha={effects.alpha:g}\n",
            text=(0,))
@@ -451,15 +453,13 @@ def _sweep_table(args, specs: list[str]) -> int:
     iccs = values[failed, :len(tables[0].icc)].tolist()
     sys.stderr.write("".join(f"point {k} (rho_w={icc[0]:g}): {errors[k]}\n"
                              for k, icc in zip(failed, iccs)))
-    row_format = ",".join(["%.12g"] * len(header))
-    lines = list(map(row_format.__mod__, map(tuple, np.delete(values, failed, 0).tolist())))
     # JSON keeps a row for every point, a failed one's in its place
     error_rows = {k: {**dict(zip(tables[0].icc, map(_json_value, icc))), "error": errors[k]}
                   for k, icc in zip(failed, iccs)} if args.format == "json" else None
     meta = _meta(args, specs, correlation, first_effects)
     if compare:
         meta["design_names"] = names
-    _write(args, header, lines, meta, error_rows=error_rows)
+    _write(args, header, np.delete(values, failed, 0), meta, error_rows=error_rows)
     return EXIT_OK
 
 

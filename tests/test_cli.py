@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+EFFECT = ("--n", "15", "--delta", "0.4")
+
+
+def json_reference(capsys, *command):
+    """A sweep or compare's JSON text, and ``json.dumps`` of the floats of
+    its CSV text, each failed point's object (rebuilt from stderr) at its
+    index."""
+    code, out_csv, err = run(capsys, *command, "--format", "csv")
+    assert code == 0
+    code, out_json, err_json = run(capsys, *command, "--format", "json")
+    assert (code, err_json) == (0, err)
+    header, *lines = out_csv.splitlines()
+    rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    meta = json.loads(out_json)["meta"]
+    for line in err.splitlines():  # in point order
+        k, rho_w, message = re.fullmatch(r"point (\d+) \(rho_w=(.*?)\): (.*)", line).groups()
+        rows.insert(int(k), {"rho_w": float(rho_w), "rho_a": meta["rho_a"], "error": message})
+    return out_json, json.dumps({"meta": meta, "rows": rows}, sort_keys=True,
+                                separators=(",", ":")) + "\n"
 
 
 def _src_env(**extra) -> dict:
@@ -496,29 +518,59 @@ class TestSweepCommand:
             for col, value in zip(cols, csv_row.split(",")):
                 assert float(value) == json_row[col]
 
-    @pytest.mark.parametrize("model", [
-        ("--model", "cs"),
-        ("--model", "cohort", "--pi", "0.3"),
-        ("--model", "nested", "--rho-a", "1e-6"),
-        ("--model", "nested", "--cac", "0.5"),
-    ])
-    def test_json_rows_carry_the_csv_text(self, capsys, model):
+    @pytest.mark.parametrize("command, token", [
         # exponent tokens (1e-05), integral powers (1) and a contrast label
         # with a quote, a backslash and a non-ASCII character
-        base = ("sweep", "--design", "fig2b", *model, "--n", "15", "--delta", "0.4",
-                "--contrast", 'é"x\\=1,1@9', "--rho-values", "0.00001,0.05,0.25")
-        code, out_csv, _ = run(capsys, *base, "--format", "csv")
-        assert code == 0
-        code, out_json, _ = run(capsys, *base, "--format", "json")
-        assert code == 0
-        header, *lines = out_csv.splitlines()
-        names = header.split(",")
-        reference = json.dumps(
-            {"meta": json.loads(out_json)["meta"],
-             "rows": [dict(zip(names, map(float, line.split(",")))) for line in lines]},
-            sort_keys=True, separators=(",", ":"))
-        assert out_json == reference + "\n"
-        assert '"rho_w":1e-05' in out_json and ':1.0,' in out_json
+        *[(("sweep", "--design", "fig2b", *model, *EFFECT, "--contrast", 'é"x\\=1,1@9',
+            "--rho-values", "0.00001,0.05,0.25"), ":1.0,") for model in [
+            ("--model", "cs"),
+            ("--model", "cohort", "--pi", "0.3"),
+            ("--model", "nested", "--rho-a", "1e-6"),
+            ("--model", "nested", "--cac", "0.5"),
+        ]],
+        # failed points at indices 0 and 3, whose error objects stand in their place
+        (("sweep", "--design", "fig2b", "--model", "nested", "--rho-a", "0.05", *EFFECT,
+          "--rho-values", "0.00001,0.05,0.25,0.01"), '{"error":'),
+        # a compare, and a contrast label holding "%", "." and "e" in its column names
+        (("compare", "--design", "fig8-design2", "--design", "fig8-design3", "--model", "cs",
+          *EFFECT, "--contrast", "a%s.e=1,-1,0@0.3", "--rho-values", "0.00001,0.05,0.25"),
+         '"gain_a%s.e_fig8-design3":'),
+    ])
+    def test_json_rows_carry_the_csv_text(self, capsys, command, token):
+        out_json, reference = json_reference(capsys, *command)
+        assert out_json == reference
+        assert '"rho_w":1e-05' in out_json and token in out_json
+
+    def test_json_rows_are_reencoded_only_where_a_token_needs_it(self, capsys, monkeypatch):
+        """Every token of a default-grid sweep or compare is its float's JSON
+        text; an integral token makes the whole table take the re-encoder."""
+        one_pass = [
+            # 49 of the 300 points have rho_w below rho_a
+            ("sweep", "--design", "fig8-design2", "--model", "nested", "--rho-a", "0.05",
+             *EFFECT),
+            ("compare", "--design", "fig8-design1", "--design", "fig8-design2", "--design",
+             "fig8-design3", "--model", "cs", *EFFECT, "--contrast", "a%s.e=1,-1,0@0.3"),
+        ]
+        reencoded = [
+            # the ICC token 0
+            ("sweep", "--design", "fig2b", "--model", "cs", *EFFECT, "--rho-values", "0,0.1"),
+            # one layout twice, so every gain_ token is 0
+            ("compare", "--design", "fig1", "--design", "fig2a-trt1", "--model", "cs", *EFFECT),
+        ]
+        expected = {command: json_reference(capsys, *command) for command in one_pass + reencoded}
+        for out_json, reference in expected.values():
+            assert out_json == reference
+        assert expected[one_pass[0]][1].count('"error":') == 49
+
+        def refuse(x):
+            raise AssertionError(f"re-encoded {x!r}")
+
+        monkeypatch.setattr(swedge.cli, "_json_number", refuse)
+        for command in one_pass:
+            assert run(capsys, *command, "--format", "json")[1] == expected[command][1]
+        for command in reencoded:
+            with pytest.raises(AssertionError, match="re-encoded"):
+                main([*command, "--format", "json"])
 
     def test_point_errors_reported_on_stderr(self, capsys):
         code, out, err = run(

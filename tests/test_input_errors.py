@@ -30,6 +30,8 @@ from swedge.power import ContrastSpec, EffectSpec, design_power
 
 POWER = ("power", "--design", "fig2b", "--model", "cs", "--n", "15")
 SWEEP = ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15", "--delta", "0.4")
+NOT_UTF8 = ("cannot write output file '{}': 'utf-8' codec can't encode character '\\udcff' "
+            "in position {}: surrogates not allowed")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -78,13 +80,23 @@ SWEEP = ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15", "--delta", 
         "--delta", "0.4"), f"unknown covariance model {model!r}")
       for model in ("CS", "cross_sectional", "cross-sectional", "ne", "nested_exchangeable",
                     " cohort")],
+    # a byte of the command line that is not UTF-8 reaches the output as a lone
+    # surrogate: through a contrast label, or through the name of a design file
+    # without a label, which power's table title shows
+    ((*POWER, "--rho-w", "0.05", "--delta", "0.4", "--contrast", "a\udcff=1,-1",
+      "--output", "o.csv"), NOT_UTF8.format("o.csv", 176)),
+    (("power", "--design", "d\udcff.csv", "--model", "cs", "--rho-w", "0.05", "--n", "15",
+      "--delta", "0.4", "--format", "table", "--output", "o.txt"),
+     NOT_UTF8.format("o.txt", 3)),
 ])
 def test_cli_input_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # no file named like a design id lies here
     (tmp_path / "array.json").write_text("[[0, 1], [0, 1]]\n")  # JSON, but not an object
+    (tmp_path / "d\udcff.csv").write_text("0,1,1\n0,0,2\n0,3,3\n")  # a name, no label
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["array.json", "d\udcff.csv"]
 
 
 def test_catalog_takes_json_but_no_format_option(capsys):

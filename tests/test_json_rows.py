@@ -1,9 +1,9 @@
 """The JSON rows of a sweep or power table are written straight from the
-CSV text.
+solved values.
 
-Each kept row is formatted once, to 12 significant digits; its JSON object
-must be, byte for byte, what ``json.dumps`` writes for the floats read back
-from that text, and for the strings of its text columns.
+Each value is formatted once, to 12 significant digits; each row's JSON
+object must be, byte for byte, what ``json.dumps`` writes for the floats
+read back from that row's CSV text, and for the strings of its text columns.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -58,7 +59,12 @@ def test_row_writer_matches_json_dumps(data, header):
     lines = [",".join(v if k in text else format(v, ".12g") for k, v in enumerate(row))
              for row in rows]
     meta = {"command": "sweep", "alpha": 0.05}
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _write(argparse.Namespace(format="json", output=None), header, lines, meta, text=text)
-    assert out.getvalue() == reference(meta, header, lines, text)
+    # a sweep's rows come as a numpy array, power's (with its text column) as tuples
+    tables = [list(map(tuple, rows))]
+    if not text:
+        tables.append(np.array(rows, dtype=float).reshape(len(rows), len(header)))
+    for table in tables:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write(argparse.Namespace(format="json", output=None), header, table, meta, text=text)
+        assert out.getvalue() == reference(meta, header, lines, text)
