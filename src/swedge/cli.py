@@ -136,10 +136,15 @@ def _write(args, header: list[str], rows, meta: dict, title: str = "",
         written = "" if text else fmt % values
         # A "%.12g" token holds at most one "." and is its float's JSON text
         # when it holds one and no "e": then both counts equal the format's.
-        # Text, and a table with any other token, is encoded value by value.
-        if text or written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
+        # Text is encoded value by value; in a table with any other token,
+        # only the tokens that are not their float's JSON text are.
+        if text:
             encoders = [_json if k in text else _json_number for k in order] * len(rows)
             written = rows_format("%s") % tuple([f(v) for f, v in zip(encoders, values)])
+        elif written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
+            tokens = (("%.12g," * len(values)) % values).split(",")
+            written = rows_format("%s") % tuple([t if "." in t and "e" not in t else _json_number(v)
+                                                 for t, v in zip(tokens, values)])
         body = '{"meta":' + _json(meta) + ',"rows":[' + written + "]}\n"
     else:
         line = ",".join(["%s" if k in text else "%.12g" for k in range(len(header))])

@@ -450,28 +450,34 @@ def oracle_covariance(
     T-1 period indicators, the same for all clusters, and X_i its treatment
     columns.  With V = L L' factored once and A = L^-1 F, the GLS precision
     sum_i Z_i' V^-1 Z_i is assembled blockwise: the fixed block I A'A, the
-    cross block A' L^-1 sum_i X_i and the treatment block B B', for B the
-    whitened treatment columns of all clusters, one (p*I, T) @ L^-T
-    product.  Sharing F across clusters is linearity of the sum, which
-    holds for any V; the oracle uses neither the compound-symmetry inverse
-    nor the closed form's profiling algebra or design sums, and caches
-    nothing on the grid.  With the treatment columns last, the treatment
-    block of the precision's inverse is (L22 L22')^-1, for L22 the
-    lower-right block of its Cholesky factor: the inverse of the Schur
-    complement that profiles out the intercept and periods.
+    cross block A' L^-1 sum_i X_i and the treatment block B B', one
+    ``einsum``.  B holds the whitened treatment columns of all clusters,
+    one (p*I, T) @ L^-T product of the indicator planes of the p effects
+    present, the only planes built.  Sharing F across clusters is
+    linearity of the sum, which holds for any V; the oracle uses neither
+    the compound-symmetry inverse nor the closed form's profiling algebra
+    or design sums, and caches nothing on the grid.  A precision whose
+    condition number passes :data:`CONDITION_LIMIT` raises
+    RankDeficiencyError, naming the effect its null eigenvector loads
+    most; the number is the ratio of its extreme eigenvalue magnitudes
+    from ``eigvalsh``, which for a symmetric matrix is the SVD's ratio.
+    With the treatment columns last, the treatment block of the
+    precision's inverse is (L22 L22')^-1, for L22 the lower-right block of
+    its Cholesky factor: the inverse of the Schur complement that profiles
+    out the intercept and periods.
     """
     import numpy as np
 
     n_periods, n_clusters = grid.n_periods, grid.n_clusters
-    x, w = grid.indicators()
-    treat = np.array([x, w, x * w])  # (3, I, T)
-    present = treat.reshape(3, -1).any(axis=1)
-    limit = 2 if additive else 3
-    active = [k for k in range(limit) if present[k]]
+    # which effects the codes hold, each found by a scan that stops at a first hit
+    cells = grid.cells
+    present = (1 in cells or 3 in cells, 2 in cells or 3 in cells, 3 in cells)
+    active = [k for k in range(2 if additive else 3) if present[k]]
     if not active:
         raise RankDeficiencyError(NO_EFFECTS_ESTIMABLE)
     labels = tuple(EFFECT_LABELS[k] for k in active)
-    treat = treat[active]
+    x, w = grid.indicators()
+    treat = np.array([(x, w)[k] if k < 2 else x * w for k in active])  # (p, I, T)
 
     # intercept, then indicators of periods 1..T-1 (the last is the reference)
     fixed = np.eye(n_periods, k=1)
@@ -488,16 +494,20 @@ def oracle_covariance(
 
     whitened_fixed = l_inv @ fixed
     # row k of B: whitened column k of every cluster in turn
-    whitened = (treat.reshape(-1, n_periods) @ l_inv.T).reshape(len(active), -1)
+    whitened = (treat.reshape(-1, n_periods) @ np.ascontiguousarray(l_inv.T)).reshape(
+        len(active), -1)
     totals = np.ones(n_clusters) @ treat  # (p, T): sum_i X_i'
     precision = np.empty((n_periods + len(active),) * 2)
     precision[:n_periods, :n_periods] = n_clusters * (whitened_fixed.T @ whitened_fixed)
     precision[:n_periods, n_periods:] = whitened_fixed.T @ (l_inv @ totals.T)
     precision[n_periods:, :n_periods] = precision[:n_periods, n_periods:].T
-    precision[n_periods:, n_periods:] = whitened @ whitened.T
+    precision[n_periods:, n_periods:] = np.einsum("ij,kj->ik", whitened, whitened)
 
-    condition = float(np.linalg.cond(precision))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    # the 2-norm condition of a symmetric matrix: its extreme |eigenvalues|' ratio
+    magnitudes = np.abs(np.linalg.eigvalsh(precision))
+    low, high = float(magnitudes.min()), float(magnitudes.max())
+    condition = high / low if low > 0.0 else math.inf
+    if not math.isfinite(condition) or condition > CONDITION_LIMIT:
         null_vec = np.linalg.eigh(precision)[1][:, 0]
         treat_part = np.abs(null_vec[n_periods:])
         effect = labels[int(np.argmax(treat_part))] if treat_part.max() > 0 else None

@@ -572,6 +572,34 @@ class TestSweepCommand:
             with pytest.raises(AssertionError, match="re-encoded"):
                 main([*command, "--format", "json"])
 
+    @pytest.mark.parametrize("command, flagged", [
+        # the one ICC token 0
+        (("sweep", "--design", "fig2b", "--model", "cs", *EFFECT, "--rho-values", "0,0.1"), 1),
+        # fig1 and fig2a-trt1 share a layout, so each of the 300 gain tokens against it is 0
+        (("compare", "--design", "fig1", "--design", "fig2a-trt1", "--design", "fig2b",
+          "--model", "cohort", "--pi", "0.5", *EFFECT), 300),
+    ])
+    def test_json_rows_reencode_only_the_tokens_that_need_it(self, capsys, monkeypatch,
+                                                             command, flagged):
+        """Only the tokens with no "." or with an "e" reach ``_json_number``;
+        every other token of the same table is written as "%.12g" gave it."""
+        out_json, reference = json_reference(capsys, *command)
+        assert out_json == reference
+        out_csv = run(capsys, *command, "--format", "csv")[1]
+        tokens = ",".join(out_csv.splitlines()[1:]).split(",")
+        expected = sorted(t for t in tokens if "." not in t or "e" in t)
+        assert len(expected) == flagged
+        seen = []
+        real = swedge.cli._json_number
+
+        def counting(x):
+            seen.append(x)
+            return real(x)
+
+        monkeypatch.setattr(swedge.cli, "_json_number", counting)
+        assert run(capsys, *command, "--format", "json")[1] == reference
+        assert sorted("%.12g" % x for x in seen) == expected
+
     def test_point_errors_reported_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--design", "fig1", "--model", "cs", "--n", "15",

@@ -1,4 +1,5 @@
 import builtins
+import inspect
 import math
 import operator
 import zlib
@@ -246,6 +247,38 @@ class TestReductionsAndErrors:
         grid = DesignGrid(cells)
         assert active_effects(grid) == effects
         assert active_effects(grid, additive=True) == additive_effects
+
+    @pytest.mark.parametrize("cells", [
+        [[C, T1, B], [C, T1, T1], [C, C, T1], [C, C, C]],
+        [[C, T2, B], [C, T2, T2], [C, C, T2], [C, C, C]],
+    ])
+    def test_the_oracle_finds_an_effect_held_only_by_the_combination(self, cells):
+        """One treatment appears only in combined cells: the additive
+        analysis estimates both, in the oracle as in the closed form."""
+        grid = DesignGrid(cells)
+        oracle = oracle_covariance(grid, std_cs(), additive=True)
+        closed = closed_form_covariance(grid, std_cs(), additive=True)
+        assert oracle.labels == closed.labels == ("trt1", "trt2")
+        assert_allclose(oracle.matrix, closed.matrix, rtol=1e-10)
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_a_treatment_given_in_one_period_only_is_named(self, additive):
+        """Treatment 2 in every cluster at period 3 and nowhere else is that
+        period's effect: both solvers name it, though the precision's
+        other eigenvectors load trt1 or the interaction most."""
+        grid = DesignGrid([[C, T1, B, T1], [C, C, T2, T1], [C, C, T2, C], [C, T1, B, C]])
+        for solve in (closed_form_covariance, oracle_covariance):
+            with pytest.raises(RankDeficiencyError) as err:
+                solve(grid, std_cs(), additive)
+            assert err.value.effect == "trt2"
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_only_combined_cells_confound_the_treatments(self, additive):
+        """With every treated cell combined, X = W: no analysis solves."""
+        grid = DesignGrid([[C, B, B], [C, C, B], [C, C, C]])
+        for solve in (closed_form_covariance, oracle_covariance):
+            with pytest.raises(RankDeficiencyError):
+                solve(grid, std_cs(), additive)
 
     def test_treatment2_only_design_reduces_to_one_effect(self):
         grid = generate_standard_swd(3, 1, treatment=2)
@@ -786,6 +819,118 @@ def test_the_oracle_reports_a_cluster_covariance_too_near_singular_to_factor():
             as oracle:
         oracle_covariance(grid, cs)
     assert oracle.value.effect is None and oracle.value.condition > CONDITION_LIMIT
+
+
+def _oracle_with_precisions(monkeypatch, grid, cs, additive=False):
+    """The oracle's outcome, ``(effect, condition)`` of its
+    RankDeficiencyError or None when it solves, and the precision matrices
+    it took eigenvalues of."""
+    precisions = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        precisions.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", recording)
+        try:
+            oracle_covariance(grid, cs, additive)
+            outcome = None
+        except RankDeficiencyError as exc:
+            outcome = (exc.effect, exc.condition)
+    return outcome, precisions
+
+
+def _svd_verdict(grid, cs, labels, precisions):
+    """The oracle's verdict, ``(effect, condition past the limit)`` or None,
+    with the condition taken by SVD, as ``np.linalg.cond`` takes it, from
+    the precision, or from the cluster covariance where none was formed."""
+    if not precisions:
+        return None, np.linalg.cond(dense_cluster_cov(cs, grid.n_periods)) > CONDITION_LIMIT
+    [precision] = precisions
+    singular = np.linalg.svd(precision, compute_uv=False)
+    condition = singular[0] / singular[-1] if singular[-1] > 0 else np.inf
+    if condition <= CONDITION_LIMIT:
+        return None
+    treat_part = np.abs(np.linalg.eigh(precision)[1][grid.n_periods:, 0])
+    return labels[int(np.argmax(treat_part))], True
+
+
+NEAR_ONE = CompoundSymmetry(1.0, 0.999999999999999)
+
+
+@pytest.mark.parametrize("grid, cs, additive", [
+    (catalog_design("fig5a"), std_cs(), False),
+    (catalog_design("fig5a"), std_cs(), True),
+    (catalog_design("fig2b"), NEAR_ONE, False),
+    (DesignGrid([[T1, T1], [C, T2]]), NEAR_ONE, False),
+    (DesignGrid([[T1, T1]]), CompoundSymmetry(1.0, 0.5), False),
+    (DesignGrid([[C, T2, T2, T2, T2, B], [C, C, C, T1, T1, T1],
+                 [T2, T2, B, B, B, B], [C, C, T2, T2, T2, B]]),
+     CompoundSymmetry(0.9999999999999991, 0.999999999999999), False),
+    (catalog_design("fig2b"), std_cs(), False),
+])
+def test_the_oracles_rank_test_agrees_with_the_svd(monkeypatch, grid, cs, additive):
+    """The oracle's eigenvalue condition number gives the verdict, the
+    effect and the side of CONDITION_LIMIT that the SVD gives."""
+    outcome, precisions = _oracle_with_precisions(monkeypatch, grid, cs, additive)
+    reference = _svd_verdict(grid, cs, active_effects(grid, additive), precisions)
+    if reference is None:
+        assert outcome is None
+    else:
+        effect, condition = outcome
+        assert (effect, condition > CONDITION_LIMIT) == reference
+
+
+def test_the_oracles_condition_is_the_svds(monkeypatch):
+    """On well-conditioned designs the oracle's condition number, which it
+    reports once the limit is lowered below it, is np.linalg.cond's."""
+    monkeypatch.setattr(variance, "CONDITION_LIMIT", 1.0)
+    rng = np.random.default_rng(34)
+    for draw in range(12):
+        grid = random_grid(rng, max_clusters=30, max_periods=8, min_clusters=3)
+        cs = random_correlation(rng, MODELS[draw % 3]).cov_entries()
+        (_, condition), [precision] = _oracle_with_precisions(monkeypatch, grid, cs)
+        reference = np.linalg.cond(precision)
+        assert reference < CONDITION_LIMIT
+        assert condition == pytest.approx(reference, rel=1e-8)
+
+
+def test_the_oracle_solves_without_an_svd(monkeypatch):
+    """A solvable point takes no SVD: its rank test is the eigenvalue ratio."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    # and where np.linalg.cond looks svd up
+    monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, "svd", refuse)
+    grid = catalog_design("fig8-design2")
+    oracle = oracle_covariance(grid, std_cs())
+    closed = closed_form_covariance(grid, std_cs())
+    assert oracle.labels == EFFECT_LABELS
+    assert_allclose(oracle.matrix, closed.matrix, rtol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_closed_form_matches_the_oracle_at_the_largest_screen_size(seed):
+    """At 300 clusters by 21 periods, design-screen's largest size, the
+    closed form and the oracle agree within 1e-12 under every model; the
+    oracle's treatment block sums 6,300 whitened products per entry."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, max_clusters=300, max_periods=21, min_clusters=300,
+                       min_periods=21, paths=EFFECT_PATHS[3])
+    assert active_effects(grid) == EFFECT_LABELS
+    for spec in (
+        CorrelationSpec(model=MODELS[0], n_per_period=20, rho_w=0.05),
+        CorrelationSpec(model=MODELS[1], n_per_period=20, rho_w=0.05, pi=0.4),
+        CorrelationSpec(model=MODELS[2], n_per_period=20, rho_w=0.05, rho_a=0.025),
+    ):
+        closed = closed_form_covariance(grid, spec.cov_entries())
+        oracle = oracle_covariance(grid, spec.cov_entries())
+        assert closed.labels == oracle.labels == EFFECT_LABELS
+        gap = np.abs(closed.matrix - oracle.matrix).max() / np.abs(oracle.matrix).max()
+        assert gap <= 1e-12
 
 
 @pytest.mark.parametrize("periods", [2, 7, 21, 255, 256, 300])
