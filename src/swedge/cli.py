@@ -13,6 +13,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -557,10 +558,21 @@ def _add_param_options(p: argparse.ArgumentParser, sweep_mode: bool = False) -> 
                        help="comma-separated rho_w values (overrides min/max/step)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent
+    notation, such as ``-4e-1``, as a value: argparse's own pattern for
+    negative numbers has no exponent, so it reads one as an option.
+    ``add_subparsers`` makes the subparsers of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="swedge",
         description="Power analysis for stepped wedge trials with two treatments.",
     )

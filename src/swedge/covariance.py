@@ -199,15 +199,12 @@ def cluster_cov_stack(n_per_period: int, rho_w, rho_a=None, pi=None):
 def standardize(raw: RawComponents, model: CovarianceModel) -> dict[str, float]:
     """The ICCs of raw variance components, as :class:`CorrelationSpec`
     keywords: ``CorrelationSpec(model=m, n_per_period=n, **standardize(raw, m))``."""
-    raw.check_model(model)
+    raw.check_model(model)  # a component the model lacks is zero
     total = raw.total_variance
-    if model is CovarianceModel.CROSS_SECTIONAL:
-        return {"rho_w": raw.sigma_alpha_sq / total}
-    if model is CovarianceModel.COHORT:
-        return {"rho_w": raw.sigma_alpha_sq / total,
-                "pi": raw.sigma_psi_sq / (raw.sigma_psi_sq + raw.sigma_e_sq)}
-    return {"rho_w": (raw.sigma_nu_sq + raw.sigma_alpha_sq) / total,
-            "rho_a": raw.sigma_alpha_sq / total}
+    icc = {"rho_w": (raw.sigma_nu_sq + raw.sigma_alpha_sq) / total,
+           "rho_a": raw.sigma_alpha_sq / total,
+           "pi": raw.sigma_psi_sq / (raw.sigma_psi_sq + raw.sigma_e_sq)}
+    return {name: icc[name] for name in ("rho_w", model.second_icc) if name}
 
 
 class CorrelationSpec(Record):

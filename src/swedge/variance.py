@@ -92,38 +92,26 @@ def _design_sums(grid: DesignGrid):
     holds the totals of X and W on its diagonal and that of XW everywhere
     else.
 
-    The cells are summed as bytes.  A period's total is a count over its
-    column.  For the cluster totals, an indicator's cells are read as one
-    int of a ``lane``-byte lane per cell, little end first, and multiplied
-    by 1 + 2**(8*lane) + ... + 2**(8*lane*(T-1)): the lane of each
-    cluster's last cell then holds the sum of the cluster's T cells, and
-    every lane a sum of at most T < 256**lane, so no lane carries into the
-    next.
+    The cells are summed as bytes, one column of I cells per period,
+    translated to each indicator.  A period's total is the count of 1s in
+    its column.  A cluster's total is the sum of its cells across the
+    columns: read as ints, one byte per cluster, 255 columns add up with
+    no byte passing 255, so no byte carries into the next, and the bytes of
+    those partial sums are added cluster by cluster.
     """
-    cells, t = grid.cells, grid.n_periods
-    size = len(cells)
-    lane = (t.bit_length() + 7) // 8
-    bits = 8 * lane
-    window = ((1 << bits * t) - 1) // ((1 << bits) - 1)
-    columns = [cells[s::t] for s in range(t)]
-    both = [column.count(3) for column in columns]
-    cols = [[column.count(1) + n for column, n in zip(columns, both)],
-            [column.count(2) + n for column, n in zip(columns, both)], both]
-    rows = []  # byte b of every cluster total of each indicator, for b < lane
+    t, n_clusters = grid.n_periods, grid.n_clusters
+    columns = [grid.cells[s::t] for s in range(t)]
+    cols, clusters = [], []
     for table in _INDICATORS:
-        indicator = cells.translate(table)
-        if lane > 1:
-            wide = bytearray(lane * size)
-            wide[::lane] = indicator
-            indicator = wide
-        sums = (int.from_bytes(indicator, "little") * window).to_bytes(lane * (size + t), "little")
-        rows.append([sums[lane * (t - 1) + b:lane * size:lane * t] for b in range(lane)])
+        indicator = [column.translate(table) for column in columns]
+        cols.append([column.count(1) for column in indicator])
+        chunks = [sum([int.from_bytes(column, "little") for column in indicator[s:s + 255]])
+                  .to_bytes(n_clusters, "little") for s in range(0, t, 255)]
+        clusters.append(reduce(lambda p, q: list(map(add, p, q)), chunks))
     cluster_gram = [[0] * 3 for _ in range(3)]
     for k in range(3):
         for l in range(k, 3):
-            cluster_gram[k][l] = cluster_gram[l][k] = sum(
-                sum(map(mul, p, q)) << 8 * (i + j)
-                for i, p in enumerate(rows[k]) for j, q in enumerate(rows[l]))
+            cluster_gram[k][l] = cluster_gram[l][k] = sum(map(mul, clusters[k], clusters[l]))
     totals = [sum(col) for col in cols]
     gram = [[totals[k] if k == l else totals[2] for l in range(3)] for k in range(3)]
     return gram, cluster_gram, cols, totals

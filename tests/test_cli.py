@@ -86,6 +86,20 @@ class TestPowerCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
+                                         ("sweep", "--rho-values", "0.1,0.2")])
+    def test_negative_number_in_exponent_notation_is_a_value(self, capsys, command):
+        """``-4e-1`` is read as the number, as ``-0.4`` is, not as an option."""
+        argv = (*command, "--design", "fig2b", "--model", "cs", "--n", "15", "--format", "csv")
+        expected = run(capsys, *argv, "--delta", "-0.4")
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--delta", "-4e-1") == expected
+        code, out, err = run(capsys, *argv, "--delta", "0.4", "-4e-1")
+        assert (code, err) == (0, "")
+        if command[0] == "power":
+            assert [line.split(",")[:2] for line in out.splitlines()[1:]] == \
+                [["trt1", "0.4"], ["trt2", "-0.4"]]
+
     def test_missing_design_file_exits_2(self, capsys):
         code, _, err = run(
             capsys, "power", "--design", "missing/file.csv", "--model", "cs",

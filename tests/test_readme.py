@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swedge
 from swedge.cli import main
 from swedge.designs import catalog_design, serialize_design
 
@@ -56,3 +57,10 @@ def test_quick_start_runs_in_a_fresh_namespace(capsys):
     # the default grid's point at rho_w 0.1 is the quick start's design_power point
     k = int(np.flatnonzero(namespace["rho_w"] == 0.1)[0])
     assert namespace["diff"][k] == result.row("diff").power
+
+
+def test_every_public_name_is_documented():
+    """Each name ``swedge`` exports appears in the README, in code type."""
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in swedge.__all__ if not re.search(rf"`{re.escape(name)}\b", text)]
+    assert not missing

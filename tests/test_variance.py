@@ -933,14 +933,17 @@ def test_the_closed_form_matches_the_oracle_at_the_largest_screen_size(seed):
         assert gap <= 1e-12
 
 
-@pytest.mark.parametrize("periods", [2, 7, 21, 255, 256, 300])
+@pytest.mark.parametrize("periods", [2, 7, 21, 255, 256, 300, 510, 511, 1000])
 def test_design_sums_are_exact_for_any_number_of_periods(periods):
     """The byte-wise design sums equal plain sums over the cells, also when
-    a cluster total passes 255 and the sums need lanes of two bytes."""
+    a cluster total passes 255 and its cells are added in more than one
+    chunk of 255 periods, and on a wedge whose clusters repeat sequences."""
     rng = np.random.default_rng(periods)
+    wedge = [[(1, 2, 3)[s % 3] * (t >= periods * s // 5) for t in range(periods)]
+             for s in range(1, 5) for _ in range(3)]
     for rows in (rng.integers(0, 4, (7, periods)).tolist(),
                  [[3] * periods, [1] * periods, [0] * (periods - 1) + [2], [2, 3] * (periods // 2)
-                  + [1] * (periods % 2)]):
+                  + [1] * (periods % 2)], wedge):
         stack = [[[c & 1 for c in row] for row in rows], [[c >> 1 for c in row] for row in rows],
                  [[c & 1 & c >> 1 for c in row] for row in rows]]
         cells = [[cell for row in indicator for cell in row] for indicator in stack]
@@ -950,3 +953,27 @@ def test_design_sums_are_exact_for_any_number_of_periods(periods):
                     [[sum(map(operator.mul, a, b)) for b in cluster] for a in cluster],
                     cols, [sum(col) for col in cols])
         assert variance._design_sums(DesignGrid(rows)) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(MODELS),
+       k=st.sampled_from([2, 3, 7]), additive=st.booleans())
+def test_replicating_the_clusters_divides_the_covariance(seed, model, k, additive):
+    """Every cluster repeated k times multiplies each design sum by k, exactly,
+    and divides the covariance by k: A and B scale by k^2 and I by k, so
+    I*adj(M)/det(M) scales by 1/k.  In floating point k times the replicated
+    covariance stays within 16 ulp of the largest entry of the original
+    (3.8 ulp was the worst of 54,000 random cases)."""
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng)
+    replicated = DesignGrid(grid.to_codes() * k)
+    gram, cluster_gram, cols, totals = variance._design_sums(grid)
+    assert variance._design_sums(replicated) == (
+        *([[k * v for v in row] for row in rows] for rows in (gram, cluster_gram, cols)),
+        [k * v for v in totals])
+    cs = random_correlation(rng, model).cov_entries()
+    base = closed_form_covariance(grid, cs, additive)
+    scaled = closed_form_covariance(replicated, cs, additive)
+    assert scaled.labels == base.labels
+    gap = np.abs(k * scaled.matrix - base.matrix).max()
+    assert gap <= 16 * np.finfo(float).eps * np.abs(base.matrix).max()
