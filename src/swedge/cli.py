@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 input or validation problem, 3 estimability
 (rank-deficiency) problem.  Output is deterministic for identical inputs.
 Every command formats each value once, to 12 significant digits: CSV is
-that text, JSON holds the same numbers, and a table shows that text
-rounded to 4 digits.
+that text, JSON holds the same numbers (``power``'s few rows through the
+``json`` encoder, a sweep's in :func:`_write`'s one ``%`` pass), and a
+table shows that text rounded to 4 digits.
 """
 
 from __future__ import annotations
@@ -105,25 +106,19 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(args, header: list[str], rows, meta: dict, title: str = "",
-           error_rows: dict | None = None, text=()) -> None:
-    """Write ``rows`` (a numpy array, or a list of tuples) of ``header``
-    columns to ``--output`` or stdout in ``--format``, as one format string
-    that ``%`` fills in one pass: each number is written once, by ``"%.12g"``.
+def _write(args, header: list[str], rows, meta: dict, error_rows: dict | None = None) -> None:
+    """Write the numpy array ``rows`` of ``header`` columns to ``--output``
+    or stdout in ``--format``, as one format string that ``%`` fills in one
+    pass: each number is written once, by ``"%.12g"``.
 
     CSV is that text under the header.  JSON is ``meta`` and one object per
     row, except that ``error_rows`` maps a point index to the object that
-    stands at that index instead.  A table, after ``title``, shows each
-    number read back to 4 digits.  The columns at the indices ``text`` hold
-    text, which every format writes as it is.
+    stands there instead.  A table shows each number read back to 4 digits.
     """
     # JSON sorts the keys, so its columns are permuted once here
     order = (sorted(range(len(header)), key=header.__getitem__) if args.format == "json"
              else range(len(header)))
-    if isinstance(rows, list):  # the few rows of one point, built without numpy
-        values = tuple([row[k] for row in rows for k in order])
-    else:
-        values = tuple(rows[:, order].ravel().tolist())
+    values = tuple(rows[:, order].ravel().tolist())
     if args.format == "json":
         keys = [_json(header[k]).replace("%", "%%") + ":" for k in order]
         errors = {k: _json(obj).replace("%", "%%") for k, obj in (error_rows or {}).items()}
@@ -134,27 +129,22 @@ def _write(args, header: list[str], rows, meta: dict, title: str = "",
             return ",".join(map(errors.get, range(total), [row] * total))
 
         fmt = rows_format("%.12g")
-        written = "" if text else fmt % values
+        written = fmt % values
         # A "%.12g" token holds at most one "." and is its float's JSON text
         # when it holds one and no "e": then both counts equal the format's.
-        # Text is encoded value by value; in a table with any other token,
-        # only the tokens that are not their float's JSON text are.
-        if text:
-            encoders = [_json if k in text else _json_number for k in order] * len(rows)
-            written = rows_format("%s") % tuple([f(v) for f, v in zip(encoders, values)])
-        elif written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
+        # In a table with any other token, only those tokens are re-encoded.
+        if written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
             tokens = (("%.12g," * len(values)) % values).split(",")
             written = rows_format("%s") % tuple([t if "." in t and "e" not in t else _json_number(v)
                                                  for t, v in zip(tokens, values)])
         body = '{"meta":' + _json(meta) + ',"rows":[' + written + "]}\n"
     else:
-        line = ",".join(["%s" if k in text else "%.12g" for k in range(len(header))])
+        line = ",".join(["%.12g"] * len(header))
         written = ((line + "\n") * len(rows)) % values
         body = ",".join(header) + "\n" + written
         if args.format == "table":
-            body = title + _render_table(header, [
-                [field if k in text else _human(field) for k, field in enumerate(row.split(","))]
-                for row in written.split("\n")[:-1]])
+            body = _render_table(header, [list(map(_human, row.split(",")))
+                                          for row in written.split("\n")[:-1]])
     _emit(body, args.output)
 
 
@@ -393,13 +383,20 @@ def cmd_power(args) -> int:
     correlation = _correlation_from_args(args)
     effects = _effects_from_args(args, grid)
     result = design_power(grid, correlation, effects)
-    params = " ".join(f"{k}={_human(v) if isinstance(v, float) else v}"
-                      for k, v in correlation.describe().items())
-    _write(args, ["label", "effect", "se", "power"],
-           [(r.label, r.effect, r.se, r.power) for r in result.rows],
-           _meta(args, [args.design], correlation, effects),
-           title=f"# {result.design_label or args.design}: {params} alpha={effects.alpha:g}\n",
-           text=(0,))
+    header = ["label", "effect", "se", "power"]
+    # each number as the value of its 12-digit text, the same in every format
+    rows = [(r.label, *map(_json_value, (r.effect, r.se, r.power))) for r in result.rows]
+    if args.format == "json":
+        body = _json({"meta": _meta(args, [args.design], correlation, effects),
+                      "rows": [dict(zip(header, row)) for row in rows]}) + "\n"
+    elif args.format == "csv":
+        body = ",".join(header) + "\n" + "".join(["%s,%.12g,%.12g,%.12g\n" % row for row in rows])
+    else:
+        params = " ".join(f"{k}={_human(v) if isinstance(v, float) else v}"
+                          for k, v in correlation.describe().items())
+        body = (f"# {result.design_label or args.design}: {params} alpha={effects.alpha:g}\n"
+                + _render_table(header, [[row[0], *map(_human, row[1:])] for row in rows]))
+    _emit(body, args.output)
     return EXIT_OK
 
 

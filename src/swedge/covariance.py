@@ -30,16 +30,16 @@ class SingularCovarianceError(ParameterError):
 
 def _read_float(value):
     """A real number ``value`` as a Python float, so that numpy float32 and
-    float16 values are checked and solved in double precision, as a sweep
-    reads them; a Python or numpy bool, which a sweep grid rejects too,
-    raises :class:`ParameterError`; anything else, a string say, is kept
-    as it is, to fail as it did."""
+    float16 values are checked and solved in double precision and a zero
+    is +0.0, as a sweep reads them; a Python or numpy bool, which a sweep
+    grid rejects too, raises :class:`ParameterError`; anything else, a
+    string say, is kept as it is, to fail as it did."""
     np = sys.modules.get("numpy")  # an input holds a numpy bool only once numpy is loaded
     if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         raise ParameterError(f"a bool is not a number, got {value!r}")
-    if type(value) is not float and isinstance(value, numbers.Real):
+    if type(value) is float or isinstance(value, numbers.Real):
         try:
-            return float(value)
+            return float(value) + 0.0  # -0.0 + 0.0 is +0.0
         except OverflowError:  # an int beyond the float range, which the checks reject
             pass
     return value
@@ -184,6 +184,7 @@ def cluster_cov_stack(n_per_period: int, rho_w, rho_a=None, pi=None):
     """
     import numpy as np
 
+    rho_w, rho_a, pi = (None if a is None else a + 0.0 for a in (rho_w, rho_a, pi))  # -0 as +0
     ok, errors = np.ones(rho_w.shape, bool), {}
     with np.errstate(invalid="ignore", over="ignore"):  # entries of points outside the domain
         diag, offdiag = _entries(float(n_per_period), rho_w, rho_a=rho_a, pi=pi)

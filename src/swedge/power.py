@@ -343,8 +343,8 @@ class SweepTable(Record):
 
 
 def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
-    """The (K,) ICC columns of a sweep grid: ``rho_w``, and for a model
-    with a second ICC that ICC, from a (K, 2) grid or else the template's.
+    """The (K,) ICC columns of a sweep grid, a zero as +0.0: ``rho_w``, and
+    for a model with a second ICC that ICC, from a (K, 2) grid or the template.
 
     The grid must be a numeric array-like of ints or floats, of shape
     (K,), or (K, 2) for a model with a second ICC; the spec must hold
@@ -371,7 +371,7 @@ def _icc_columns(points, correlation: CorrelationSpec) -> dict[str, np.ndarray]:
         pairs = f", or a (K, 2) array-like of (rho_w, {second}) pairs" if second else ""
         raise ParameterError(f"sweep points must be a numeric (K,) array-like of rho_w "
                              f"values{pairs}")
-    columns = dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float)))
+    columns = dict(zip(("rho_w", second), np.atleast_2d(values.T).astype(float) + 0.0))
     if second:
         columns.setdefault(second, np.full(len(values), getattr(correlation, second)))
     return columns

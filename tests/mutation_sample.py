@@ -6,16 +6,18 @@ run the tier-1 tests against each mutant.
 
 Each mutant changes one thing inside one of the named functions, nested
 functions included: a comparison operator, an arithmetic or bitwise
-operator (augmented assignments too), or an int constant of at most 16 in
-magnitude.  The repository is copied into a new directory under
-``--workdir`` (the system's temporary directory by default) and every
-mutant is written to that copy, never to the repository.  The copy's
-module is rewritten with ``ast.unparse``, so the tests first run once on
-the unparsed, unmutated module; then they run under ``-x`` for each
-mutant, the ``--first`` files ahead of the rest, and a mutant they pass
-is printed as a survivor.  A run that outlives three times the unmutated
-run is stopped and counted as killed.  The file is not named ``test_*``,
-so pytest does not collect it.
+operator (augmented assignments too), ``and`` into ``or`` or back, a
+dropped ``not`` (``not x`` becomes ``not not x``, the truth of ``x``), or
+an int constant of at most 16 in magnitude.  Each named function that
+gives no mutant is printed first.  The repository is copied into a new
+directory under ``--workdir`` (the system's temporary directory by
+default) and every mutant is written to that copy, never to the
+repository.  The copy's module is rewritten with ``ast.unparse``, so the
+tests first run once on the unparsed, unmutated module; then they run
+under ``-x`` for each mutant, the ``--first`` files ahead of the rest,
+and a mutant they pass is printed as a survivor.  A run that outlives
+three times the unmutated run is stopped and counted as killed.  The
+file is not named ``test_*``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ COMPARISONS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: a
 OPERATORS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.Div: ast.Mult,
              ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
              ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr,
-             ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitAnd}
+             ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And}
 
 
 def _functions(tree: ast.Module, names: set[str]) -> list[ast.AST]:
@@ -59,9 +61,12 @@ def _sites(tree: ast.Module, names: set[str]) -> list[tuple]:
                 for k, op in enumerate(node.ops):
                     new = COMPARISONS[type(op)]
                     sites.append((node, k, f"{where} {type(op).__name__} -> {new.__name__}"))
-            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in OPERATORS:
+            elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) \
+                    and type(node.op) in OPERATORS:
                 new = OPERATORS[type(node.op)]
                 sites.append((node, None, f"{where} {type(node.op).__name__} -> {new.__name__}"))
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                sites.append((node, None, f"{where} Not -> drop"))
             elif isinstance(node, ast.Constant) and type(node.value) is int \
                     and abs(node.value) <= 16:
                 new = node.value - 1 if node.value > 0 else node.value + 1
@@ -74,6 +79,8 @@ def _mutate(node: ast.AST, slot) -> None:
         node.ops[slot] = COMPARISONS[type(node.ops[slot])]()
     elif isinstance(node, ast.Constant):
         node.value = node.value - 1 if node.value > 0 else node.value + 1
+    elif isinstance(node, ast.UnaryOp):
+        node.operand = ast.UnaryOp(ast.Not(), node.operand)
     else:
         node.op = OPERATORS[type(node.op)]()
 
@@ -118,6 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         if found != names:
             parser.error(f"{path} has no function {', '.join(sorted(names - found))}")
         targets.append((copy / path, source, names))
+        for name in sorted(names):
+            if not _sites(ast.parse(source), {name}):
+                print(f"no mutant in {path}:{name}", flush=True)
         (copy / path).write_text(ast.unparse(ast.parse(source)) + "\n")
 
     passed, seconds = _run_tests(copy, args.first, None)

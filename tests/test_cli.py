@@ -173,28 +173,31 @@ class TestPowerCommand:
         assert p_raw == pytest.approx(p_std, abs=1e-9)
 
     # contrast labels that read as numbers, an exponent, nan, a signed zero
-    # and a %-template
-    LABELS = ("2", "1e5", "nan", "-0", "a%b")
-    WEIGHTS = ("1,-1,0", "0.5,0.5,1", "1,1,0.25", "1,-1,0", "2,-1,1")
+    # and a %-template, or hold quotes, backslashes, percent signs and
+    # non-ASCII characters; effects whose tokens are integral or have an exponent
+    LABELS = ("2", "1e5", "nan", "-0", "a%b", 'q"%é', "b\\s", "%s%%", "∑µ", 'x"\\"')
+    WEIGHTS = ("1,-1,0", "0.5,0.5,1", "1,1,0.25", "1,-1,0", "2,-1,1") * 2
+    EFFECTS = ("", "@0.3", "", "@1e-3", "@-2", "@2", "@1e-5", "", "@0.3", "@-2")
 
     @pytest.mark.parametrize("model", [("--model", "cs"), ("--model", "cohort", "--pi", "0.5"),
                                        ("--model", "nested", "--rho-a", "0.05")])
     @pytest.mark.parametrize("design", [("fig2b",), ("fig8-design2",), ("fig5b", "--additive")])
     def test_formats_carry_one_text(self, capsys, design, model):
         """JSON holds the numbers of the CSV text, its meta too, and each label
-        as the string it is; a table shows that text at 4 digits, labels
-        verbatim."""
+        as the string it is, byte for byte as ``json.dumps`` writes them; a
+        table shows that text at 4 digits, labels verbatim."""
         width = 3 if design[0] == "fig8-design2" else 2
         contrasts = [f"--contrast={label}={','.join(weights.split(',')[:width])}{effect}"
-                     for label, weights, effect in zip(self.LABELS, self.WEIGHTS,
-                                                       ("", "@0.3", "", "@1e-3", "@-2"))]
+                     for label, weights, effect in zip(self.LABELS, self.WEIGHTS, self.EFFECTS)]
         out = {}
         for fmt in ("csv", "json", "table"):
             code, out[fmt], _ = run(capsys, "power", "--design", *design, *model, "--rho-w",
                                     "0.1", "--n", "15", "--delta", "0.40000000000001", *contrasts,
                                     "--format", fmt)
             assert code == 0
-        csv_rows = [line.split(",") for line in out["csv"].splitlines()[1:]]
+        header, *lines = out["csv"].splitlines()
+        assert header == "label,effect,se,power"
+        csv_rows = [line.split(",") for line in lines]
         assert [row[0] for row in csv_rows[-len(self.LABELS):]] == list(self.LABELS)
         payload = json.loads(out["json"])
         assert set(payload["meta"]["deltas"].values()) == {0.4}
@@ -204,11 +207,34 @@ class TestPowerCommand:
             numbers = [r["effect"], r["se"], r["power"]]
             assert all(type(v) is float for v in numbers)
             assert numbers == [float(token) for token in row[1:]]
+        assert out["json"] == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         table = out["table"].splitlines()
         assert table[0].startswith(f"# {design[0]}: model=")
         assert table[1].split() == ["label", "effect", "se", "power"]
         assert [line.split() for line in table[3:]] == \
             [[row[0], *(format(float(token), ".4g") for token in row[1:])] for row in csv_rows]
+
+
+    def test_a_signed_zero_is_read_as_zero(self, capsys):
+        """A zero given as -0 is +0.0: in the table's title, the JSON meta and
+        rows, and the ICC columns of a sweep."""
+        base = ("power", "--design", "fig2b", "--model", "cs", "--n", "15")
+        code, out, _ = run(capsys, *base, "--rho-w", "-0.0", "--delta", "0.4")
+        assert code == 0
+        assert out.splitlines()[0] == "# fig2b: model=cs n_per_period=15 rho_w=0 alpha=0.05"
+        code, out, _ = run(capsys, *base, "--sigma-alpha-sq", "-0", "--sigma-e-sq", "1",
+                           "--delta", "-0", "0.4", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        zeros = [payload["meta"]["sigma_alpha_sq"], payload["meta"]["deltas"]["trt1"],
+                 payload["rows"][0]["effect"]]
+        assert [math.copysign(1.0, v) for v in zeros] == [1.0] * 3
+        for model in (("cs",), ("nested", "--cac", "0.5")):
+            code, out, _ = run(capsys, "sweep", "--design", "fig2b", "--model", *model,
+                               "--n", "15", "--delta", "0.4", "--rho-values=-0,0.1",
+                               "--format", "csv")
+            assert code == 0
+            assert out.splitlines()[1].startswith("0,0," if len(model) > 1 else "0,")
 
 
 class TestRejectedInputs:

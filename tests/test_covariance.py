@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -180,6 +182,13 @@ class TestDomains:
             CorrelationSpec(model=CS, n_per_period=10, rho_w=1.0)
         with pytest.raises(ParameterError):
             CorrelationSpec(model=CS, n_per_period=10, rho_w=-0.01)
+
+    @pytest.mark.parametrize("zero", [-0.0, np.float32(-0.0), np.float64(-0.0)])
+    def test_a_zero_is_read_as_plus_zero(self, zero):
+        spec = CorrelationSpec(model=NESTED, n_per_period=10, rho_w=zero, rho_a=zero)
+        raw = RawComponents(sigma_alpha_sq=zero, sigma_e_sq=1.0, sigma_nu_sq=zero)
+        for value in (spec.rho_w, spec.rho_a, raw.sigma_alpha_sq, raw.sigma_nu_sq):
+            assert type(value) is float and math.copysign(1.0, value) == 1.0
 
     def test_nested_ordering_enforced(self):
         with pytest.raises(ParameterError):
