@@ -71,16 +71,11 @@ def _json(value) -> str:
     return _json_encoder().encode(value)
 
 
-def _json_number(x: float) -> str:
-    """The JSON text of ``x``'s ``"%.12g"`` token read back: the token itself
-    (the float's shortest repr), save the ``.0`` of an integral value and
-    the re-encoding of the rare token with an exponent."""
-    token = "%.12g" % x
-    if "e" not in token:
-        if "." in token:
-            return token
-        if token.lstrip("-").isdigit():
-            return token + ".0"
+def _json_number(token: str) -> str:
+    """The JSON text of the float a ``"%.12g"`` token reads back as: an
+    integral token gains ``.0``, and one with an exponent is re-encoded."""
+    if token.lstrip("-").isdigit():
+        return token + ".0"
     return _json(float(token))
 
 
@@ -113,7 +108,8 @@ def _write(args, header: list[str], rows, meta: dict, error_rows: dict | None = 
 
     CSV is that text under the header.  JSON is ``meta`` and one object per
     row, except that ``error_rows`` maps a point index to the object that
-    stands there instead.  A table shows each number read back to 4 digits.
+    stands there instead; a token that is not its float's JSON text is
+    re-encoded from its text.  A table shows each number read back to 4 digits.
     """
     # JSON sorts the keys, so its columns are permuted once here
     order = (sorted(range(len(header)), key=header.__getitem__) if args.format == "json"
@@ -132,11 +128,10 @@ def _write(args, header: list[str], rows, meta: dict, error_rows: dict | None = 
         written = fmt % values
         # A "%.12g" token holds at most one "." and is its float's JSON text
         # when it holds one and no "e": then both counts equal the format's.
-        # In a table with any other token, only those tokens are re-encoded.
         if written.count(".") != fmt.count(".") or written.count("e") != fmt.count("e"):
-            tokens = (("%.12g," * len(values)) % values).split(",")
-            written = rows_format("%s") % tuple([t if "." in t and "e" not in t else _json_number(v)
-                                                 for t, v in zip(tokens, values)])
+            tokens = (("%.12g," * len(values)) % values).split(",")[:-1]
+            written = rows_format("%s") % tuple([t if "." in t and "e" not in t else _json_number(t)
+                                                 for t in tokens])
         body = '{"meta":' + _json(meta) + ',"rows":[' + written + "]}\n"
     else:
         line = ",".join(["%.12g"] * len(header))
@@ -258,7 +253,7 @@ def _parse_contrast(text: str) -> ContrastSpec:
     if not rest:
         raise CliError(f"contrast {text!r} must look like label=w1,w2[,w3][@effect]")
     # the label becomes a CSV field or part of a column name
-    if any(ch in label for ch in ",\n\r"):
+    if "," in label or (label and label.splitlines() != [label]):
         raise CliError(f"contrast label {label!r} must not hold a comma or a line break")
     if label.startswith('"'):  # a CSV reader would read a quoted field
         raise CliError(f"contrast label {label!r} must not start with a double quote")

@@ -195,6 +195,9 @@ class TreatmentCovariance(Record):
     def __init__(self, labels: tuple[str, ...], matrix: np.ndarray) -> None:
         self.__dict__.update(labels=labels, matrix=matrix)
 
+    def _key(self) -> tuple:  # an array's == is elementwise: compare the entries
+        return self.labels, self.matrix.tolist()
+
 
 def _cofactor(m: list, i: int, j: int) -> list[int]:
     """The (i, j) cofactor of an n x n matrix ``m`` of degree-1 polynomials

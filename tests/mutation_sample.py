@@ -53,9 +53,12 @@ def _functions(tree: ast.Module, names: set[str]) -> list[ast.AST]:
 def _sites(tree: ast.Module, names: set[str]) -> list[tuple]:
     """``(node, slot, description)`` for every mutation inside the named
     functions, in a fixed order: the same for every parse of one source."""
-    sites = []
+    sites, seen = [], set()
     for function in _functions(tree, names):  # its body: not its annotations or defaults
         for node in (node for statement in function.body for node in ast.walk(statement)):
+            if id(node) in seen:  # in a nested function named with its outer one
+                continue
+            seen.add(id(node))
             where = f"{function.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Compare):
                 for k, op in enumerate(node.ops):

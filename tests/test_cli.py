@@ -403,7 +403,9 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("command", [("power", "--rho-w", "0.1"),
                                          ("sweep", "--rho-values", "0.05,0.1")])
-    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+    # "\n", "\r" and every other character str.splitlines breaks a line at
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a\u2028b", "a\u2029b", "a\x85b",
+                                       "a\x0bb", "a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\u2028"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_contrast_label_breaking_a_csv_field_exits_2(self, capsys, command, label, fmt):
         code, out, err = run(capsys, *command, "--design", "fig2b", "--model", "cs", "--n", "15",
@@ -638,7 +640,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(swedge.cli, "_json_number", counting)
         assert run(capsys, *command, "--format", "json")[1] == reference
-        assert sorted("%.12g" % x for x in seen) == expected
+        assert sorted(seen) == expected
 
     def test_point_errors_reported_on_stderr(self, capsys):
         code, out, err = run(

@@ -88,6 +88,8 @@ NOT_UTF8 = ("cannot write output file '{}': 'utf-8' codec can't encode character
     (("power", "--design", "d\udcff.csv", "--model", "cs", "--rho-w", "0.05", "--n", "15",
       "--delta", "0.4", "--format", "table", "--output", "o.txt"),
      NOT_UTF8.format("o.txt", 3)),
+    # an empty label passes the CLI's label checks to the spec's own
+    ((*POWER, "--rho-w", "0.1", "--contrast", "=1,-1@0.4"), "contrast needs a label"),
 ])
 def test_cli_input_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # no file named like a design id lies here

@@ -41,6 +41,8 @@ def reference(meta, header, lines):
          header=["rho_w", "se_é\"x\\", "power_{0}%s"])
 # every token holds a ".", and "1.5e+13" is not its float's JSON text
 @example(data=[[0.5, 1.5e+13]], header=["a", "b"])
+# every token is integral or holds an "e", so each one is re-encoded
+@example(data=[[0.0, 1.0], [-0.0, 1.5e+13]], header=["a", "b"])
 def test_row_writer_matches_json_dumps(data, header):
     if isinstance(data, list):
         rows = data

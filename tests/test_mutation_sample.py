@@ -19,6 +19,11 @@ def strings_only():
 
 def outside():
     return not 1
+
+def outer(a):
+    def inner(b):
+        return b - 3
+    return inner(a) * 2
 '''
 
 MUTANTS = {
@@ -73,3 +78,10 @@ def test_the_descriptions_name_each_operator():
 
 def test_a_function_without_operators_gives_no_site():
     assert _sites(ast.parse(SNIPPET), {"strings_only"}) == []
+
+
+def test_a_nested_function_named_with_its_outer_one_gives_each_site_once():
+    sites = _sites(ast.parse(SNIPPET), {"outer", "inner"})
+    assert len({(id(node), slot) for node, slot, _ in sites}) == len(sites)
+    assert sorted(d.split(" ", 1)[1] for _, _, d in sites) == [
+        "2 -> 1", "3 -> 2", "Mult -> FloorDiv", "Sub -> Add"]

@@ -215,6 +215,16 @@ def test_power_result_equality_ignores_only_metadata():
     assert result != PowerResult((EffectPower("trt1", 0.4, 0.1, 0.8),), "fig1", {})
 
 
+def test_covariance_equality_compares_labels_and_every_entry():
+    matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+    cov = TreatmentCovariance(("trt1", "trt2"), matrix)
+    assert cov == TreatmentCovariance(("trt1", "trt2"), matrix.copy())
+    assert cov != TreatmentCovariance(("trt1", "trt2"), np.array([[2.0, 0.5], [0.5, 1.5]]))
+    assert cov != TreatmentCovariance(("trt1", "diff"), matrix)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cov)
+
+
 def test_design_grid_equality_compares_label_and_cells():
     grid = DesignGrid([[0, 1], [0, 3]], label="d")
     assert grid == DesignGrid([[0, 1], [0, 3]], label="d", reconstructed=True)
