@@ -7,16 +7,14 @@ class Record:
     A subclass sets its fields in its own ``__init__``, through
     ``self.__dict__``.  Assigning or deleting any attribute raises
     :class:`dataclasses.FrozenInstanceError`.  Two records of one class are
-    equal, and hash alike, when their ``compare`` fields are: every field,
-    unless the class statement names them (``class C(Record,
-    compare=("a",))``).  The repr shows every field.  Copies and pickles
-    restore the fields without calling ``__init__``.
+    equal, and hash alike, when their ``_key()`` tuples are: every field,
+    unless the class overrides ``_key``.  The repr shows every field.
+    Copies and pickles restore the fields without calling ``__init__``.
     """
 
-    def __init_subclass__(cls, compare=None, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._compare = cls._fields if compare is None else compare
 
     def __setattr__(self, name, value):
         _frozen(f"cannot assign to field {name!r}")
@@ -25,7 +23,7 @@ class Record:
         _frozen(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compare])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

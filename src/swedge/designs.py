@@ -73,10 +73,9 @@ def _code_array(codes) -> tuple[bytes, int]:
     """The cells of an I x T grid of condition codes, row by row and one
     byte per cell, and T.
 
-    Every cell must be an int 0-3; a bool is not a code.  The cells are
-    gathered into one list, which is read as one byte per cell when its
-    types are all integer types, and else cell by cell.  A bad cell is
-    named by its Python value.
+    Every cell must be an int 0-3; a bool is not a code.  Each cell is
+    read on its own, a numpy scalar or 0-d array as its ``tolist()``
+    value, and a bad cell is named by that Python value.
     """
     try:
         rows = list(codes)
@@ -92,31 +91,15 @@ def _code_array(codes) -> tuple[bytes, int]:
         raise DesignError("design needs at least 2 periods")
     # an input holds numpy objects only once a caller has imported numpy
     np = sys.modules.get("numpy")
-    cells = None
-    flat = []
-    for row in rows:
-        flat.extend(row)
-    kinds = list(map(type, flat))
-    if kinds.count(int) == len(kinds) or all(
-            issubclass(t, int) and t is not bool or np is not None and issubclass(t, np.integer)
-            for t in set(kinds)):
-        try:  # one byte per cell
-            cells = bytes(flat)
-        except ValueError:  # a cell outside 0-255
-            pass
-        if cells is not None and cells.translate(None, _CODES):
-            cells = None
-    if cells is None:
-        cells = []
-        for r, row in enumerate(rows):
-            for cell in row:
-                if np is not None and isinstance(cell, (np.generic, np.ndarray)):
-                    cell = cell.tolist()
-                if isinstance(cell, bool) or not isinstance(cell, int) or not 0 <= cell <= 3:
-                    raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
-                cells.append(cell)
-        cells = bytes(cells)
-    return cells, width
+    cells = []
+    for r, row in enumerate(rows):
+        for cell in row:
+            if np is not None and isinstance(cell, (np.generic, np.ndarray)):
+                cell = cell.tolist()
+            if isinstance(cell, bool) or not isinstance(cell, int) or not 0 <= cell <= 3:
+                raise DesignError(f"row {r + 1}: unknown condition code {cell!r}")
+            cells.append(cell)
+    return bytes(cells), width
 
 
 class DesignGrid(Record):
@@ -138,14 +121,15 @@ class DesignGrid(Record):
     label: str
     reconstructed: bool
 
-    def __init__(self, codes, label: str = "", reconstructed: bool = False) -> None:
-        _fill(self, *_code_array(codes), label, reconstructed)
+    __hash__ = None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DesignGrid):
-            return NotImplemented
-        return (self.label, self.n_periods, self.cells) == \
-            (other.label, other.n_periods, other.cells)
+    def __init__(self, codes, label: str = "", reconstructed: bool = False) -> None:
+        cells, n_periods = _code_array(codes)
+        self.__dict__.update(cells=cells, n_periods=n_periods, label=label,
+                             reconstructed=reconstructed)
+
+    def _key(self) -> tuple:
+        return self.label, self.n_periods, self.cells
 
     def __reduce__(self):  # copies and unpickled grids share the bytes, not the caches
         return _grid, (self.cells, self.n_periods, self.label, self.reconstructed)
@@ -187,13 +171,8 @@ class DesignGrid(Record):
                      self.reconstructed)
 
     def permute_clusters(self, order: Sequence[int]) -> "DesignGrid":
-        np = sys.modules.get("numpy")  # an order holds a numpy bool only once numpy is loaded
-        bools = bool if np is None else (bool, np.bool_)
         try:  # ints or numpy integers, not bools; 1.0 == 1 would pass the check below
-            order = list(order)
-            if any(isinstance(k, bools) for k in order):
-                raise TypeError
-            order = list(map(operator.index, order))
+            order = list(map(_index, order))
         except TypeError:
             raise DesignError("cluster permutation must be a sequence of row indices") from None
         if sorted(order) != list(range(self.n_clusters)):
@@ -206,10 +185,13 @@ class DesignGrid(Record):
         return _grid(self.cells, self.n_periods, label, self.reconstructed)
 
 
-def _fill(grid: DesignGrid, cells: bytes, n_periods: int, label: str,
-          reconstructed: bool) -> None:
-    grid.__dict__.update(cells=cells, n_periods=n_periods, label=label,
-                         reconstructed=reconstructed)
+def _index(value) -> int:
+    """``value`` as an int, through ``operator.index``; a Python or numpy
+    bool, which is no count or index, raises TypeError too."""
+    np = sys.modules.get("numpy")  # a value is a numpy bool only once numpy is loaded
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
+        raise TypeError
+    return operator.index(value)
 
 
 def _grid(cells: bytes, n_periods: int, label: str, reconstructed: bool) -> DesignGrid:
@@ -217,7 +199,8 @@ def _grid(cells: bytes, n_periods: int, label: str, reconstructed: bool) -> Desi
     taken as they are: for cells that come from a grid or passed its
     checks."""
     grid = DesignGrid.__new__(DesignGrid)
-    _fill(grid, cells, n_periods, label, reconstructed)
+    grid.__dict__.update(cells=cells, n_periods=n_periods, label=label,
+                         reconstructed=reconstructed)
     return grid
 
 
@@ -257,8 +240,17 @@ def generate_standard_swd(
     Sequence s (1-based) stays in control through period s and receives
     ``treatment`` (cell code 1, 2 or 3) from period s+1 on, over
     T = sequences + 1 periods, so every cluster is treated in the final
-    period.
+    period.  Both counts must be ints of at least 1; a bool is no count.
     """
+    try:
+        sequences = _index(sequences)
+    except TypeError:
+        raise DesignError(f"sequences must be an int, got {sequences!r}") from None
+    try:
+        clusters_per_sequence = _index(clusters_per_sequence)
+    except TypeError:
+        raise DesignError(
+            f"clusters_per_sequence must be an int, got {clusters_per_sequence!r}") from None
     if sequences < 1:
         raise DesignError("need at least one sequence")
     if clusters_per_sequence < 1:

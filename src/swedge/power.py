@@ -82,7 +82,11 @@ def wald_power(effect: float, se: float, alpha: float = 0.05) -> float:
         Standard error of the estimate; must be positive.
     alpha : float
         Two-sided type I error rate.
+
+    Each is read as a float; a Python or numpy bool raises
+    :class:`~swedge.covariance.ParameterError`.
     """
+    effect, se, alpha = _read_float(effect), _read_float(se), _read_float(alpha)
     if not math.isfinite(effect):
         raise ValueError(f"effect must be finite, got {effect}")
     if not math.isfinite(se):
@@ -211,7 +215,7 @@ class EffectPower(Record):
         self.__dict__.update(label=label, effect=effect, se=se, power=power)
 
 
-class PowerResult(Record, compare=("rows", "design_label")):
+class PowerResult(Record):
     """Per-effect standard errors and power, with run metadata, which
     equality ignores."""
 
@@ -222,6 +226,9 @@ class PowerResult(Record, compare=("rows", "design_label")):
     def __init__(self, rows: tuple[EffectPower, ...], design_label: str,
                  metadata: dict) -> None:
         self.__dict__.update(rows=rows, design_label=design_label, metadata=metadata)
+
+    def _key(self) -> tuple:
+        return self.rows, self.design_label
 
     def row(self, label: str) -> EffectPower:
         for r in self.rows:

@@ -97,8 +97,8 @@ class TestGridStructure:
             DesignGrid(np.array([[0, 1], [1, cell]], dtype=object))
         assert str(info.value) == f"row 2: unknown condition code {cell!r}"
 
-    def test_a_grid_of_numpy_integers_is_read_as_one_buffer(self):
-        # a cell read on its own becomes a Python int through tolist
+    def test_a_grid_of_numpy_integers_is_read_cell_by_cell(self):
+        # each cell read on its own becomes a Python int through tolist
         calls = []
 
         class Code(np.int64):
@@ -108,10 +108,10 @@ class TestGridStructure:
 
         grid = DesignGrid([[Code(0), Code(1)], [Code(2), Code(3)]])
         assert grid.to_codes() == [[0, 1], [2, 3]]
-        assert calls == []
+        assert calls == [0, 1, 2, 3]
 
     def test_zero_dimensional_arrays_are_read_cell_by_cell(self):
-        # a 0-d array is no numpy integer, so its grid is read a cell at a time
+        # a 0-d array, like a numpy scalar, is read as its tolist() value
         cells = [[np.array(0), np.array(1)], [np.array(0), np.array(1)]]
         assert DesignGrid(cells) == DesignGrid([[0, 1], [0, 1]])
 

@@ -26,7 +26,7 @@ from swedge.designs import (
     parse_design,
     serialize_design,
 )
-from swedge.power import ContrastSpec, EffectSpec, design_power
+from swedge.power import ContrastSpec, EffectSpec, design_power, wald_power
 
 POWER = ("power", "--design", "fig2b", "--model", "cs", "--n", "15")
 SWEEP = ("sweep", "--design", "fig2b", "--model", "cs", "--n", "15", "--delta", "0.4")
@@ -159,6 +159,17 @@ FIG1 = catalog_design("fig1")
     (lambda: design_power(FIG1, CorrelationSpec(model=CS, n_per_period=10, rho_w=0.1),
                           EffectSpec(delta1=0.3)).row("trt2"),
      KeyError, "no result row for 'trt2'"),
+    # a label the serialized form's reader cannot decode is left to json.loads
+    (lambda: parse_design('{"label": "a\\x", "cells": [[0, 1], [0, 1]]}'), DesignError,
+     "invalid design JSON: Invalid \\escape: line 1 column 13 (char 12)"),
+    (lambda: wald_power(0.4, 0.1, 0.0), ValueError,
+     "alpha must lie strictly between 0 and 1, got 0.0"),
+    (lambda: generate_standard_swd(2.5, 2), DesignError, "sequences must be an int, got 2.5"),
+    (lambda: generate_standard_swd(2, 2.0), DesignError,
+     "clusters_per_sequence must be an int, got 2.0"),
+    (lambda: generate_standard_swd(True, 2), DesignError, "sequences must be an int, got True"),
+    (lambda: generate_standard_swd(2, np.True_), DesignError,
+     f"clusters_per_sequence must be an int, got {np.True_!r}"),
 ])
 def test_library_input_error(call, kind, message):
     with pytest.raises(kind) as info:
@@ -167,7 +178,8 @@ def test_library_input_error(call, kind, message):
     assert info.value.args[0] == message
 
 
-#: Every spec field read as a float, each taking a bool ``b`` beside valid values.
+#: Every spec field and wald_power argument read as a float, each taking a bool ``b``
+#: beside valid values.
 FLOAT_FIELDS = {
     "rho_w": lambda b: CorrelationSpec(model=CS, n_per_period=10, rho_w=b),
     "rho_a": lambda b: CorrelationSpec(model=CovarianceModel.NESTED_EXCHANGEABLE,
@@ -186,6 +198,9 @@ FLOAT_FIELDS = {
     "alpha": lambda b: EffectSpec(delta1=0.3, alpha=b),
     "contrast weight": lambda b: ContrastSpec(label="c", weights=(b, -1.0)),
     "contrast effect": lambda b: ContrastSpec(label="c", weights=(1.0, -1.0), effect=b),
+    "wald effect": lambda b: wald_power(b, 0.1),
+    "wald se": lambda b: wald_power(0.4, b),
+    "wald alpha": lambda b: wald_power(0.4, 0.1, b),
 }
 
 
